@@ -27,35 +27,33 @@ import numpy as np
 
 from .cdfs import MarginalCdf
 from .errors import InvalidMarginal, NotAbsolutelyContinuous, NotInF0, OutOfPsi
-from .hazards import PairHazard, pair_hazard
+from .hazards import PairHazard, _cdf_gap, pair_hazard
 from .intervals import (IntervalSet, gap_inside_mask, inside_mask,
                         interval_arrays, snap_inside)
 from .marginals import (EQ_TOL, MarginalVector, average_cdf, in_support_LF,
-                        psi_intervals, sigma_measure)
+                        sigma_measure)
 from .multidiag import (Multidiagonal, delta_inverse, delta_psi,
                         j_functional_delta, validate_multidiagonal)
 
 GAP_TOL = 1e-12
 
 
+def _anchored_theta(hz: PairHazard, anchors: np.ndarray, x):
+    """theta(x) less the anchor of the interval of x, on the hazard's scale."""
+    starts, _ = interval_arrays(hz.psi)
+    idx = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, len(anchors) - 1)
+    return hz.theta(x) - anchors[idx]
+
+
 class _HazardRoute:
     """K_i evaluated directly on the [0, 1] scale through a pair hazard."""
 
-    def __init__(self, hz: PairHazard, psi: IntervalSet):
+    def __init__(self, hz: PairHazard):
         self.hz = hz
-        self.psi = psi
-        mids = np.array([0.5 * (g + d) for g, d in psi])
-        self._anchors = hz.theta(mids)
-        self._starts, _ = interval_arrays(psi)
-
-    def _anchor_of(self, t):
-        idx = np.clip(np.searchsorted(self._starts, t, side="right") - 1,
-                      0, len(self._anchors) - 1)
-        return self._anchors[idx]
+        self._anchors = hz.theta(np.array([0.5 * (g + d) for g, d in hz.psi]))
 
     def K(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.hz.theta(t) - self._anchor_of(t)
+        return _anchored_theta(self.hz, self._anchors, np.asarray(t, dtype=float))
 
     def kprime(self, t):
         return self.hz.ell(np.asarray(t, dtype=float))
@@ -71,25 +69,14 @@ class _TransportRoute:
     hazard, so K_i(t) = theta_i(G^{-1}(t)) - theta_i(G^{-1}(m)).
     """
 
-    def __init__(self, hz: PairHazard, G: MarginalCdf, psi: IntervalSet,
-                 fp: MarginalCdf, fc: MarginalCdf):
+    def __init__(self, hz: PairHazard, G: MarginalCdf, psi: IntervalSet):
         self.hz = hz
         self.G = G
-        self.psi = psi
-        self.fp = fp
-        self.fc = fc
         mids = np.array([0.5 * (g + d) for g, d in psi])
         self._anchors = hz.theta(np.asarray(G.ppf(mids), dtype=float))
-        self._starts, _ = interval_arrays(psi)
-        self._xstarts = np.array([g for g, _ in hz.psi], dtype=float)
-
-    def _anchor_at_x(self, x):
-        idx = np.clip(np.searchsorted(self._xstarts, x, side="right") - 1,
-                      0, len(self._anchors) - 1)
-        return self._anchors[idx]
 
     def K_at_x(self, x):
-        return self.hz.theta(x) - self._anchor_at_x(x)
+        return _anchored_theta(self.hz, self._anchors, x)
 
     def log_kprime_at_x(self, x):
         ellv = np.asarray(self.hz.ell(x), dtype=float)
@@ -137,22 +124,19 @@ class CopulaKernel:
         self.psis = {i: delta_psi(delta, i) for i in range(1, self.d + 2)}
         self._routes = {}
         comps = delta.components
+        G = average_cdf(delta.source) if delta.source is not None else None
         for i in range(2, self.d + 1):
             psi = self.psis[i]
             if len(psi) == 0:
                 self._routes[i] = None
-                continue
-            if mode == "quadrature":
-                hz = pair_hazard(comps[i - 2], comps[i - 1], psi=psi, force_table=True)
-                self._routes[i] = _HazardRoute(hz, psi)
-            elif delta.source is not None:
-                G = average_cdf(delta.source)
-                fp = delta.source.margins[i - 2]
-                fc = delta.source.margins[i - 1]
-                self._routes[i] = _TransportRoute(pair_hazard(fp, fc), G, psi, fp, fc)
+            elif mode == "quadrature":
+                self._routes[i] = _HazardRoute(
+                    pair_hazard(comps[i - 2], comps[i - 1], psi=psi, force_table=True))
+            elif G is not None:
+                self._routes[i] = _TransportRoute(delta.source.pairs[i - 2].hazard, G, psi)
             else:
-                hz = pair_hazard(comps[i - 2], comps[i - 1], psi=psi)
-                self._routes[i] = _HazardRoute(hz, psi)
+                self._routes[i] = _HazardRoute(
+                    pair_hazard(comps[i - 2], comps[i - 1], psi=psi))
 
     # -- raw evaluations, assuming points already inside the right sets --
 
@@ -251,11 +235,7 @@ class CopulaKernel:
             cur = self.delta.components[i - 1]
             if i < self.d:
                 nxt = self.delta.components[i]
-                curv = np.asarray(cur.cdf(tm), dtype=float)
-                gap = np.where(curv <= 0.5,
-                               curv - np.asarray(nxt.cdf(tm), dtype=float),
-                               np.asarray(nxt.sf(tm), dtype=float)
-                               - np.asarray(cur.sf(tm), dtype=float))
+                gap = _cdf_gap(cur, nxt, tm)
             else:
                 gap = np.asarray(cur.cdf(tm), dtype=float)
             out[mask] = gap * np.exp(self._K_inner(i + 1, tm))
@@ -438,8 +418,7 @@ def c_F_density(margins: MarginalVector, u, *, hazards=None) -> np.ndarray:
     if u.shape[1] != d:
         raise ValueError(f"points must have {d} columns")
     if hazards is None:
-        hazards = {i: pair_hazard(margins.margins[i - 2], margins.margins[i - 1])
-                   for i in range(2, d + 1)}
+        hazards = {i: p.hazard for i, p in enumerate(margins.pairs, start=2)}
     interior = np.all((u > 0.0) & (u < 1.0), axis=1)
     x = np.empty_like(u)
     for j in range(d):

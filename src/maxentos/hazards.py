@@ -22,12 +22,19 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .cdfs import BetaOneKCdf, ExponentialCdf, MarginalCdf, OrderStatUniformCdf
+from .cdfs import MarginalCdf, OrderStatUniformCdf, _bisect_level
 from .errors import RootBracketFailure
-from .intervals import IntervalSet
-from .marginals import _as_piecewise, psi_pair
+from .intervals import IntervalSet, interval_arrays
 
 _SOLVE_ITERS = 100
+
+
+def _cdf_gap(fp: MarginalCdf, fc: MarginalCdf, t) -> np.ndarray:
+    """F_prev(t) - F_cur(t), from whichever side keeps the subtraction
+    away from 1."""
+    Fp = np.asarray(fp.cdf(t), dtype=float)
+    return np.where(Fp <= 0.5, Fp - np.asarray(fc.cdf(t), dtype=float),
+                    np.asarray(fc.sf(t), dtype=float) - np.asarray(fp.sf(t), dtype=float))
 
 
 class PairHazard:
@@ -37,19 +44,13 @@ class PairHazard:
         self.fp = fp
         self.fc = fc
         self.psi = psi
-        self._starts = np.array([g for g, _ in psi], dtype=float)
-        self._ends = np.array([d for _, d in psi], dtype=float)
+        self._starts, self._ends = interval_arrays(psi)
 
     def ell(self, t):
         """Hazard values; +inf where the gap closes under positive density."""
         t = np.asarray(t, dtype=float)
         f = np.asarray(self.fc.pdf(t), dtype=float)
-        Fp = np.asarray(self.fp.cdf(t), dtype=float)
-        # take the gap from whichever side keeps the subtraction away from 1
-        gap = np.where(Fp <= 0.5,
-                       Fp - np.asarray(self.fc.cdf(t), dtype=float),
-                       np.asarray(self.fc.sf(t), dtype=float)
-                       - np.asarray(self.fp.sf(t), dtype=float))
+        gap = _cdf_gap(self.fp, self.fc, t)
         out = np.full(np.broadcast(t, f).shape, 0.0)
         pos = f > 0.0
         good = pos & (gap > 0.0)
@@ -90,13 +91,23 @@ class PairHazard:
             out[same] = self.theta(t[same]) - self.theta(s[same])
         return out
 
-    def _right_end_for(self, s):
+    def _tail_args(self, s, target):
+        """s as an array, target broadcast to it, and the interval of each s."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
         idx = self.interval_index(s)
         if np.any(idx < 0):
-            bad = np.atleast_1d(np.asarray(s, dtype=float))[idx < 0]
             raise RootBracketFailure(
-                f"conditioning point(s) outside every separation interval, e.g. {bad[0]!r}")
-        return self._ends[idx]
+                f"conditioning point(s) outside every separation interval, e.g. {s[idx < 0][0]!r}")
+        return s, np.broadcast_to(np.asarray(target, dtype=float), s.shape), idx
+
+    def _per_interval(self, fn, idx, *arrays):
+        """fn(j, *arrays restricted to interval j), gathered; NaN outside."""
+        out = np.full(idx.shape, np.nan)
+        for j in range(len(self.psi)):
+            sel = idx == j
+            if np.any(sel):
+                out[sel] = fn(j, *(a[sel] for a in arrays))
+        return out
 
     def solve_tail(self, s, target):
         """t >= s with theta(t) - theta(s) = target, within s's interval.
@@ -104,21 +115,13 @@ class PairHazard:
         Default is vectorized bisection against a finite right end;
         subclasses with unbounded intervals override.
         """
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        target = np.broadcast_to(np.asarray(target, dtype=float), s.shape)
-        hi = self._right_end_for(s)
+        s, target, idx = self._tail_args(s, target)
+        hi = self._ends[idx]
         if not np.all(np.isfinite(hi)):
             raise RootBracketFailure("unbounded interval requires a closed-form solver")
-        width = hi - s
-        lo = s.copy()
-        hi = hi - 1e-15 * width
         base = self.theta(s)
-        for _ in range(_SOLVE_ITERS):
-            mid = 0.5 * (lo + hi)
-            ge = (self.theta(mid) - base) >= target
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        return hi
+        return _bisect_level(lambda t: self.theta(t) - base, target,
+                             s, hi - 1e-15 * (hi - s), _SOLVE_ITERS)
 
 
 class ExpPairHazard(PairHazard):
@@ -126,80 +129,71 @@ class ExpPairHazard(PairHazard):
 
     theta(t) = rate_cur * t + (rate_cur / drop) * log(1 - exp(-drop * t)),
     with drop = rate_prev - rate_cur; the tail equation inverts in closed
-    form through log(1 + exp(.)).
+    form through log(1 + exp(.)).  A subclass reuses all of it on another
+    scale by supplying the change of variable s(t) and its inverse.
     """
 
-    def __init__(self, fp: ExponentialCdf, fc: ExponentialCdf):
-        super().__init__(fp, fc, IntervalSet(((0.0, math.inf),)))
-        self.lam = fc.rate
-        self.drop = fp.rate - fc.rate
+    # rate of a margin, change of variable s(t), its inverse, ds/dt: identity
+    rate_of = staticmethod(lambda m: m.rate)
+    s_of = t_of = staticmethod(lambda t: t)
+    ds_dt = staticmethod(lambda t: 1.0)
+
+    def __init__(self, fp: MarginalCdf, fc: MarginalCdf):
+        super().__init__(fp, fc, IntervalSet(((0.0, float(self.t_of(math.inf))),)))
+        self.lam = self.rate_of(fc)
+        self.drop = self.rate_of(fp) - self.lam
         if self.drop <= 0:
             raise ValueError("exponential pair must have strictly decreasing rates")
 
     def theta(self, t):
-        t = np.asarray(t, dtype=float)
-        z = self.drop * t
         # log(1 - exp(-z)) needs expm1 below log 2 and log1p above
         with np.errstate(divide="ignore", invalid="ignore"):
+            s = self.s_of(np.asarray(t, dtype=float))
+            z = self.drop * s
             log_gap = np.where(z < math.log(2.0),
                                np.log(-np.expm1(-z)),
                                np.log1p(-np.exp(-z)))
-        return self.lam * t + (self.lam / self.drop) * log_gap
+        return self.lam * s + (self.lam / self.drop) * log_gap
 
     def ell(self, t):
-        # gap = exp(-lam t)(1 - exp(-drop t)), stable deep in both tails
+        # gap = exp(-lam s)(1 - exp(-drop s)), stable deep in both tails
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, 0.0)
         pos = t > 0.0
-        denom = -np.expm1(-self.drop * t[pos])
-        out[pos] = self.lam / denom
+        with np.errstate(divide="ignore"):
+            denom = -np.expm1(-self.drop * self.s_of(t[pos]))
+            out[pos] = self.lam / denom * self.ds_dt(t[pos])
         out[t == 0.0] = math.inf
         return out if out.ndim else float(out)
 
     def solve_tail(self, s, target):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        self._right_end_for(s)
-        target = np.broadcast_to(np.asarray(target, dtype=float), s.shape)
+        s, target, _ = self._tail_args(s, target)
         y = self.theta(s) + target
-        # theta(t) = (lam/drop) log(exp(drop t) - 1)  =>  exact inverse
+        # theta(s) = (lam/drop) log(exp(drop s) - 1)  =>  exact inverse
         z = self.drop * y / self.lam
-        return np.logaddexp(0.0, z) / self.drop
+        return self.t_of(np.logaddexp(0.0, z) / self.drop)
 
 
-class BetaPairHazard(PairHazard):
-    """Both margins beta_1_k, k_prev > k_cur; interval (0, 1)."""
+class BetaPairHazard(ExpPairHazard):
+    """Both margins beta_1_k, k_prev > k_cur; interval (0, 1).
 
-    def __init__(self, fp: BetaOneKCdf, fc: BetaOneKCdf):
-        super().__init__(fp, fc, IntervalSet(((0.0, 1.0),)))
-        self.b = float(fc.k)
-        self.m = float(fp.k - fc.k)
-        if self.m <= 0:
-            raise ValueError("beta pair must have strictly decreasing shapes")
+    BetaOneKCdf(k) is ExponentialCdf(k) in s = -log(1 - t), so this is the
+    exponential pair hazard on the s scale: theta(t) = theta_exp(s) and
+    ell(t) = ell_exp(s) / (1 - t).
+    """
 
-    def theta(self, t):
-        t = np.asarray(t, dtype=float)
-        log1mt = np.log1p(-t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # 1 - (1-t)^m evaluated as -expm1(m log(1-t)) for small t accuracy
-            return -self.b * log1mt + (self.b / self.m) * np.log(-np.expm1(self.m * log1mt))
-
-    def ell(self, t):
-        # gap = (1-t)^b (1 - (1-t)^m), evaluated without cancellation
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, 0.0)
-        pos = (t > 0.0) & (t < 1.0)
-        tp = t[pos]
-        denom = (1.0 - tp) * (-np.expm1(self.m * np.log1p(-tp)))
-        out[pos] = self.b / denom
-        out[(t == 0.0) | (t >= 1.0)] = math.inf
-        return out if out.ndim else float(out)
+    # s and ds/dt are +inf at and beyond t = 1
+    rate_of = staticmethod(lambda m: float(m.k))
+    s_of = staticmethod(lambda t: -np.log1p(-np.minimum(t, 1.0)))
+    t_of = staticmethod(lambda s: -np.expm1(-s))
+    ds_dt = staticmethod(lambda t: 1.0 / np.maximum(1.0 - t, 0.0))
 
 
 class OrderStatPairHazard(PairHazard):
     """Consecutive order statistics of d iid uniforms; interval (0, 1).
 
     The hazard collapses to (d - i + 1) / (1 - t), so
-    theta(t) = -(d - i + 1) log(1 - t).
+    theta(t) = -(d - i + 1) log(1 - t), which inverts exactly.
     """
 
     def __init__(self, fp: OrderStatUniformCdf, fc: OrderStatUniformCdf):
@@ -220,6 +214,10 @@ class OrderStatPairHazard(PairHazard):
         out[pos] = self.c / (1.0 - t[pos])
         out[t >= 1.0] = math.inf
         return out if out.ndim else float(out)
+
+    def solve_tail(self, s, target):
+        s, target, _ = self._tail_args(s, target)
+        return -np.expm1(np.log1p(-s) - target / self.c)
 
 
 class PiecewisePairHazard(PairHazard):
@@ -271,15 +269,13 @@ class PiecewisePairHazard(PairHazard):
 
     def theta(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(t.shape, np.nan)
-        idx = self.interval_index(t)
-        for j, (edges, phi, C) in enumerate(self._pieces):
-            sel = idx == j
-            if not np.any(sel):
-                continue
-            seg = np.clip(np.searchsorted(edges, t[sel], side="right") - 1, 0, len(C) - 1)
-            out[sel] = C[seg] + phi(t[sel], seg)
-        return out
+
+        def piece(j, x):
+            edges, phi, C = self._pieces[j]
+            seg = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(C) - 1)
+            return C[seg] + phi(x, seg)
+
+        return self._per_interval(piece, self.interval_index(t), t)
 
 
 _GL_X, _GL_W = leggauss(32)
@@ -332,15 +328,9 @@ class CumulativeTable:
         """t in [s, last node] with value(t) - value(s) = target (clamped)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         target = np.broadcast_to(np.asarray(target, dtype=float), s.shape)
-        lo = s.copy()
-        hi = np.full(s.shape, self.nodes[-1])
         base = self.value(s)
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            ge = (self.value(mid) - base) >= target
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        return hi
+        return _bisect_level(lambda t: self.value(t) - base, target,
+                             s, self.nodes[-1], iters)
 
 
 class TableHazard(PairHazard):
@@ -364,43 +354,23 @@ class TableHazard(PairHazard):
 
     def theta(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(t.shape, np.nan)
-        idx = self.interval_index(t)
-        for j, table in enumerate(self._tables):
-            sel = idx == j
-            if np.any(sel):
-                out[sel] = table.value(t[sel])
-        return out
+        return self._per_interval(lambda j, x: self._tables[j].value(x),
+                                  self.interval_index(t), t)
 
     def solve_tail(self, s, target):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        target = np.broadcast_to(np.asarray(target, dtype=float), s.shape)
-        idx = self.interval_index(s)
-        if np.any(idx < 0):
-            raise RootBracketFailure("conditioning point outside every separation interval")
-        out = np.empty(s.shape)
-        for j, table in enumerate(self._tables):
-            sel = idx == j
-            if np.any(sel):
-                out[sel] = table.solve(s[sel], target[sel])
-        return out
+        s, target, idx = self._tail_args(s, target)
+        return self._per_interval(lambda j, a, b: self._tables[j].solve(a, b),
+                                  idx, s, target)
 
 
 def pair_hazard(fp: MarginalCdf, fc: MarginalCdf, psi: IntervalSet | None = None,
                 force_table: bool = False) -> PairHazard:
-    """Best PairHazard for the pair; force_table picks the quadrature route."""
-    if psi is None:
-        psi = psi_pair(fp, fc)
-    if force_table:
-        return TableHazard(fp, fc, psi)
-    if isinstance(fp, ExponentialCdf) and isinstance(fc, ExponentialCdf) and fp.rate > fc.rate:
-        return ExpPairHazard(fp, fc)
-    if isinstance(fp, BetaOneKCdf) and isinstance(fc, BetaOneKCdf) and fp.k > fc.k:
-        return BetaPairHazard(fp, fc)
-    if (isinstance(fp, OrderStatUniformCdf) and isinstance(fc, OrderStatUniformCdf)
-            and fp.d == fc.d and fc.i == fp.i + 1):
-        return OrderStatPairHazard(fp, fc)
-    pp, pc = _as_piecewise(fp), _as_piecewise(fc)
-    if pp is not None and pc is not None:
-        return PiecewisePairHazard(pp, pc, psi)
-    return TableHazard(fp, fc, psi)
+    """Best PairHazard for the pair; force_table picks the quadrature route.
+
+    The pair's route picks the class; psi, when given, stands in for the
+    computed separation set on the routes that take one.
+    """
+    from .marginals import _pair  # marginals builds its records on this module
+    pair = _pair(fp, fc)
+    psi = pair.psi if psi is None else psi
+    return TableHazard(fp, fc, psi) if force_table else pair.make_hazard(psi)

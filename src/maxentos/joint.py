@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, InvalidMarginal
-from .hazards import PairHazard, pair_hazard
+from .hazards import PairHazard, TableHazard
 from .intervals import IntervalSet, snap_inside
 from .marginals import (EQ_TOL, MarginalVector, check_stochastic_order,
-                        in_support_LF, j_functional, psi_intervals,
-                        sigma_measure)
+                        in_support_LF, j_functional, sigma_measure)
 
 
 @dataclass(frozen=True)
@@ -89,23 +88,15 @@ class MaxEntModel:
     """Marginal vector plus the pair hazards of consecutive margins."""
 
     def __init__(self, margins: MarginalVector, *, force_table: bool = False):
-        order = check_stochastic_order(margins)
-        if not order.ordered:
-            i, s, fp, fc = order.violations[0]
-            raise InvalidMarginal(
-                f"margins {i - 1} and {i} are not stochastically ordered at "
-                f"t={s!r}: {fp!r} < {fc!r}")
+        # raises InvalidMarginal for an unordered vector, before any hazard
+        self.degeneracy = detect_degenerate(margins)
         self.margins = margins
         self.d = margins.d
-        self.psis: dict[int, IntervalSet] = {}
-        self.hazards: dict[int, PairHazard] = {}
-        for i in range(2, self.d + 1):
-            psi = psi_intervals(margins, i)
-            self.psis[i] = psi
-            self.hazards[i] = pair_hazard(margins.margins[i - 2],
-                                          margins.margins[i - 1],
-                                          psi=psi, force_table=force_table)
-        self.degeneracy = detect_degenerate(margins)
+        pairs = dict(enumerate(margins.pairs, start=2))
+        self.psis: dict[int, IntervalSet] = {i: p.psi for i, p in pairs.items()}
+        self.hazards: dict[int, PairHazard] = {
+            i: TableHazard(p.fp, p.fc, p.psi) if force_table else p.hazard
+            for i, p in pairs.items()}
 
 
 def build_model(margins: MarginalVector, *, force_table: bool = False) -> MaxEntModel:

@@ -14,19 +14,28 @@ ordered support L is the set of sorted x whose consecutive open gaps
 measures how expensive the separation constraint is; it enters every
 entropy formula downstream and is +inf exactly when the model degenerates
 (up to marginal-entropy terms).
+
+Each consecutive pair is sorted once into a route (exponential, piecewise
+linear, consecutive order statistics, or general) and described by one
+record: separation set, order verdict, closed J term and hazard.  A
+MarginalVector keeps its records, so every layer reads the same ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate, special
 
 from .cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf, MarginalCdf,
-                   PiecewiseLinearCdf, UniformCdf, marginal_from_dict)
+                   OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf,
+                   marginal_from_dict)
 from .errors import InvalidMarginal
+from .hazards import (BetaPairHazard, ExpPairHazard, OrderStatPairHazard,
+                      PiecewisePairHazard, TableHazard)
 from .intervals import IntervalSet, merge_closed_intervals
 
 #: absolute tolerance for CDF-value equality
@@ -59,6 +68,15 @@ class MarginalVector:
 
     def __getitem__(self, i):
         return self.margins[i]
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """Records of the consecutive pairs, built once, filled on use."""
+        return _pairs(self.margins)
+
+    def __getstate__(self):
+        # the records are a cache, and some of their hazards do not pickle
+        return {"margins": self.margins}
 
     def to_dict(self):
         return {"margins": [m.to_dict() for m in self.margins]}
@@ -109,38 +127,6 @@ def _separated(fp: MarginalCdf, fc: MarginalCdf, s):
     return (gap > EQ_TOL) | left | right
 
 
-def _psi_pair_piecewise(fp: PiecewiseLinearCdf, fc: PiecewiseLinearCdf) -> IntervalSet:
-    # Difference of two piecewise-linear CDFs is piecewise linear; its sign
-    # pattern is exact on the merged knot set.
-    knots = np.unique(np.concatenate([fp.xs, fc.xs]))
-    D = fp.cdf(knots) - fc.cdf(knots)
-    pieces = []
-    for j in range(len(knots) - 1):
-        x0, x1, d0, d1 = knots[j], knots[j + 1], D[j], D[j + 1]
-        if d0 <= 0.0 and d1 <= 0.0:
-            continue
-        if d0 > 0.0 and d1 > 0.0:
-            pieces.append((x0, x1))
-            continue
-        xstar = x0 + d0 * (x1 - x0) / (d0 - d1)
-        if d0 > 0.0:
-            pieces.append((x0, xstar))
-        else:
-            pieces.append((xstar, x1))
-    if not pieces:
-        return IntervalSet()
-    # merge touching pieces only across junctions where the gap stays positive
-    gap_at = dict(zip(knots.tolist(), D.tolist()))
-    merged = [list(pieces[0])]
-    for a, b in pieces[1:]:
-        prev = merged[-1]
-        if a == prev[1] and gap_at.get(a, 1.0) > 0.0:
-            prev[1] = b
-        else:
-            merged.append([a, b])
-    return IntervalSet(tuple((a, b) for a, b in merged))
-
-
 def _refine_boundary(fp, fc, s_true, s_false, iters: int = 80) -> float:
     """Bisect the separation predicate between a true and a false probe."""
     for _ in range(iters):
@@ -152,69 +138,221 @@ def _refine_boundary(fp, fc, s_true, s_false, iters: int = 80) -> float:
     return 0.5 * (s_true + s_false)
 
 
-def _psi_pair_general(fp: MarginalCdf, fc: MarginalCdf) -> IntervalSet:
-    probes, lo, hi = _probe_points(fp, fc)
-    mask = _separated(fp, fc, probes)
-    if not np.any(mask):
-        return IntervalSet()
-    left_edge = fp.support[0]
-    right_edge = fc.support[1]
-    snap = 1e-9 * max(1.0, hi - lo)
-    snap_targets = [k for m in (fp, fc) for k in m.knots() if math.isfinite(k)]
-    intervals = []
-    j = 0
-    n = len(probes)
-    while j < n:
-        if not mask[j]:
-            j += 1
-            continue
-        j1 = j
-        while j1 + 1 < n and mask[j1 + 1]:
-            j1 += 1
-        if j == 0:
-            g = left_edge
-        else:
-            g = _refine_boundary(fp, fc, probes[j], probes[j - 1])
-        if j1 == n - 1:
-            d = right_edge
-        else:
-            d = _refine_boundary(fp, fc, probes[j1], probes[j1 + 1])
-        for target in snap_targets:
-            if math.isfinite(g) and abs(g - target) <= snap:
-                g = target
-            if math.isfinite(d) and abs(d - target) <= snap:
-                d = target
-        if math.isfinite(g) and g - left_edge <= snap:
-            g = left_edge
-        if math.isfinite(d) and right_edge - d <= snap:
-            d = right_edge
-        if g < d:
-            intervals.append((g, d))
-        j = j1 + 1
-    return IntervalSet(tuple(intervals))
+class _Pair:
+    """A consecutive pair (F_prev, F_cur) on the general route.
+
+    The record computes each piece at most once, on first use: the
+    separation set (through psi_pair), the order verdict with a witness,
+    the closed J term (None: J by quadrature) and the hazard.  Here the
+    set and the verdict come from probes and the hazard is tabulated.
+    """
+
+    j_closed = None
+
+    def __init__(self, fp: MarginalCdf, fc: MarginalCdf):
+        self.fp, self.fc = fp, fc
+
+    @cached_property
+    def psi(self) -> IntervalSet:
+        return psi_pair(self.fp, self.fc)
+
+    @cached_property
+    def hazard(self):
+        return self.make_hazard(self.psi)
+
+    def make_hazard(self, psi: IntervalSet):
+        return TableHazard(self.fp, self.fc, psi)
+
+    @cached_property
+    def order(self):
+        """(ordered, witness) for F_prev >= F_cur everywhere."""
+        fp, fc = self.fp, self.fc
+        probes, _, _ = _probe_points(fp, fc)
+        D = fp.cdf(probes) - fc.cdf(probes)
+        j = int(np.argmin(D))
+        if D[j] >= -EQ_TOL:
+            return True, None
+        # sharpen the witness locally
+        a = probes[max(j - 1, 0)]
+        b = probes[min(j + 1, len(probes) - 1)]
+        fine = np.linspace(a, b, 257)
+        Df = fp.cdf(fine) - fc.cdf(fine)
+        jf = int(np.argmin(Df))
+        return False, float(fine[jf])
+
+    def separation(self) -> IntervalSet:
+        fp, fc = self.fp, self.fc
+        probes, lo, hi = _probe_points(fp, fc)
+        mask = _separated(fp, fc, probes)
+        if not np.any(mask):
+            return IntervalSet()
+        left_edge = fp.support[0]
+        right_edge = fc.support[1]
+        snap = 1e-9 * max(1.0, hi - lo)
+        snap_targets = [k for m in (fp, fc) for k in m.knots() if math.isfinite(k)]
+        intervals = []
+        j = 0
+        n = len(probes)
+        while j < n:
+            if not mask[j]:
+                j += 1
+                continue
+            j1 = j
+            while j1 + 1 < n and mask[j1 + 1]:
+                j1 += 1
+            if j == 0:
+                g = left_edge
+            else:
+                g = _refine_boundary(fp, fc, probes[j], probes[j - 1])
+            if j1 == n - 1:
+                d = right_edge
+            else:
+                d = _refine_boundary(fp, fc, probes[j1], probes[j1 + 1])
+            for target in snap_targets:
+                if math.isfinite(g) and abs(g - target) <= snap:
+                    g = target
+                if math.isfinite(d) and abs(d - target) <= snap:
+                    d = target
+            if math.isfinite(g) and g - left_edge <= snap:
+                g = left_edge
+            if math.isfinite(d) and right_edge - d <= snap:
+                d = right_edge
+            if g < d:
+                intervals.append((g, d))
+            j = j1 + 1
+        return IntervalSet(tuple(intervals))
+
+
+class _PiecewisePair(_Pair):
+    """Both margins piecewise linear (uniforms and beta_1_1 included).
+
+    The CDF difference is linear between the merged knots, so its signs
+    there give the separation set and the order verdict exactly.
+    """
+
+    def __init__(self, fp, fc, pp: PiecewiseLinearCdf, pc: PiecewiseLinearCdf):
+        super().__init__(fp, fc)
+        self.pp, self.pc = pp, pc
+        self.knots = np.unique(np.concatenate([pp.xs, pc.xs]))
+        self.gap = pp.cdf(self.knots) - pc.cdf(self.knots)
+
+    def make_hazard(self, psi):
+        return PiecewisePairHazard(self.pp, self.pc, psi)
+
+    @cached_property
+    def order(self):
+        j = int(np.argmin(self.gap))
+        if self.gap[j] >= 0.0:
+            return True, None
+        return False, float(self.knots[j])
+
+    def separation(self):
+        k, D = self.knots, self.gap
+        pieces = []
+        for x0, x1, d0, d1 in zip(k[:-1], k[1:], D[:-1], D[1:]):
+            if d0 <= 0.0 and d1 <= 0.0:
+                continue
+            xstar = x0 + d0 * (x1 - x0) / (d0 - d1) if (d0 > 0.0) != (d1 > 0.0) else None
+            a, b = (x0 if d0 > 0.0 else xstar), (x1 if d1 > 0.0 else xstar)
+            # merge touching pieces only across knots where the gap stays positive
+            if pieces and pieces[-1][1] == a and d0 > 0.0:
+                pieces[-1] = (pieces[-1][0], b)
+            else:
+                pieces.append((a, b))
+        return IntervalSet(tuple(pieces))
+
+
+class _ClosedPair(_Pair):
+    """Closed forms throughout: separated on (0, end), nowhere if end is None."""
+
+    def __init__(self, fp, fc, end, order, j_closed, hazard_cls):
+        super().__init__(fp, fc)
+        self.end, self.order, self.j_closed, self.hazard_cls = end, order, j_closed, hazard_cls
+
+    def make_hazard(self, psi):
+        if self.end is None:
+            return super().make_hazard(psi)
+        return self.hazard_cls(self.fp, self.fc)
+
+    def separation(self):
+        return IntervalSet() if self.end is None else IntervalSet(((0.0, self.end),))
+
+
+def _exponential_pair(fp, fc, hazard_cls) -> _ClosedPair:
+    """Exponential route, on the scale where both margins are exponential.
+
+    The hazard class carries the change of variable t(s) to that scale.  A
+    common change of variable keeps the order verdict and J; the separation
+    set and the witness map back by t(s).
+    """
+    rate_prev, rate_cur = hazard_cls.rate_of(fp), hazard_cls.rate_of(fc)
+    if rate_prev <= rate_cur:
+        witness = None if rate_prev == rate_cur else float(hazard_cls.t_of(1.0 / rate_cur))
+        return _ClosedPair(fp, fc, None, (witness is None, witness), None, hazard_cls)
+    # J term 1 + gamma + digamma(r + 1), r the lower rate over the rate gap
+    j = 1.0 + np.euler_gamma + float(special.digamma(rate_cur / (rate_prev - rate_cur) + 1.0))
+    return _ClosedPair(fp, fc, float(hazard_cls.t_of(math.inf)), (True, None), j, hazard_cls)
+
+
+def _order_stat_pair(fp, fc) -> _ClosedPair:
+    """Consecutive order statistics i - 1 and i of d iid uniforms.
+
+    The gap is the binomial term C(d, i-1) t^(i-1) (1-t)^(d-i+1), positive
+    on (0, 1), and F_cur has the Beta(i, d-i+1) density, so the J term is
+    a linear combination of Beta log-moments.
+    """
+    d, i = fc.d, fc.i
+    psi = special.digamma
+    e_log_t = psi(i) - psi(d + 1)
+    e_log_1mt = psi(d - i + 1) - psi(d + 1)
+    j = float(-(math.lgamma(d + 1) - math.lgamma(i) - math.lgamma(d - i + 2))
+              - (i - 1) * e_log_t - (d - i + 1) * e_log_1mt)
+    return _ClosedPair(fp, fc, 1.0, (True, None), j, OrderStatPairHazard)
+
+
+def _pair(fp: MarginalCdf, fc: MarginalCdf) -> _Pair:
+    """Sort a consecutive pair into its route: the one family dispatch.
+
+    BetaOneKCdf(k) is ExponentialCdf(k) in s = -log(1 - t), so beta_1_k
+    pairs take the exponential route, ahead of the piecewise route that
+    would take beta_1_1.
+    """
+    for family, hazard_cls in ((ExponentialCdf, ExpPairHazard),
+                               (BetaOneKCdf, BetaPairHazard)):
+        if isinstance(fp, family) and isinstance(fc, family):
+            return _exponential_pair(fp, fc, hazard_cls)
+    if (isinstance(fp, OrderStatUniformCdf) and isinstance(fc, OrderStatUniformCdf)
+            and fp.d == fc.d and fc.i == fp.i + 1):
+        return _order_stat_pair(fp, fc)
+    pp, pc = _as_piecewise(fp), _as_piecewise(fc)
+    if pp is not None and pc is not None:
+        return _PiecewisePair(fp, fc, pp, pc)
+    return _Pair(fp, fc)
+
+
+def _pairs(F) -> tuple:
+    """Records of F's consecutive pairs: kept on a MarginalVector, fresh for
+    a plain sequence of CDFs."""
+    if isinstance(F, MarginalVector):
+        return F.pairs
+    m = list(F)
+    return tuple(_pair(a, b) for a, b in zip(m, m[1:]))
 
 
 def psi_pair(fp: MarginalCdf, fc: MarginalCdf) -> IntervalSet:
-    """Open set {s : fp(s) > fc(s)} as disjoint intervals."""
-    pp, pc = _as_piecewise(fp), _as_piecewise(fc)
-    if pp is not None and pc is not None:
-        return _psi_pair_piecewise(pp, pc)
-    if isinstance(fp, ExponentialCdf) and isinstance(fc, ExponentialCdf):
-        if fp.rate > fc.rate:
-            return IntervalSet(((0.0, math.inf),))
-        return IntervalSet()
-    if isinstance(fp, BetaOneKCdf) and isinstance(fc, BetaOneKCdf):
-        if fp.k > fc.k:
-            return IntervalSet(((0.0, 1.0),))
-        return IntervalSet()
-    return _psi_pair_general(fp, fc)
+    """Open set {s : fp(s) > fc(s)} as disjoint intervals.
+
+    The one function that computes a pair's separation set; the pair
+    records call it once each and keep the result.
+    """
+    return _pair(fp, fc).separation()
 
 
 def psi_intervals(F: MarginalVector, i: int) -> IntervalSet:
     """Psi_i for the pair (F_{i-1}, F_i), 2 <= i <= d."""
     if not 2 <= i <= F.d:
         raise ValueError(f"psi_intervals index {i} out of range 2..{F.d}")
-    return psi_pair(F[i - 2], F[i - 1])
+    return _pairs(F)[i - 2].psi
 
 
 @dataclass(frozen=True)
@@ -225,47 +363,14 @@ class OrderReport:
     violations: tuple = field(default_factory=tuple)  # (i, s, F_prev(s), F_i(s))
 
 
-def _pair_ordered(fp: MarginalCdf, fc: MarginalCdf):
-    """(ordered, witness) for F_prev >= F_cur everywhere."""
-    if isinstance(fp, ExponentialCdf) and isinstance(fc, ExponentialCdf):
-        if fp.rate >= fc.rate:
-            return True, None
-        s = 1.0 / fc.rate
-        return False, s
-    if isinstance(fp, BetaOneKCdf) and isinstance(fc, BetaOneKCdf):
-        if fp.k >= fc.k:
-            return True, None
-        return False, 0.5
-    pp, pc = _as_piecewise(fp), _as_piecewise(fc)
-    if pp is not None and pc is not None:
-        knots = np.unique(np.concatenate([pp.xs, pc.xs]))
-        D = pp.cdf(knots) - pc.cdf(knots)
-        j = int(np.argmin(D))
-        if D[j] >= 0.0:
-            return True, None
-        return False, float(knots[j])
-    probes, _, _ = _probe_points(fp, fc)
-    D = fp.cdf(probes) - fc.cdf(probes)
-    j = int(np.argmin(D))
-    if D[j] >= -EQ_TOL:
-        return True, None
-    # sharpen the witness locally
-    a = probes[max(j - 1, 0)]
-    b = probes[min(j + 1, len(probes) - 1)]
-    fine = np.linspace(a, b, 257)
-    Df = fp.cdf(fine) - fc.cdf(fine)
-    jf = int(np.argmin(Df))
-    return False, float(fine[jf])
-
-
 def check_stochastic_order(F: MarginalVector) -> OrderReport:
     """Verify F_{i-1} >= F_i pointwise for every consecutive pair."""
     violations = []
-    for i in range(2, F.d + 1):
-        fp, fc = F[i - 2], F[i - 1]
-        ok, witness = _pair_ordered(fp, fc)
+    for i, p in enumerate(_pairs(F), start=2):
+        ok, witness = p.order
         if not ok:
-            violations.append((i, witness, float(fp.cdf(witness)), float(fc.cdf(witness))))
+            violations.append((i, witness, float(p.fp.cdf(witness)),
+                               float(p.fc.cdf(witness))))
     return OrderReport(ordered=not violations, violations=tuple(violations))
 
 
@@ -274,18 +379,11 @@ def average_cdf(F: MarginalVector) -> AverageCdf:
     return AverageCdf(F.margins)
 
 
-def sigma_measure(F) -> float:
-    """Lebesgue measure of the union of F_i images of the Psi_i complements.
-
-    Zero measure (together with absolutely continuous marginals) puts the
-    vector in the admissible class where the separation constraint only
-    removes a null set.
-    """
-    margins = list(F)
+def _complement_measure(pairs) -> float:
+    """Lebesgue measure of the union of the F_cur images of the complements
+    of the separation sets, over (psi, F_cur) pairs."""
     pieces = []
-    for i in range(2, len(margins) + 1):
-        fp, fc = margins[i - 2], margins[i - 1]
-        psi = psi_pair(fp, fc)
+    for psi, fc in pairs:
         for c, e in psi.complement():
             a = float(fc.cdf(c)) if math.isfinite(c) else (0.0 if c == -math.inf else 1.0)
             b = float(fc.cdf(e)) if math.isfinite(e) else (1.0 if e == math.inf else 0.0)
@@ -295,6 +393,16 @@ def sigma_measure(F) -> float:
     return float(sum(b - a for a, b in merged))
 
 
+def sigma_measure(F) -> float:
+    """Lebesgue measure of the union of F_i images of the Psi_i complements.
+
+    Zero measure (together with absolutely continuous marginals) puts the
+    vector in the admissible class where the separation constraint only
+    removes a null set.
+    """
+    return _complement_measure((p.psi, p.fc) for p in _pairs(F))
+
+
 def in_support_LF(F, x):
     """Membership of x in the ordered support L (vectorized over rows).
 
@@ -302,8 +410,8 @@ def in_support_LF(F, x):
     whose consecutive open gaps sit inside the matching Psi_i (with a small
     endpoint slack) are members; empty gaps are contained by convention.
     """
-    margins = list(F)
-    d = len(margins)
+    pairs = _pairs(F)
+    d = len(pairs) + 1
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     X = np.atleast_2d(x)
@@ -313,36 +421,15 @@ def in_support_LF(F, x):
     # roundtrips land on the sorted boundary with ~1e-15 noise
     scale = np.maximum(1.0, np.max(np.abs(X), axis=1))
     ok = np.all(X[:, 1:] >= X[:, :-1] - 1e-12 * scale[:, None], axis=1)
-    for i in range(2, d + 1):
-        psi = psi_pair(margins[i - 2], margins[i - 1])
+    for i, p in enumerate(pairs, start=2):
         a, b = X[:, i - 2], X[:, i - 1]
         inside = a >= b  # empty gap
-        for g, dd in psi:
+        for g, dd in p.psi:
             tol = 1e-12 * max(1.0, abs(g) if math.isfinite(g) else 1.0,
                               abs(dd) if math.isfinite(dd) else 1.0)
             inside = inside | ((a >= g - tol) & (b <= dd + tol))
         ok = ok & inside
     return bool(ok[0]) if scalar else ok
-
-
-def _pair_j_closed(fp: MarginalCdf, fc: MarginalCdf):
-    """Closed-form J term for a strictly separated analytic pair, or None.
-
-    For both exponential (rates l_prev > l_cur) and beta_1_k (shapes
-    k_prev > k_cur) pairs the term reduces to 1 + gamma + digamma(r + 1)
-    with r the ratio of the lower parameter to the parameter gap.
-    """
-    if isinstance(fp, ExponentialCdf) and isinstance(fc, ExponentialCdf):
-        if fp.rate <= fc.rate:
-            return None
-        r = fc.rate / (fp.rate - fc.rate)
-        return 1.0 + np.euler_gamma + float(special.digamma(r + 1.0))
-    if isinstance(fp, BetaOneKCdf) and isinstance(fc, BetaOneKCdf):
-        if fp.k <= fc.k:
-            return None
-        r = fc.k / (fp.k - fc.k)
-        return 1.0 + np.euler_gamma + float(special.digamma(r + 1.0))
-    return None
 
 
 #: quadrature values beyond this are reported as +inf (divergence proxy)
@@ -387,27 +474,20 @@ def _pair_j_quad(fp: MarginalCdf, fc: MarginalCdf, psi: IntervalSet) -> float:
 def j_functional(F, method: str = "auto") -> float:
     """J(F) over consecutive pairs; +inf when separation fails on positive mass.
 
-    method "auto" uses closed forms for exponential and beta_1_k pairs and
-    quadrature otherwise; method "quadrature" forces the integral route.
+    method "auto" uses the closed terms of the exponential (beta_1_k
+    included) and order-statistic routes and quadrature otherwise; method
+    "quadrature" forces the integral route.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    margins = list(F)
     total = 0.0
-    for i in range(2, len(margins) + 1):
-        fp, fc = margins[i - 2], margins[i - 1]
-        psi = psi_pair(fp, fc)
+    for p in _pairs(F):
         # positive F_i-mass on the complement forces the integral to diverge
-        comp_mass = 0.0
-        for c, e in psi.complement():
-            a = float(fc.cdf(c)) if math.isfinite(c) else (0.0 if c == -math.inf else 1.0)
-            b = float(fc.cdf(e)) if math.isfinite(e) else (1.0 if e == math.inf else 0.0)
-            comp_mass += max(b - a, 0.0)
-        if comp_mass > EQ_TOL:
+        if _complement_measure([(p.psi, p.fc)]) > EQ_TOL:
             return math.inf
-        term = _pair_j_closed(fp, fc) if method == "auto" else None
+        term = p.j_closed if method == "auto" else None
         if term is None:
-            term = _pair_j_quad(fp, fc, psi)
+            term = _pair_j_quad(p.fp, p.fc, p.psi)
         if not math.isfinite(term):
             return math.inf
         total += term

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .cdfs import (AverageCdf, ComposedDeltaCdf, MarginalCdf,
                    OrderStatUniformCdf)
 from .errors import InvalidMarginal
 from .intervals import IntervalSet
-from .marginals import (MarginalVector, average_cdf, j_functional, psi_pair,
-                        sigma_measure)
+from .marginals import (MarginalVector, _complement_measure, average_cdf,
+                        j_functional, psi_pair)
 
 SUM_TOL = 1e-9
 LIPSCHITZ_TOL = 1e-6
@@ -122,19 +121,17 @@ def delta_psi(delta: Multidiagonal, i: int) -> IntervalSet:
         return IntervalSet(((g, 1.0),)) if g < 1.0 else IntervalSet()
     if not 2 <= i <= d:
         raise ValueError(f"index {i} out of range 1..{d + 1}")
-    prev_c, cur_c = delta.components[i - 2], delta.components[i - 1]
     if delta.source is not None:
         # image of the marginal-scale separation set under G
         G = average_cdf(delta.source)
-        fp, fc = delta.source[i - 2], delta.source[i - 1]
         out = []
-        for g, dd in psi_pair(fp, fc):
+        for g, dd in delta.source.pairs[i - 2].psi:
             a = float(G.cdf(g)) if math.isfinite(g) else (0.0 if g == -math.inf else 1.0)
             b = float(G.cdf(dd)) if math.isfinite(dd) else (1.0 if dd == math.inf else 0.0)
             if a < b:
                 out.append((a, b))
         return IntervalSet(tuple(out))
-    return psi_pair(prev_c, cur_c)
+    return psi_pair(delta.components[i - 2], delta.components[i - 1])
 
 
 @dataclass(frozen=True)
@@ -180,45 +177,26 @@ def validate_multidiagonal(delta: Multidiagonal, grid: int = 1024) -> MultidiagR
     lipschitz_ok = bool(np.all(slopes <= d + LIPSCHITZ_TOL))
 
     is_D = components_ok and ordering_ok and sum_residual <= SUM_TOL and lipschitz_ok
-    sigma = sigma_measure(delta.components) if d > 1 else 0.0
+    # sigma from the separation sets the kernel uses: for a multidiagonal
+    # built from marginals, the images of the marginal-scale sets
+    sigma = _complement_measure((delta_psi(delta, i), delta.components[i - 1])
+                                for i in range(2, d + 1))
     is_D0 = is_D and sigma <= 1e-9
     return MultidiagReport(is_D=is_D, is_D0=is_D0, components_ok=components_ok,
                            ordering_ok=ordering_ok, sum_residual=sum_residual,
                            lipschitz_ok=lipschitz_ok, sigma=sigma)
 
 
-def _j_iid_uniform_closed(d: int) -> float:
-    """Closed J for the independence multidiagonal via digamma moments.
-
-    The gap delta_(i-1) - delta_(i) is the binomial term C(d, i-1) t^(i-1)
-    (1-t)^(d-i+1) and delta_(i) has Beta(i, d-i+1) density, so each term is
-    a linear combination of Beta log-moments.
-    """
-    total = 0.0
-    psi = special.digamma
-    for i in range(2, d + 1):
-        a, b = i, d - i + 1
-        e_log_t = psi(a) - psi(d + 1)
-        e_log_1mt = psi(b) - psi(d + 1)
-        total += -(math.lgamma(d + 1) - math.lgamma(i) - math.lgamma(d - i + 2)) \
-            - (i - 1) * e_log_t - (d - i + 1) * e_log_1mt
-    return float(total)
-
-
 def j_functional_delta(delta: Multidiagonal, method: str = "auto") -> float:
     """J of the multidiagonal, on the [0, 1] scale.
 
     method "quadrature" always integrates against the components; "auto"
-    uses the closed independence formula, or the source marginals when the
-    multidiagonal was built from them (J is transport invariant).
+    uses the closed pair terms (the independence multidiagonal has them),
+    or the source marginals when the multidiagonal was built from them (J
+    is transport invariant).
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if delta.d == 1:
-        return 0.0
-    if method == "auto":
-        if delta.kind == "iid_uniform":
-            return _j_iid_uniform_closed(delta.d)
-        if delta.source is not None:
-            return j_functional(delta.source, method="auto")
-    return j_functional(delta.components, method="quadrature")
+    if method == "auto" and delta.source is not None:
+        return j_functional(delta.source, method="auto")
+    return j_functional(delta.components, method=method)

@@ -627,7 +627,7 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
         X = sample(model, 300, seed=seed + 501)
         fF = f_F_density(model, X)
         U = np.column_stack([margins.margins[j].cdf(X[:, j]) for j in range(d)])
-        cF = c_F_density(margins, U)
+        cF = c_F_density(margins, U, hazards=model.hazards)
         prod = np.ones(len(X))
         for j in range(d):
             prod *= np.asarray(margins.margins[j].pdf(X[:, j]), dtype=float)
@@ -673,7 +673,7 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
         if d != 2:
             return CheckResult("entropy_shift_identity", None,
                                detail="quadrature route kept to d=2")
-        cfun = lambda U: c_F_density(margins, U)
+        cfun = lambda U: c_F_density(margins, U, hazards=model.hazards)
         sfun = symmetrize_density(delta, cfun)
         # c_F lives on {u1 <= F_1(F_2^{-1}(u2))}; fitting the quadrature to
         # that region sidesteps the jump across its curved boundary.  The

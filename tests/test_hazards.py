@@ -53,14 +53,21 @@ def test_ell_matches_density_ratio(exp_pair):
     assert exp_pair.ell(t0) == pytest.approx(2.0 / t0, rel=1e-10)
 
 
-def test_solve_tail_roundtrip(exp_pair):
+@pytest.mark.parametrize("fp, fc, s_hi", [
+    (ExponentialCdf(3.0), ExponentialCdf(2.0), 2.0),
+    (BetaOneKCdf(5), BetaOneKCdf(4), 0.95),
+    (BetaOneKCdf(2), BetaOneKCdf(1), 0.95),
+    (OrderStatUniformCdf(3, 1), OrderStatUniformCdf(3, 2), 0.95),
+], ids=["exp", "beta54", "beta21", "order_stat"])
+def test_solve_tail_roundtrip(fp, fc, s_hi):
+    hz = pair_hazard(fp, fc)
     rng = np.random.default_rng(7)
-    s = rng.uniform(0.05, 2.0, 64)
+    s = rng.uniform(0.05, s_hi, 64)
     target = rng.uniform(0.01, 5.0, 64)
-    t = np.asarray(exp_pair.solve_tail(s, target), dtype=float)
+    t = np.asarray(hz.solve_tail(s, target), dtype=float)
     assert np.all(t > s)
-    got = np.asarray(exp_pair.theta(t), dtype=float) - np.asarray(
-        exp_pair.theta(s), dtype=float)
+    got = np.asarray(hz.theta(t), dtype=float) - np.asarray(
+        hz.theta(s), dtype=float)
     assert np.allclose(got, target, rtol=1e-8, atol=1e-10)
 
 

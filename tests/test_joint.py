@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from maxentos import (MarginalVector, build_model, detect_degenerate,
-                      f_F_density, hazard, joint_entropy_closed,
-                      ks_distance, sample)
-from maxentos.cdfs import BetaOneKCdf, ExponentialCdf
+                      f_F_density, hazard, j_functional, joint_entropy_closed,
+                      ks_distance, marginals, sample, sigma_measure)
+from maxentos.cdfs import BetaOneKCdf, ExponentialCdf, PiecewiseLinearCdf
 from maxentos.errors import Degenerate, InvalidMarginal
 
 
@@ -106,3 +106,24 @@ def test_hazard_matches_gap_ratio(exp3_model, exp3):
         assert np.allclose(hazard(exp3_model, i, t), naive, rtol=1e-11)
     with pytest.raises(ValueError):
         hazard(exp3_model, 1, t)
+
+
+@pytest.mark.parametrize("margins", [
+    (ExponentialCdf(3.0), ExponentialCdf(2.0), ExponentialCdf(1.0)),
+    (BetaOneKCdf(3), BetaOneKCdf(2), BetaOneKCdf(1)),
+    (PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.75), (1.0, 1.0))),
+     PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))),
+    (BetaOneKCdf(3), ExponentialCdf(1.0)),
+], ids=["exponential", "beta", "piecewise", "general"])
+def test_separation_set_computed_once_per_pair(monkeypatch, margins):
+    calls = []
+    psi_pair = marginals.psi_pair
+    monkeypatch.setattr(marginals, "psi_pair",
+                        lambda fp, fc: calls.append(1) or psi_pair(fp, fc))
+    mv = MarginalVector(margins)
+    model = build_model(mv)
+    detect_degenerate(mv)
+    f_F_density(model, np.linspace(0.1, 0.5, mv.d)[None, :])
+    sigma_measure(mv)
+    j_functional(mv)
+    assert len(calls) == mv.d - 1

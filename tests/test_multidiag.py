@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from maxentos import (Multidiagonal, copula_entropy_closed, delta_inverse,
-                      delta_psi, j_functional, j_functional_delta,
+from maxentos import (MarginalVector, Multidiagonal, copula_entropy_closed,
+                      delta_inverse, delta_psi, j_functional, j_functional_delta,
                       multidiagonal_from_marginals, multidiagonal_of_iid_uniform,
-                      validate_multidiagonal)
+                      sigma_measure, validate_multidiagonal)
 from maxentos.cdfs import OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf
 
 
@@ -101,3 +101,12 @@ def test_comonotone_entropy_is_minus_inf():
     comonotone = Multidiagonal((UniformCdf(0.0, 1.0), UniformCdf(0.0, 1.0)))
     assert j_functional_delta(comonotone) == math.inf
     assert copula_entropy_closed(comonotone) == -math.inf
+
+
+def test_validate_sigma_matches_marginal_sigma(exp3):
+    # sigma read from the kernel's separation sets on [0, 1] equals sigma
+    # on the marginal scale; the second vector has the 0.3 defect
+    F2 = PiecewiseLinearCdf(((0.0, 0.0), (0.3, 0.3), (0.9, 0.5), (1.0, 1.0)))
+    for mv in (exp3, MarginalVector((UniformCdf(0.0, 1.0), F2))):
+        rep = validate_multidiagonal(multidiagonal_from_marginals(mv))
+        assert rep.sigma == pytest.approx(sigma_measure(mv), abs=1e-12)
