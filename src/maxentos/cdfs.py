@@ -312,30 +312,60 @@ def _bisect_level(cdf_vec, targets, lo, hi, iters=100):
 
 
 def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
-    """Like _bisect_level but with Newton steps where the density allows.
+    """inf{s in [lo, hi] : cdf_vec(s) >= target} by bracketed Newton.
 
-    The bracket is maintained every iteration, so a rejected or stalling
-    Newton step degrades to plain bisection rather than divergence.
+    cdf_vec is nondecreasing with derivative pdf_vec, and the level lies in
+    [lo, hi].  Each evaluation shrinks the bracket.  A Newton step inside
+    the closed bracket is taken; where the derivative is zero, infinite or
+    NaN, or the step leaves the bracket, the point bisects.  Only points
+    still moving are evaluated.  A point settles when its raw Newton step
+    falls below 1e-15 relative (roots near 0, down to subnormals, keep
+    their leading digits) from below the level, or when no float lies
+    between its bracket ends.  A small step from above first probes just
+    below the root, so a flat stretch at the level is not mistaken for its
+    right end.  A point still moving after iters evaluations gets its
+    bracket's hi.
     """
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).copy()
+    targets = np.asarray(targets, dtype=float)
+    shape = targets.shape
+    t = targets.ravel()
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), shape).ravel()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), shape).ravel()
+    out = np.empty(t.size)
+    idx = np.arange(t.size)
     x = 0.5 * (lo + hi)
     for _ in range(iters):
-        F = np.asarray(cdf_vec(x), dtype=float)
-        ge = F >= targets
-        hi = np.where(ge, x, hi)
-        lo = np.where(ge, lo, x)
+        if idx.size == 0:
+            break
+        r = np.asarray(cdf_vec(x), dtype=float) - t
         f = np.asarray(pdf_vec(x), dtype=float)
+        below = r < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        # a zero, infinite or NaN slope gives an infinite or NaN step,
+        # which fails both tests below: the point bisects
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - (F - targets) / np.where(f > 0.0, f, 1.0)
-        bad = (f <= 0.0) | ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        # relative criterion: roots near 0 (down to subnormals) must keep
-        # their leading digits, an absolute floor would zero them out
-        if np.all(np.abs(xn - x) <= 1e-15 * np.abs(x) + 5e-324):
-            return np.clip(xn, lo, hi)
-        x = xn
-    return np.clip(x, lo, hi)
+            step = r / np.where(np.isfinite(f), f, 0.0)
+        xn = x - step
+        tol = 1e-15 * np.abs(x) + 5e-324
+        small = np.abs(step) <= tol
+        mid = 0.5 * (lo + hi)
+        x = np.where((xn >= lo) & (xn <= hi), xn, mid)
+        settled = (small & below) | (mid <= lo) | (mid >= hi)
+        # integer indices: boolean masks gather far slower here
+        rise = np.flatnonzero(small & ~below)
+        if rise.size:
+            # a few ulps below the root estimate, well inside the tolerance
+            probe = np.nextafter(xn[rise] - 0.25 * tol[rise], -math.inf)
+            settled[rise] |= probe <= lo[rise]
+            x[rise] = probe
+        done = np.flatnonzero(settled)
+        if done.size:
+            out[idx[done]] = np.where(small[done], np.clip(xn[done], lo[done], hi[done]), hi[done])
+            keep = np.flatnonzero(~settled)
+            idx, t, lo, hi, x = idx[keep], t[keep], lo[keep], hi[keep], x[keep]
+    out[idx] = hi
+    return out.reshape(shape)
 
 
 class AverageCdf(MarginalCdf):
@@ -382,12 +412,14 @@ class AverageCdf(MarginalCdf):
         # G(s) = 1 exactly when every component has reached 1.
         top = max(c.ppf(1.0) for c in self.components)
         out[u == 1.0] = top
-        interior = (u > 0.0) & (u < 1.0)
-        if np.any(interior):
-            ui = u[interior]
-            lo = np.min([c.ppf(ui) for c in self.components], axis=0)
-            hi = np.max([c.ppf(ui) for c in self.components], axis=0)
-            out[interior] = _newton_level(self.cdf, self.pdf, ui, lo, hi)
+        # the level lies between the component quantiles; above 1/2 the
+        # survival function carries it, since 1 - u is exact there while
+        # cdf values that close to 1 keep only absolute accuracy
+        for part, level, fn in (((u > 0.0) & (u <= 0.5), u, self.cdf),
+                                ((u > 0.5) & (u < 1.0), -(1.0 - u), lambda x: -self.sf(x))):
+            if np.any(part):
+                qs = np.array([c.ppf(u[part]) for c in self.components])
+                out[part] = _newton_level(fn, self.pdf, level[part], qs.min(axis=0), qs.max(axis=0))
         return _ret(out[0] if scalar else out, scalar)
 
     def knots(self):
@@ -441,11 +473,14 @@ class ComposedDeltaCdf(MarginalCdf):
         out = np.zeros_like(t1)
         interior = (t1 > 0.0) & (t1 < 1.0)
         if np.any(interior):
-            s = self.avg.ppf(t1[interior])
-            num = self.base.pdf(s)
-            den = self.avg.pdf(s)
-            out[interior] = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+            out[interior] = self.pdf_at_base(self.avg.ppf(t1[interior]))
         return _ret(out[0] if scalar else out, scalar)
+
+    def pdf_at_base(self, s):
+        """Density at t = G(s), read at the base-scale point s = G^{-1}(t)."""
+        num = np.asarray(self.base.pdf(s), dtype=float)
+        den = np.asarray(self.avg.pdf(s), dtype=float)
+        return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
 
     def ppf(self, u):
         # Honest generalized inverse of this object's own cdf; the closed

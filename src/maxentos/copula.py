@@ -125,6 +125,8 @@ class CopulaKernel:
         self._routes = {}
         comps = delta.components
         G = average_cdf(delta.source) if delta.source is not None else None
+        # the transport routes share G, and so does every factor a_i
+        self._G = G if mode == "auto" else None
         for i in range(2, self.d + 1):
             psi = self.psis[i]
             if len(psi) == 0:
@@ -165,22 +167,26 @@ class CopulaKernel:
         # K_1' = f / (1 - delta_1) and exp(-K_1) = 1 - delta_1 cancel
         # exactly, so a_1 = delta_1' exp(K_2); going through K_1 instead
         # turns that into inf - inf once the survival underflows.
-        if i == 1:
-            top = self.delta.components[0]
-            with np.errstate(divide="ignore"):
+        if self._G is not None:
+            # a source-backed kernel reads every term at the one quantile
+            # x = G^{-1}(t): delta_1' = f_1(x) / g(x), and the K difference
+            # is a theta difference of finite floats rather than a
+            # difference of separately large values
+            x = np.asarray(self._G.ppf(t), dtype=float)
+            nxt = self._routes.get(i + 1)
+            k_next = nxt.K_at_x(x) if nxt is not None else np.zeros_like(x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if i == 1:
+                    head = np.log(self.delta.components[0].pdf_at_base(x))
+                else:
+                    route = self._routes[i]
+                    head = route.log_kprime_at_x(x) - route.K_at_x(x)
+                return head + k_next
+        with np.errstate(divide="ignore"):
+            if i == 1:
+                top = self.delta.components[0]
                 return (np.log(np.asarray(top.pdf(t), dtype=float))
                         + self._K_inner(2, t))
-        route = self._routes[i]
-        if isinstance(route, _TransportRoute):
-            # consecutive kernels share G, so one quantile evaluation feeds
-            # both, and the K difference is a theta difference of finite
-            # floats rather than a difference of separately large values
-            x = np.asarray(route.G.ppf(t), dtype=float)
-            nxt = self._routes[i + 1] if i + 1 <= self.d else None
-            k_next = nxt.K_at_x(x) if nxt is not None else np.zeros_like(x)
-            with np.errstate(invalid="ignore"):
-                return route.log_kprime_at_x(x) + (k_next - route.K_at_x(x))
-        with np.errstate(divide="ignore"):
             return (np.log(self._kprime_inner(i, t))
                     + self._K_inner(i + 1, t) - self._K_inner(i, t))
 

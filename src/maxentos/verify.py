@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -70,7 +71,9 @@ def axis_rule(n: int):
     return pts, wts
 
 
-def _product_sum(fn, axes_pts, axes_wts, chunk: int = 1 << 20) -> float:
+def _product_sum(fn, axes_pts, axes_wts, chunk: int = 1 << 20):
+    """Product-rule sum of fn; a float, or one sum per column when fn
+    returns an (n, k) array."""
     d = len(axes_pts)
     sizes = [len(p) for p in axes_pts]
     total = math.prod(sizes)
@@ -82,8 +85,8 @@ def _product_sum(fn, axes_pts, axes_wts, chunk: int = 1 << 20) -> float:
         w = axes_wts[0][multi[0]].copy()
         for k in range(1, d):
             w *= axes_wts[k][multi[k]]
-        acc += float(np.dot(np.asarray(fn(pts), dtype=float), w))
-    return acc
+        acc = acc + w @ np.asarray(fn(pts), dtype=float)
+    return float(acc) if np.ndim(acc) == 0 else acc
 
 
 def _check_dim(d: int):
@@ -100,7 +103,7 @@ def cube_integral(fn, d: int, nodes: int | None = None) -> float:
     return _product_sum(fn, [pts] * d, [wts] * d)
 
 
-def _ordered_cells_integral(fn, d: int, cells, assign, nodes) -> float:
+def _ordered_cells_integral(fn, d: int, cells, assign, nodes):
     """Integral over {x ordered, x_i in cells[assign[i]]} for one
     nondecreasing cell assignment; runs of equal cells use the ordered
     substitution inside their cell, distinct cells decouple."""
@@ -121,18 +124,20 @@ def _ordered_cells_integral(fn, d: int, cells, assign, nodes) -> float:
                 X[:, i] = a + (X[:, i + 1] - a) * W[:, i]
                 jac = jac * (X[:, i + 1] - a)
             start = stop
-        return np.asarray(fn(X), dtype=float) * jac
+        vals = np.asarray(fn(X), dtype=float)
+        return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
 
     return _product_sum(transformed, [pts] * d, [wts] * d)
 
 
 def simplex_integral(fn, d: int, lo: float, hi: float,
-                     nodes: int | None = None, cuts=()) -> float:
+                     nodes: int | None = None, cuts=()):
     """Integral of fn over {lo <= x_1 <= ... <= x_d <= hi}.
 
     cuts lists interior abscissae where the integrand loses smoothness
     (component knots, say); the region is partitioned there so each panel
-    keeps the rule's accuracy.
+    keeps the rule's accuracy.  An fn returning (n, k) columns gets k
+    integrals from one pass.
     """
     _check_dim(d)
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
@@ -285,6 +290,21 @@ def _run_checks(named, threads: int):
     return [execute(item) for item in named]
 
 
+def _once(fn):
+    """fn() run on the first call; later and concurrent calls wait for it
+    and share its value."""
+    lock = threading.Lock()
+    memo = []
+
+    def get():
+        with lock:
+            if not memo:
+                memo.append(fn())
+        return memo[0]
+
+    return get
+
+
 def _tolcheck(name, value, tol, detail=""):
     return CheckResult(name, bool(value <= tol), float(value), tol, detail)
 
@@ -332,15 +352,25 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
     kink_cuts = sorted({float(k) for comp in delta.components
                         for k in comp.knots() if 0.0 < float(k) < 1.0})
 
+    def _mass_and_entropy():
+        # exchangeability turns the cube integrals into d! times the sorted
+        # region ones, whose substitution absorbs the corner singularity;
+        # mass and -c log c come from one density evaluation on one rule
+        def columns(U):
+            c = c_delta_density(kernel, U)
+            return np.column_stack([c, _neg_xlogx(c)])
+        mass, ent = simplex_integral(columns, d, 0.0, 1.0,
+                                     nodes=None if d < 3 else 128, cuts=kink_cuts)
+        return math.factorial(d) * mass, math.factorial(d) * ent
+    # both checks below read this pass; the lock keeps it to one run when
+    # they execute on different threads
+    c_pass = _once(_mass_and_entropy)
+
     def _c_norm():
-        # exchangeability turns the cube integral into d! times the sorted
-        # region integral, whose substitution absorbs the corner singularity
         if d > MAX_QUAD_DIM:
             return CheckResult(prefix + "c_delta_normalization", None,
                                detail=f"d={d} beyond quadrature range")
-        val = math.factorial(d) * simplex_integral(
-            lambda U: c_delta_density(kernel, U), d, 0.0, 1.0,
-            nodes=None if d < 3 else 128, cuts=kink_cuts)
+        val = c_pass()[0]
         return _tolcheck(prefix + "c_delta_normalization", abs(val - 1.0), 1e-3,
                          f"integral={val:.8f}")
     chk("c_delta_normalization", _c_norm)
@@ -471,9 +501,7 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
             return CheckResult(prefix + "copula_entropy_quad", None,
                                detail=f"d={d} beyond quadrature range")
         hc = copula_entropy_closed(delta)
-        hq = math.factorial(d) * quad_entropy(
-            lambda U: c_delta_density(kernel, U), d, 0.0, 1.0,
-            nodes=None if d < 3 else 128, cuts=kink_cuts)
+        hq = c_pass()[1]
         return _tolcheck(prefix + "copula_entropy_quad", abs(hc - hq), 1e-3,
                          f"closed={hc:.6f} quadrature={hq:.6f}")
     chk("copula_entropy_quad", _copula_entropy_quad)

@@ -8,7 +8,7 @@ from maxentos import (CopulaKernel, MarginalVector, Multidiagonal,
                       j_functional_delta, ks_distance,
                       multidiagonal_of_iid_uniform, order_stat_copula_entropy,
                       sample_copula, symmetrize_density, unsymmetrize_density)
-from maxentos.cdfs import OrderStatUniformCdf, UniformCdf
+from maxentos.cdfs import AverageCdf, OrderStatUniformCdf, UniformCdf
 from maxentos.errors import InvalidMarginal, NotAbsolutelyContinuous, OutOfPsi
 from maxentos.verify import quad_entropy, simplex_integral
 
@@ -150,3 +150,17 @@ def test_kernel_rejects_non_multidiagonal():
     with pytest.raises(InvalidMarginal):
         CopulaKernel(Multidiagonal((UniformCdf(0.0, 1.0),
                                     OrderStatUniformCdf(2, 2))))
+
+
+@pytest.mark.parametrize("name", ["exp3_delta", "beta2_delta"])
+def test_density_solves_g_inverse_once_per_column(name, request, monkeypatch):
+    # every factor a_i, a_1 included, reads the one quantile G^{-1}(u_(i))
+    delta = request.getfixturevalue(name)
+    kernel = CopulaKernel(delta)
+    calls = []
+    ppf = AverageCdf.ppf
+    monkeypatch.setattr(AverageCdf, "ppf", lambda self, u: (calls.append(1), ppf(self, u))[1])
+    u = np.random.default_rng(5).random((500, delta.d))
+    c = c_delta_density(kernel, u)
+    assert np.count_nonzero(c) > 0
+    assert len(calls) == delta.d

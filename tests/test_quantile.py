@@ -1,0 +1,172 @@
+"""G^{-1} for averages of CDFs: a 50-digit oracle and the solver's work."""
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
+                           PiecewiseLinearCdf)
+
+TENT = (((0.0, 0.0), (0.5, 0.75), (1.0, 1.0)),
+        ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))
+# both margins are flat on [1, 2] and on [3, 4]; their average sits at the
+# levels 0.25 and 0.75 there, one on each side of the 1/2 split of ppf
+PLATEAU = (((0.0, 0.0), (1.0, 0.3), (2.0, 0.3), (3.0, 0.9), (4.0, 0.9), (5.0, 1.0)),
+           ((0.0, 0.0), (1.0, 0.2), (2.0, 0.2), (3.0, 0.6), (4.0, 0.6), (5.0, 1.0)))
+
+
+class _Exp:
+    def __init__(self, rate):
+        self.cdf_obj = ExponentialCdf(rate)
+        self.rate = mp.mpf(rate)
+
+    def cdf(self, x):
+        return -mp.expm1(-self.rate * x) if x > 0 else mp.mpf(0)
+
+    def ppf(self, u):
+        return -mp.log1p(-u) / self.rate
+
+
+class _Beta:
+    def __init__(self, k):
+        self.cdf_obj = BetaOneKCdf(k)
+        self.k = k
+
+    # through log1p/expm1: 50 digits do not survive 1 - (1 - 1e-300)
+    def cdf(self, x):
+        x = min(max(x, mp.mpf(0)), mp.mpf(1))
+        return -mp.expm1(self.k * mp.log1p(-x)) if x < 1 else mp.mpf(1)
+
+    def ppf(self, u):
+        return -mp.expm1(mp.log1p(-u) / self.k)
+
+
+class _Piecewise:
+    def __init__(self, knots):
+        self.cdf_obj = PiecewiseLinearCdf(knots)
+        self.xs = [mp.mpf(x) for x, _ in knots]
+        self.Fs = [mp.mpf(F) for _, F in knots]
+
+    def cdf(self, x):
+        if x <= self.xs[0]:
+            return self.Fs[0]
+        for j in range(1, len(self.xs)):
+            if x <= self.xs[j]:
+                w = (x - self.xs[j - 1]) / (self.xs[j] - self.xs[j - 1])
+                return self.Fs[j - 1] + w * (self.Fs[j] - self.Fs[j - 1])
+        return self.Fs[-1]
+
+    def ppf(self, u):
+        # inf{x : F(x) >= u}: the first knot at or above the level closes
+        # a segment that climbs to it
+        j = next(j for j, F in enumerate(self.Fs) if F >= u)
+        w = (u - self.Fs[j - 1]) / (self.Fs[j] - self.Fs[j - 1])
+        return self.xs[j - 1] + w * (self.xs[j] - self.xs[j - 1])
+
+
+AVERAGES = {
+    "exp3": [_Exp(r) for r in (3.0, 2.0, 1.0)],
+    "beta2": [_Beta(k) for k in (2, 1)],
+    "beta5": [_Beta(k) for k in (5, 4, 3, 2, 1)],
+    "tent": [_Piecewise(k) for k in TENT],
+    "plateau": [_Piecewise(k) for k in PLATEAU],
+}
+
+
+def _oracle(comps, u):
+    """inf{x : G(x) >= u} at 50 digits, bisecting between the component
+    quantiles (the level of the average lies between them)."""
+    with mp.workdps(50):
+        u = mp.mpf(u)
+        qs = [c.ppf(u) for c in comps]
+        lo, hi = min(qs), max(qs)
+        n = len(comps)
+        while hi - lo > mp.mpf(10) ** -24 * hi:
+            mid = (lo + hi) / 2
+            if sum(c.cdf(mid) for c in comps) / n >= u:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+
+def _ulps(x, exact):
+    """|x - exact| in units of the spacing of doubles at exact."""
+    with mp.workdps(50):
+        return float(abs(mp.mpf(float(x)) - exact) / mp.mpf(np.spacing(float(exact))))
+
+
+levels = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.0 - 2.0 ** -53),
+    st.floats(min_value=5e-324, max_value=1e-6),
+    st.floats(min_value=2.0 ** -53, max_value=1e-6).map(lambda e: 1.0 - e),
+)
+
+
+@pytest.mark.parametrize("name", sorted(AVERAGES))
+@settings(max_examples=25, deadline=None)
+@given(us=st.lists(levels, min_size=1, max_size=6))
+@example(us=[1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
+@example(us=[5e-324, 1e-300, 1e-16, 0.25, 0.5, 0.75])
+def test_average_ppf_matches_oracle(name, us):
+    comps = AVERAGES[name]
+    G = AverageCdf([c.cdf_obj for c in comps])
+    got = G.ppf(np.array(us))
+    for u, x in zip(us, got):
+        exact = _oracle(comps, u)
+        assert _ulps(x, exact) <= 4.0, (u, float(x), float(exact))
+
+
+def test_plateau_levels_give_left_ends():
+    G = AverageCdf([PiecewiseLinearCdf(k) for k in PLATEAU])
+    assert G.ppf(0.25) == 1.0
+    assert G.ppf(0.75) == 3.0
+    # just past a plateau level the quantile jumps to the plateau's right end
+    assert G.ppf(np.nextafter(0.25, 1.0)) == pytest.approx(2.0, abs=1e-14)
+    assert G.ppf(np.nextafter(0.75, 1.0)) == pytest.approx(4.0, abs=1e-14)
+
+
+class _Counter:
+    """Points passed to cdf/sf of the patched classes; a survival function
+    that goes through cdf counts once."""
+
+    def __init__(self):
+        self.points = 0
+        self._depth = 0
+
+    def wrap(self, fn):
+        def counted(obj, x):
+            if self._depth == 0:
+                self.points += np.size(x)
+            self._depth += 1
+            try:
+                return fn(obj, x)
+            finally:
+                self._depth -= 1
+        return counted
+
+
+@pytest.mark.parametrize("name", ["exp3", "beta2", "tent"])
+def test_average_ppf_evaluation_count(name, monkeypatch):
+    comps = [c.cdf_obj for c in AVERAGES[name]]
+    G = AverageCdf(comps)
+    counter = _Counter()
+    for cls in {type(c) for c in comps}:
+        for meth in ("cdf", "sf"):
+            monkeypatch.setattr(cls, meth, counter.wrap(getattr(cls, meth)))
+    u = np.random.default_rng(3).random(100_000)
+    G.ppf(u)
+    per_point = counter.points / (u.size * len(comps))
+    assert per_point <= 8.0, per_point
+
+
+def test_newton_level_cap_returns_bracket_hi():
+    # one evaluation at the midpoint 0.5 lands above the level 0.3 and
+    # leaves the bracket (0, 0.5]; a point cut off there gets its hi
+    from maxentos.cdfs import _newton_level
+    ident = lambda x: x
+    one = lambda x: np.ones_like(x)
+    assert _newton_level(ident, one, np.array([0.3]), 0.0, 1.0, iters=1)[0] == 0.5
+    assert _newton_level(ident, one, np.array([0.3]), 0.0, 1.0)[0] == 0.3

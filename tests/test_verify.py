@@ -110,3 +110,25 @@ def test_thread_cap_env_does_not_change_results(monkeypatch):
         assert a.passed == b.passed
         if a.value is not None and b.value is not None:
             assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-12)
+
+
+def test_copula_mass_and_entropy_share_one_pass(monkeypatch):
+    # c_delta_normalization and copula_entropy_quad read one quadrature
+    # pass, also when the checks run on several threads
+    from maxentos import verify
+    delta = multidiagonal_of_iid_uniform(2)
+    passes = []
+    simplex = verify.simplex_integral
+
+    def counted(fn, d, *args, **kwargs):
+        if d == delta.d:
+            passes.append(d)
+        return simplex(fn, d, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "simplex_integral", counted)
+    monkeypatch.setenv("MAXENTOS_THREADS", "2")
+    rep = run_full_verification(delta, n_samples=1000, grid=256)
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["c_delta_normalization"].passed
+    assert by_name["copula_entropy_quad"].passed
+    assert len(passes) == 1
