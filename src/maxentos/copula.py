@@ -27,7 +27,7 @@ import numpy as np
 
 from .cdfs import MarginalCdf
 from .errors import InvalidMarginal, NotAbsolutelyContinuous, NotInF0, OutOfPsi
-from .hazards import PairHazard, _cdf_gap, pair_hazard
+from .hazards import PairHazard, TableHazard, _cdf_gap
 from .intervals import (IntervalSet, gap_inside_mask, inside_mask,
                         interval_arrays, snap_inside)
 from .marginals import (EQ_TOL, MarginalVector, average_cdf, in_support_LF,
@@ -123,22 +123,18 @@ class CopulaKernel:
                 f"components do not form a multidiagonal: {self.report}")
         self.psis = {i: delta_psi(delta, i) for i in range(1, self.d + 2)}
         self._routes = {}
-        comps = delta.components
         G = average_cdf(delta.source) if delta.source is not None else None
         # the transport routes share G, and so does every factor a_i
         self._G = G if mode == "auto" else None
-        for i in range(2, self.d + 1):
-            psi = self.psis[i]
-            if len(psi) == 0:
+        for i, p in enumerate(delta.pairs, start=2):
+            if len(p.psi) == 0:
                 self._routes[i] = None
             elif mode == "quadrature":
-                self._routes[i] = _HazardRoute(
-                    pair_hazard(comps[i - 2], comps[i - 1], psi=psi, force_table=True))
+                self._routes[i] = _HazardRoute(TableHazard(p.fp, p.fc, p.psi))
             elif G is not None:
-                self._routes[i] = _TransportRoute(delta.source.pairs[i - 2].hazard, G, psi)
+                self._routes[i] = _TransportRoute(p.source.hazard, G, p.psi)
             else:
-                self._routes[i] = _HazardRoute(
-                    pair_hazard(comps[i - 2], comps[i - 1], psi=psi))
+                self._routes[i] = _HazardRoute(p.hazard)
 
     # -- raw evaluations, assuming points already inside the right sets --
 

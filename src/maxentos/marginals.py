@@ -24,6 +24,7 @@ MarginalVector keeps its records, so every layer reads the same ones.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -143,14 +144,17 @@ class _Pair:
 
     The record computes each piece at most once, on first use: the
     separation set (through psi_pair), the order verdict with a witness,
-    the closed J term (None: J by quadrature) and the hazard.  Here the
-    set and the verdict come from probes and the hazard is tabulated.
+    the closed J term (None: J by quadrature), the quadrature J term and
+    the hazard.  Here the set and the verdict come from probes and the
+    hazard is tabulated.
     """
 
     j_closed = None
 
     def __init__(self, fp: MarginalCdf, fc: MarginalCdf):
         self.fp, self.fc = fp, fc
+        self._lock = threading.Lock()
+        self._j_quad = None
 
     @cached_property
     def psi(self) -> IntervalSet:
@@ -162,6 +166,20 @@ class _Pair:
 
     def make_hazard(self, psi: IntervalSet):
         return TableHazard(self.fp, self.fc, psi)
+
+    def density_and_gap(self, t: float):
+        """(f_cur(t), F_prev(t) - F_cur(t)) at a scalar t: the J integrand."""
+        return float(self.fc.pdf(t)), float(self.fp.cdf(t)) - float(self.fc.cdf(t))
+
+    @property
+    def j_quad(self) -> float:
+        """The J term by quadrature, integrated on first use and kept; the
+        lock keeps it to one integration when several threads ask."""
+        with self._lock:
+            if self._j_quad is None:
+                knots = [k for m in (self.fp, self.fc) for k in m.knots()]
+                self._j_quad = _pair_j_quad(self.density_and_gap, self.psi, knots)
+            return self._j_quad
 
     @cached_property
     def order(self):
@@ -331,10 +349,11 @@ def _pair(fp: MarginalCdf, fc: MarginalCdf) -> _Pair:
 
 
 def _pairs(F) -> tuple:
-    """Records of F's consecutive pairs: kept on a MarginalVector, fresh for
-    a plain sequence of CDFs."""
-    if isinstance(F, MarginalVector):
-        return F.pairs
+    """Records of F's consecutive pairs: kept on a MarginalVector or a
+    Multidiagonal, fresh for a plain sequence of CDFs."""
+    pairs = getattr(F, "pairs", None)
+    if pairs is not None:
+        return pairs
     m = list(F)
     return tuple(_pair(a, b) for a, b in zip(m, m[1:]))
 
@@ -436,14 +455,17 @@ def in_support_LF(F, x):
 J_DIVERGENCE_CAP = 1e6
 
 
-def _pair_j_quad(fp: MarginalCdf, fc: MarginalCdf, psi: IntervalSet) -> float:
-    """Quadrature of int f_cur(t) |log(F_prev(t) - F_cur(t))| dt over Psi."""
+def _pair_j_quad(density_and_gap, psi: IntervalSet, knots) -> float:
+    """Quadrature of int f_cur(t) |log(F_prev(t) - F_cur(t))| dt over Psi.
+
+    density_and_gap(t) gives f_cur(t) and the gap at a scalar t; the panels
+    split at the knots inside each separation interval.
+    """
 
     def integrand(t):
-        f = float(fc.pdf(t))
+        f, gap = density_and_gap(t)
         if f <= 0.0:
             return 0.0
-        gap = float(fp.cdf(t)) - float(fc.cdf(t))
         if gap > 1.0 + EQ_TOL:
             raise InvalidMarginal(
                 f"CDF gap {gap!r} above 1 at t={t!r}; corrupt marginal input")
@@ -453,7 +475,7 @@ def _pair_j_quad(fp: MarginalCdf, fc: MarginalCdf, psi: IntervalSet) -> float:
 
     total = 0.0
     for g, d in psi:
-        inner = sorted({k for m in (fp, fc) for k in m.knots() if g < k < d})
+        inner = sorted({k for k in knots if g < k < d})
         edges = [g, *inner, d]
         for a, b in zip(edges[:-1], edges[1:]):
             val, err = integrate.quad(integrand, a, b, limit=400)
@@ -487,7 +509,7 @@ def j_functional(F, method: str = "auto") -> float:
             return math.inf
         term = p.j_closed if method == "auto" else None
         if term is None:
-            term = _pair_j_quad(p.fp, p.fc, p.psi)
+            term = p.j_quad
         if not math.isfinite(term):
             return math.inf
         total += term

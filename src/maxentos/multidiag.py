@@ -14,12 +14,18 @@ given multidiagonal.
 The multidiagonal of a marginal vector F is delta_(i) = F_i o G^{-1} with
 G the average CDF; it carries exactly the exchangeable-dependence content
 of F, and in particular J(F) = J(delta^F).
+
+Like a marginal vector, a multidiagonal keeps one record per consecutive
+pair.  When it was built from marginals, record k is the transport of the
+source's record k under G: separation set and order verdict are read
+from the source record, and the J integrand inverts G once per node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -28,8 +34,8 @@ from .cdfs import (AverageCdf, ComposedDeltaCdf, MarginalCdf,
                    OrderStatUniformCdf)
 from .errors import InvalidMarginal
 from .intervals import IntervalSet
-from .marginals import (MarginalVector, _complement_measure, average_cdf,
-                        j_functional, psi_pair)
+from .marginals import (MarginalVector, _Pair, _pairs, average_cdf,
+                        j_functional, sigma_measure)
 
 SUM_TOL = 1e-9
 LIPSCHITZ_TOL = 1e-6
@@ -57,6 +63,21 @@ class Multidiagonal:
     def __getitem__(self, i):
         return self.components[i]
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """Records of the consecutive component pairs, built once, filled on
+        use; with a source, the transports of the source's records."""
+        c = self.components
+        if self.source is None:
+            return _pairs(c)
+        return tuple(_TransportedPair(a, b, p)
+                     for a, b, p in zip(c, c[1:], self.source.pairs))
+
+    def __getstate__(self):
+        # the records are a cache, and some of their hazards do not pickle
+        return {"components": self.components, "source": self.source,
+                "kind": self.kind}
+
     def cdf_matrix(self, s):
         """Stack of component CDF values, shape (d, len(s))."""
         s = np.asarray(s, dtype=float)
@@ -64,6 +85,49 @@ class Multidiagonal:
 
     def to_dict(self):
         return {"margins": [c.to_dict() for c in self.components]}
+
+
+class _TransportedPair(_Pair):
+    """Consecutive components (delta_(i-1), delta_(i)) = (F_prev, F_cur) o G^{-1}
+    of a multidiagonal built from marginals.
+
+    The change of variable t = G(x) maps the source pair onto this one, so
+    the record reads the source record: the separation set is its image
+    under G, the order verdict is the source's, and the J integrand reads
+    F_prev - F_cur and f_cur / g at the one point x = G^{-1}(t).
+    """
+
+    def __init__(self, fp: ComposedDeltaCdf, fc: ComposedDeltaCdf, source: _Pair):
+        super().__init__(fp, fc)
+        self.source = source
+        self.G = fc.avg
+
+    def _image(self, x) -> float:
+        if math.isfinite(x):
+            return float(self.G.cdf(x))
+        return 0.0 if x == -math.inf else 1.0
+
+    @cached_property
+    def psi(self) -> IntervalSet:
+        out = []
+        for g, dd in self.source.psi:
+            a, b = self._image(g), self._image(dd)
+            if a < b:
+                out.append((a, b))
+        return IntervalSet(tuple(out))
+
+    @cached_property
+    def order(self):
+        ok, witness = self.source.order
+        return ok, None if witness is None else self._image(witness)
+
+    def density_and_gap(self, t: float):
+        # the components read 0 density and constant values outside (0, 1)
+        if not 0.0 < t < 1.0:
+            return 0.0, 0.0
+        x = self.G.ppf(t)
+        return (float(self.fc.pdf_at_base(x)),
+                float(self.fp.base.cdf(x)) - float(self.fc.base.cdf(x)))
 
 
 def multidiagonal_from_marginals(F: MarginalVector) -> Multidiagonal:
@@ -121,17 +185,7 @@ def delta_psi(delta: Multidiagonal, i: int) -> IntervalSet:
         return IntervalSet(((g, 1.0),)) if g < 1.0 else IntervalSet()
     if not 2 <= i <= d:
         raise ValueError(f"index {i} out of range 1..{d + 1}")
-    if delta.source is not None:
-        # image of the marginal-scale separation set under G
-        G = average_cdf(delta.source)
-        out = []
-        for g, dd in delta.source.pairs[i - 2].psi:
-            a = float(G.cdf(g)) if math.isfinite(g) else (0.0 if g == -math.inf else 1.0)
-            b = float(G.cdf(dd)) if math.isfinite(dd) else (1.0 if dd == math.inf else 0.0)
-            if a < b:
-                out.append((a, b))
-        return IntervalSet(tuple(out))
-    return psi_pair(delta.components[i - 2], delta.components[i - 1])
+    return delta.pairs[i - 2].psi
 
 
 @dataclass(frozen=True)
@@ -179,8 +233,7 @@ def validate_multidiagonal(delta: Multidiagonal, grid: int = 1024) -> MultidiagR
     is_D = components_ok and ordering_ok and sum_residual <= SUM_TOL and lipschitz_ok
     # sigma from the separation sets the kernel uses: for a multidiagonal
     # built from marginals, the images of the marginal-scale sets
-    sigma = _complement_measure((delta_psi(delta, i), delta.components[i - 1])
-                                for i in range(2, d + 1))
+    sigma = sigma_measure(delta)
     is_D0 = is_D and sigma <= 1e-9
     return MultidiagReport(is_D=is_D, is_D0=is_D0, components_ok=components_ok,
                            ordering_ok=ordering_ok, sum_residual=sum_residual,
@@ -190,13 +243,13 @@ def validate_multidiagonal(delta: Multidiagonal, grid: int = 1024) -> MultidiagR
 def j_functional_delta(delta: Multidiagonal, method: str = "auto") -> float:
     """J of the multidiagonal, on the [0, 1] scale.
 
-    method "quadrature" always integrates against the components; "auto"
-    uses the closed pair terms (the independence multidiagonal has them),
-    or the source marginals when the multidiagonal was built from them (J
-    is transport invariant).
+    method "quadrature" always integrates against the components, through
+    the multidiagonal's pair records; "auto" uses the closed pair terms
+    (the independence multidiagonal has them), or the source marginals
+    when the multidiagonal was built from them (J is transport invariant).
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and delta.source is not None:
         return j_functional(delta.source, method="auto")
-    return j_functional(delta.components, method=method)
+    return j_functional(delta, method=method)

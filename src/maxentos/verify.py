@@ -191,15 +191,19 @@ def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
     pts2, wts2 = _panelize(outer_cuts)
     icuts = np.array(sorted({float(c) for c in inner_cuts if 0.0 < float(c) < 1.0}))
     up = np.asarray(upper_fn(pts2), dtype=float)
-    total = 0.0
+    # the rows of every outer node first, then one integrand call on them all
+    rows, weights = [], []
     for j in range(len(pts2)):
         if up[j] <= 0.0:
             continue
         pts1, wts1 = _panelize(icuts[icuts < up[j]] / up[j]) if icuts.size else (base, basew)
         u1 = pts1 * up[j]
-        vals = np.asarray(fn(np.column_stack([u1, np.full_like(u1, pts2[j])])), dtype=float)
-        total += wts2[j] * up[j] * float(np.dot(vals, wts1))
-    return total
+        rows.append(np.column_stack([u1, np.full_like(u1, pts2[j])]))
+        weights.append(wts2[j] * up[j] * wts1)
+    if not rows:
+        return 0.0
+    vals = np.asarray(fn(np.concatenate(rows)), dtype=float)
+    return float(np.dot(vals, np.concatenate(weights)))
 
 
 def mc_entropy(density_fn, samples) -> tuple[float, float]:

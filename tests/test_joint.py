@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from maxentos import (MarginalVector, build_model, detect_degenerate,
-                      f_F_density, hazard, j_functional, joint_entropy_closed,
-                      ks_distance, marginals, sample, sigma_measure)
+from maxentos import (CopulaKernel, MarginalVector, build_model,
+                      detect_degenerate, f_F_density, hazard, j_functional,
+                      j_functional_delta, joint_entropy_closed, ks_distance,
+                      marginals, multidiag, multidiagonal_from_marginals,
+                      multidiagonal_of_iid_uniform, sample, sigma_measure,
+                      validate_multidiagonal)
 from maxentos.cdfs import BetaOneKCdf, ExponentialCdf, PiecewiseLinearCdf
 from maxentos.errors import Degenerate, InvalidMarginal
 
@@ -127,3 +130,27 @@ def test_separation_set_computed_once_per_pair(monkeypatch, margins):
     sigma_measure(mv)
     j_functional(mv)
     assert len(calls) == mv.d - 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: multidiagonal_of_iid_uniform(4),
+    lambda: multidiagonal_from_marginals(MarginalVector(
+        (ExponentialCdf(3.0), ExponentialCdf(2.0), ExponentialCdf(1.0)))),
+], ids=["iid4", "exp3_delta"])
+def test_separation_set_computed_once_per_multidiagonal_pair(monkeypatch, build):
+    # a multidiagonal keeps its pair records; one built from marginals
+    # reads its sets from the source's records and adds none of its own
+    calls = []
+    psi_pair = marginals.psi_pair
+
+    def counted(fp, fc):
+        calls.append(1)
+        return psi_pair(fp, fc)
+
+    monkeypatch.setattr(marginals, "psi_pair", counted)
+    monkeypatch.setattr(multidiag, "psi_pair", counted, raising=False)
+    delta = build()
+    validate_multidiagonal(delta)
+    CopulaKernel(delta)
+    j_functional_delta(delta, "quadrature")
+    assert len(calls) == delta.d - 1

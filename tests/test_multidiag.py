@@ -1,13 +1,16 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from maxentos import (MarginalVector, Multidiagonal, copula_entropy_closed,
+from maxentos import (CopulaKernel, MarginalVector, Multidiagonal,
+                      copula_entropy_closed,
                       delta_inverse, delta_psi, j_functional, j_functional_delta,
                       multidiagonal_from_marginals, multidiagonal_of_iid_uniform,
                       sigma_measure, validate_multidiagonal)
-from maxentos.cdfs import OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf
+from maxentos.cdfs import (BetaOneKCdf, OrderStatUniformCdf, PiecewiseLinearCdf,
+                           UniformCdf)
 
 
 def test_sum_identity(exp3_delta, beta2_delta):
@@ -110,3 +113,29 @@ def test_validate_sigma_matches_marginal_sigma(exp3):
     for mv in (exp3, MarginalVector((UniformCdf(0.0, 1.0), F2))):
         rep = validate_multidiagonal(multidiagonal_from_marginals(mv))
         assert rep.sigma == pytest.approx(sigma_measure(mv), abs=1e-12)
+
+
+@pytest.mark.parametrize("margins", [
+    (BetaOneKCdf(2), BetaOneKCdf(1)),
+    (PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.75), (1.0, 1.0))),
+     PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))),
+], ids=["beta2", "tent"])
+def test_transported_j_matches_general_route(margins):
+    # the general route over the plain components (probed sets, three
+    # G^{-1} solves per node) is the reference for the transported records
+    delta = multidiagonal_from_marginals(MarginalVector(margins))
+    ref = j_functional(list(delta.components), method="quadrature")
+    assert j_functional_delta(delta, method="quadrature") == pytest.approx(ref, rel=1e-14)
+
+
+def test_pickle_drops_pair_records(exp3):
+    for delta in (multidiagonal_from_marginals(exp3), multidiagonal_of_iid_uniform(3)):
+        CopulaKernel(delta)          # fills the records' sets and hazards
+        j_functional_delta(delta, method="quadrature")
+        back = pickle.loads(pickle.dumps(delta))
+        assert "pairs" not in back.__dict__
+        assert back.kind == delta.kind and back.d == delta.d
+        assert (back.source is None) == (delta.source is None)
+        assert [delta_psi(back, i) for i in range(1, back.d + 2)] == \
+            [delta_psi(delta, i) for i in range(1, delta.d + 2)]
+        assert j_functional_delta(back) == j_functional_delta(delta)

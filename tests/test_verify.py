@@ -1,12 +1,15 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from maxentos import (Multidiagonal, multidiagonal_of_iid_uniform,
-                      run_full_verification)
-from maxentos.cdfs import PiecewiseLinearCdf
+from maxentos import (MarginalVector, Multidiagonal, marginals,
+                      multidiagonal_of_iid_uniform, run_full_verification)
+from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
+                           PiecewiseLinearCdf)
 from maxentos.errors import DimensionTooLarge
 from maxentos.verify import (axis_rule, cube_integral, ks_distance,
                              mc_entropy, ordered_region_integral_2d,
@@ -46,6 +49,19 @@ def test_ordered_region_integral():
         lambda U: np.abs(U[:, 1] - 0.5), lambda t: np.ones_like(t),
         outer_cuts=[0.5])
     assert kinked == pytest.approx(0.25, abs=1e-12)
+
+
+def test_ordered_region_integral_calls_integrand_once():
+    calls = []
+
+    def fn(U):
+        calls.append(len(U))
+        return np.ones(len(U))
+
+    area = ordered_region_integral_2d(fn, lambda t: t, outer_cuts=[0.5],
+                                      inner_cuts=[0.25])
+    assert area == pytest.approx(0.5, abs=1e-12)
+    assert len(calls) == 1
 
 
 def test_quad_entropy_constant_density():
@@ -132,3 +148,69 @@ def test_copula_mass_and_entropy_share_one_pass(monkeypatch):
     assert by_name["c_delta_normalization"].passed
     assert by_name["copula_entropy_quad"].passed
     assert len(passes) == 1
+
+
+def test_j_checks_share_one_transported_integral(monkeypatch):
+    # j_transport and delta_j_delta_routes read one J(delta) term, whose
+    # integrand solves G^{-1} once per quadrature node
+    from maxentos import verify
+    margins = MarginalVector((BetaOneKCdf(2), BetaOneKCdf(1)))
+    named = dict(verify._marginal_checks(margins, seed=0, n_samples=1000, grid=256))
+    calls = []
+    ppf = AverageCdf.ppf
+
+    def counted(self, u):
+        calls.append(1)
+        return ppf(self, u)
+
+    monkeypatch.setattr(AverageCdf, "ppf", counted)
+    results = [named[name]() for name in ("j_transport", "delta_j_delta_routes")]
+    assert all(r.passed for r in results)
+    assert len(calls) <= 600
+
+
+def _count_j_integrations(monkeypatch):
+    calls = []
+    quad = marginals._pair_j_quad
+
+    def counted(*args):
+        calls.append(1)
+        return quad(*args)
+
+    monkeypatch.setattr(marginals, "_pair_j_quad", counted)
+    return calls
+
+
+def test_j_term_integrated_once_per_pair_across_threads(monkeypatch):
+    # j_transport, j_routes and delta_j_delta_routes share the quadrature
+    # J terms of the marginal pair and of its transport, also when the
+    # checks run on several threads
+    calls = _count_j_integrations(monkeypatch)
+    monkeypatch.setenv("MAXENTOS_THREADS", "2")
+    rep = run_full_verification(MarginalVector((BetaOneKCdf(2), BetaOneKCdf(1))),
+                                n_samples=1000, grid=256)
+    by_name = {c.name: c for c in rep.checks}
+    for name in ("j_transport", "j_routes", "delta_j_delta_routes"):
+        assert by_name[name].passed
+    assert len(calls) == 2
+
+
+def test_j_term_lock_under_contention(monkeypatch):
+    calls = _count_j_integrations(monkeypatch)
+    pair = marginals._pair(BetaOneKCdf(3), ExponentialCdf(1.0))
+    pair.psi
+    out = []
+    threads = [threading.Thread(target=lambda: out.append(pair.j_quad))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(out) == 8 and len(set(out)) == 1
+    assert len(calls) == 1
