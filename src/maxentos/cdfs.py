@@ -299,29 +299,19 @@ class PiecewiseLinearCdf(MarginalCdf):
         return d
 
 
-def _bisect_level(cdf_vec, targets, lo, hi, iters=100):
-    """Vectorized inf{s in [lo, hi] : cdf(s) >= target} for continuous cdf_vec."""
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        ge = cdf_vec(mid) >= targets
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
-    return hi
-
-
 def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
     """inf{s in [lo, hi] : cdf_vec(s) >= target} by bracketed Newton.
 
     cdf_vec is nondecreasing with derivative pdf_vec, and the level lies in
-    [lo, hi].  Each evaluation shrinks the bracket.  A Newton step inside
-    the closed bracket is taken; where the derivative is zero, infinite or
-    NaN, or the step leaves the bracket, the point bisects.  Only points
-    still moving are evaluated.  A point settles when its raw Newton step
-    falls below 1e-15 relative (roots near 0, down to subnormals, keep
-    their leading digits) from below the level, or when no float lies
-    between its bracket ends.  A small step from above first probes just
+    [lo, hi].  Each evaluation shrinks the bracket.  A Newton step strictly
+    inside the bracket is taken; where the derivative is zero, infinite or
+    NaN, or the step reaches or leaves a bracket end, the point bisects.
+    On a function resolved only to a few ulps, Newton could otherwise step
+    from one end onto the other and back for ever.  Only points still
+    moving are evaluated.  A point settles when its raw Newton step falls
+    below 1e-15 relative (roots near 0, down to subnormals, keep their
+    leading digits) from below the level, or when no float lies between
+    its bracket ends.  A small step from above first probes just
     below the root, so a flat stretch at the level is not mistaken for its
     right end.  A point still moving after iters evaluations gets its
     bracket's hi.
@@ -350,7 +340,7 @@ def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
         tol = 1e-15 * np.abs(x) + 5e-324
         small = np.abs(step) <= tol
         mid = 0.5 * (lo + hi)
-        x = np.where((xn >= lo) & (xn <= hi), xn, mid)
+        x = np.where((xn > lo) & (xn < hi), xn, mid)
         settled = (small & below) | (mid <= lo) | (mid >= hi)
         # integer indices: boolean masks gather far slower here
         rise = np.flatnonzero(small & ~below)

@@ -37,6 +37,7 @@ except PackageNotFoundError:                                # pragma: no cover
     _VERSION = "0+unknown"
 
 _CSV_FMT = "%.17g"
+_CSV_CHUNK = 4096
 
 
 class _InputError(Exception):
@@ -146,8 +147,11 @@ def _write_csv(args, digest: str, header: list[str], rows) -> None:
         count = 0
         for block in ([] if first is None else itertools.chain([first], rows)):
             block = np.atleast_2d(block)
-            for row in block:
-                out.write(",".join(_CSV_FMT % v for v in row) + "\n")
+            line = ",".join([_CSV_FMT] * block.shape[1]) + "\n"
+            # one % per chunk of rows; chunks keep the text small
+            for start in range(0, block.shape[0], _CSV_CHUNK):
+                chunk = block[start:start + _CSV_CHUNK]
+                out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
             count += block.shape[0]
     finally:
         if out is not sys.stdout:

@@ -22,11 +22,9 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .cdfs import MarginalCdf, OrderStatUniformCdf, _bisect_level
+from .cdfs import MarginalCdf, OrderStatUniformCdf, _newton_level
 from .errors import RootBracketFailure
 from .intervals import IntervalSet, interval_arrays
-
-_SOLVE_ITERS = 100
 
 
 def _cdf_gap(fp: MarginalCdf, fc: MarginalCdf, t) -> np.ndarray:
@@ -110,18 +108,8 @@ class PairHazard:
         return out
 
     def solve_tail(self, s, target):
-        """t >= s with theta(t) - theta(s) = target, within s's interval.
-
-        Default is vectorized bisection against a finite right end;
-        subclasses with unbounded intervals override.
-        """
-        s, target, idx = self._tail_args(s, target)
-        hi = self._ends[idx]
-        if not np.all(np.isfinite(hi)):
-            raise RootBracketFailure("unbounded interval requires a closed-form solver")
-        base = self.theta(s)
-        return _bisect_level(lambda t: self.theta(t) - base, target,
-                             s, hi - 1e-15 * (hi - s), _SOLVE_ITERS)
+        """inf{t >= s : theta(t) - theta(s) >= target}, within s's interval."""
+        raise NotImplementedError
 
 
 class ExpPairHazard(PairHazard):
@@ -220,62 +208,102 @@ class OrderStatPairHazard(PairHazard):
         return -np.expm1(np.log1p(-s) - target / self.c)
 
 
+def _segment_rise(u, f, alpha, g0):
+    """Increase of theta over a length u >= 0 into a knot segment.
+
+    On the segment the current density f is constant and the gap is
+    g0 + alpha u.  Relative to the segment start the increase is
+    (f u / g0) L(alpha u / g0) with L(z) = log1p(z) / z and L(0) = 1, which
+    needs no test on alpha: slopes equal up to rounding give the parallel
+    limit f u / g0.  Only a segment starting on a closed gap (g0 = 0) takes
+    the log form (f / alpha) log(alpha u), which is -inf at its start.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        opened = g0 > 0.0
+        r = u / np.where(opened, g0, 1.0)
+        # z < -1 only by rounding past the zero of a closing gap
+        z = np.maximum(alpha * r, -1.0)
+        rel = f * r * np.where(z == 0.0, 1.0, np.log1p(z) / z)
+        rise = np.where(opened, rel, f / alpha * np.log(alpha * u))
+    return np.where(f > 0.0, rise, 0.0)
+
+
+def _segment_reach(w, f, alpha, g0):
+    """Length u into a segment with f > 0 at which _segment_rise reaches w:
+    (g0 w / f) E(w alpha / f) with E(v) = expm1(v) / v and E(0) = 1, or
+    exp(w alpha / f) / alpha from a closed gap."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = w * alpha / f
+        rel = g0 * w / f * np.where(v == 0.0, 1.0, np.expm1(v) / v)
+        return np.where(g0 > 0.0, rel, np.exp(v) / alpha)
+
+
 class PiecewisePairHazard(PairHazard):
     """Exact per-segment antiderivative for piecewise-linear margins.
 
     On a knot segment the current density f is constant and the gap is
-    linear, gap(t) = g0 + alpha (t - x0), so the antiderivative is
-    (f/alpha) log gap(t), or f t / gap for parallel segments, or constant
-    where f = 0.  Constants are chained for continuity across interior
-    breakpoints and anchored mid-interval.
+    linear, so theta is the segment's start value C plus _segment_rise.
+    The start values chain the segment rises across interior breakpoints
+    and are anchored mid-interval.  theta at the segment ends is kept, so
+    the tail equation finds its segment by one search and inverts there
+    in closed form.
     """
 
     def __init__(self, fp, fc, psi: IntervalSet):
         super().__init__(fp, fc, psi)
-        self._pieces = []
+        parts, self._ranges = [], []
         for g, d in psi:
             ks = sorted({float(k) for m in (fp, fc) for k in m.knots() if g < k < d})
             edges = np.array([g, *ks, d])
             mids = 0.5 * (edges[:-1] + edges[1:])
             f = np.asarray(fc.pdf(mids), dtype=float)
             alpha = np.asarray(fp.pdf(mids), dtype=float) - f
-            gap_at = np.asarray(fp.cdf(edges), dtype=float) - np.asarray(fc.cdf(edges), dtype=float)
+            # a gap below 0 at a start is rounding at a crossing: closed
+            g0 = np.maximum(np.asarray(fp.cdf(edges[:-1]), dtype=float)
+                            - np.asarray(fc.cdf(edges[:-1]), dtype=float), 0.0)
+            rise = _segment_rise(np.diff(edges), f, alpha, g0)
+            C = np.concatenate([[0.0], np.cumsum(rise[:-1])])
+            m = len(mids) // 2
+            C -= C[m] + _segment_rise(mids[m] - edges[m], f[m], alpha[m], g0[m])
+            start = self._ranges[-1][1] if self._ranges else 0
+            self._ranges.append((start, start + len(mids)))
+            parts.append((edges[:-1], f, alpha, g0, C, C + rise))
+        # flat over all intervals; top is theta at each segment's right end
+        self._x0, self._f, self._alpha, self._g0, self._C, self._top = (
+            [np.concatenate(col) for col in zip(*parts)] or [np.empty(0)] * 6)
 
-            def phi(t, seg, edges=edges, f=f, alpha=alpha, gap_at=gap_at):
-                t = np.asarray(t, dtype=float)
-                x0 = edges[seg]
-                g0 = gap_at[seg]
-                gap = g0 + alpha[seg] * (t - x0)
-                out = np.zeros_like(t)
-                live = f[seg] > 0.0
-                sloped = live & (np.abs(alpha[seg]) > 1e-300)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out = np.where(sloped, (f[seg] / np.where(sloped, alpha[seg], 1.0))
-                                   * np.log(np.maximum(gap, 5e-324)), out)
-                flat = live & ~sloped
-                out = np.where(flat, f[seg] * t / np.where(g0 > 0, g0, np.maximum(gap, 5e-324)), out)
-                return out
-
-            nseg = len(mids)
-            C = np.zeros(nseg)
-            for k in range(1, nseg):
-                xk = np.array([edges[k]])
-                C[k] = C[k - 1] + phi(xk, np.array([k - 1]))[0] - phi(xk, np.array([k]))[0]
-            anchor_seg = nseg // 2
-            anchor_t = np.array([mids[anchor_seg]])
-            shift = C[anchor_seg] + phi(anchor_t, np.array([anchor_seg]))[0]
-            C -= shift
-            self._pieces.append((edges, phi, C))
+    def _segment(self, t):
+        # intervals are disjoint and sorted, so the last segment starting
+        # at or before a point of an interval lies in that interval
+        return np.clip(np.searchsorted(self._x0, t, side="right") - 1, 0, len(self._x0) - 1)
 
     def theta(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not len(self._x0):
+            return np.full(t.shape, np.nan)
+        k = self._segment(t)
+        out = self._C[k] + _segment_rise(t - self._x0[k], self._f[k], self._alpha[k], self._g0[k])
+        return np.where(self.interval_index(t) >= 0, out, np.nan)
 
-        def piece(j, x):
-            edges, phi, C = self._pieces[j]
-            seg = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(C) - 1)
-            return C[seg] + phi(x, seg)
-
-        return self._per_interval(piece, self.interval_index(t), t)
+    def solve_tail(self, s, target):
+        """inf{t >= s : theta(t) - theta(s) >= target}, up to just below the
+        right end of s's interval."""
+        s, target, idx = self._tail_args(s, target)
+        y = self.theta(s) + target
+        # the first segment, from s's on, whose end value reaches y
+        k = self._segment(s)
+        for j, (a, b) in enumerate(self._ranges):
+            sel = np.flatnonzero(idx == j)
+            if sel.size:
+                k[sel] = np.maximum(k[sel], a + np.searchsorted(self._top[a:b - 1], y[sel]))
+        # f = 0 only on s's own segment at target 0: the root is s
+        t = self._x0[k] + np.where(self._f[k] > 0.0, _segment_reach(
+            y - self._C[k], self._f[k], self._alpha[k], self._g0[k]), 0.0)
+        hi = self._ends[idx]
+        # fmin also maps NaN, from theta(s) = +inf at a gap closed by
+        # rounding, to the cap: no root lies below it
+        t = np.fmin(np.maximum(t, s), hi - 1e-15 * (hi - s))
+        return np.where(target > 0.0, t, s)
 
 
 _GL_X, _GL_W = leggauss(32)
@@ -314,23 +342,44 @@ class CumulativeTable:
         cum = np.concatenate([[0.0], np.cumsum(incr)])
         self.cum = cum - cum[len(cum) // 2]
 
+    def _panel(self, k, t):
+        """Integral from node k to t, by one fresh panel."""
+        x0 = self.nodes[k]
+        half = 0.5 * (t - x0)
+        pts = x0[:, None] + half[:, None] * (_GL_X[None, :] + 1.0)
+        vals = np.asarray(self.h(pts.ravel()), dtype=float).reshape(pts.shape)
+        return (vals @ _GL_W) * half
+
     def value(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         tc = np.clip(t, self.nodes[0], self.nodes[-1])
         k = np.clip(np.searchsorted(self.nodes, tc, side="right") - 1, 0, len(self.nodes) - 2)
-        x0 = self.nodes[k]
-        half = 0.5 * (tc - x0)
-        pts = x0[:, None] + half[:, None] * (_GL_X[None, :] + 1.0)
-        vals = np.asarray(self.h(pts.ravel()), dtype=float).reshape(pts.shape)
-        return self.cum[k] + (vals @ _GL_W) * half
+        return self.cum[k] + self._panel(k, tc)
 
-    def solve(self, s, target, iters: int = _SOLVE_ITERS):
-        """t in [s, last node] with value(t) - value(s) = target (clamped)."""
+    def solve(self, s, target):
+        """inf{t >= s : value(t) - value(s) >= target}, or the last node.
+
+        The cumulative values give the node bracket; inside that one panel
+        bracketed Newton solves with the integrand as derivative.  It
+        solves for the increase from the panel's left node, which rounds
+        far finer than the table's values do.
+        """
         s = np.atleast_1d(np.asarray(s, dtype=float))
         target = np.broadcast_to(np.asarray(target, dtype=float), s.shape)
-        base = self.value(s)
-        return _bisect_level(lambda t: self.value(t) - base, target,
-                             s, self.nodes[-1], iters)
+        level = self.value(s) + target
+        k = np.maximum(np.searchsorted(self.cum, level) - 1, 0)
+        out = np.full(s.shape, self.nodes[-1])
+        inside = np.flatnonzero((k < len(self.nodes) - 1) & (target > 0.0))
+        if inside.size:
+            k = k[inside]
+
+            def rise(x):
+                # Newton only evaluates x in (node k, node k + 1]
+                return self._panel(np.maximum(np.searchsorted(self.nodes, x) - 1, 0), x)
+
+            out[inside] = _newton_level(rise, self.h, level[inside] - self.cum[k],
+                                        np.maximum(self.nodes[k], s[inside]), self.nodes[k + 1])
+        return np.where(target > 0.0, out, s)
 
 
 class TableHazard(PairHazard):

@@ -79,9 +79,21 @@ class Multidiagonal:
                 "kind": self.kind}
 
     def cdf_matrix(self, s):
-        """Stack of component CDF values, shape (d, len(s))."""
-        s = np.asarray(s, dtype=float)
-        return np.vstack([c.cdf(s) for c in self.components])
+        """Stack of component CDF values, shape (d, len(s)).
+
+        With a source every component is F_i o G^{-1}, so G^{-1} is solved
+        once on the interior points and every F_i is read there.
+        """
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        if self.source is None:
+            return np.vstack([c.cdf(s) for c in self.components])
+        M = np.tile(np.where(s >= 1.0, 1.0, 0.0), (self.d, 1))
+        interior = (s > 0.0) & (s < 1.0)
+        if np.any(interior):
+            x = self.components[0].avg.ppf(s[interior])
+            for row, c in zip(M, self.components):
+                row[interior] = c.base.cdf(x)
+        return M
 
     def to_dict(self):
         return {"margins": [c.to_dict() for c in self.components]}

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -25,6 +26,18 @@ def write_spec(tmp_path, obj, name="spec.json"):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
     return str(p)
+
+
+def test_csv_writer_matches_per_value_format(capsys):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((5000, 3)) * np.exp(rng.uniform(-300.0, 300.0, (5000, 3)))
+    X[:6, 0] = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308]
+    blocks = [X, X[:7, :1], np.empty((0, 2))]
+    # output=None writes to stdout, with no sidecar
+    cli._write_csv(argparse.Namespace(output=None), "", ["a", "b", "c"], blocks)
+    ref = "a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                              for b in blocks for row in np.atleast_2d(b))
+    assert capsys.readouterr().out == ref
 
 
 def test_validate_ok(tmp_path, capsys):

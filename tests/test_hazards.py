@@ -1,10 +1,32 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from maxentos.cdfs import BetaOneKCdf, ExponentialCdf, OrderStatUniformCdf
-from maxentos.hazards import ExpPairHazard, pair_hazard
+from maxentos import MarginalVector, build_model, f_F_density
+from maxentos.cdfs import (BetaOneKCdf, ExponentialCdf, OrderStatUniformCdf,
+                           PiecewiseLinearCdf)
+from maxentos.hazards import (ExpPairHazard, PiecewisePairHazard, TableHazard,
+                              pair_hazard)
+from maxentos.verify import simplex_integral
+
+
+def _pl(*knots):
+    return PiecewiseLinearCdf(knots)
+
+
+# piecewise-linear pairs: the tent; slopes equal only up to rounding on the
+# middle segment; a flat stretch of F_cur; two separation intervals
+PIECEWISE = {
+    "tent": (_pl((0, 0), (0.5, 0.75), (1, 1)), _pl((0, 0), (0.5, 0.25), (1, 1))),
+    "near_parallel": (_pl((0, 0), (0.2, 0.4), (0.6, 0.8), (1, 1)),
+                      _pl((0, 0), (0.2, 0.2), (0.6, 0.6), (1, 1))),
+    "flat_cur": (_pl((0, 0), (0.3, 0.6), (1, 1)),
+                 _pl((0, 0), (0.3, 0.3), (0.5, 0.3), (1, 1))),
+    "two_interval": (_pl((0, 0), (0.25, 0.5), (0.5, 0.5), (0.75, 0.9), (1, 1)),
+                     _pl((0, 0), (0.5, 0.5), (1, 1))),
+}
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +75,21 @@ def test_ell_matches_density_ratio(exp_pair):
     assert exp_pair.ell(t0) == pytest.approx(2.0 / t0, rel=1e-10)
 
 
-@pytest.mark.parametrize("fp, fc, s_hi", [
-    (ExponentialCdf(3.0), ExponentialCdf(2.0), 2.0),
-    (BetaOneKCdf(5), BetaOneKCdf(4), 0.95),
-    (BetaOneKCdf(2), BetaOneKCdf(1), 0.95),
-    (OrderStatUniformCdf(3, 1), OrderStatUniformCdf(3, 2), 0.95),
-], ids=["exp", "beta54", "beta21", "order_stat"])
-def test_solve_tail_roundtrip(fp, fc, s_hi):
-    hz = pair_hazard(fp, fc)
+@pytest.mark.parametrize("fp, fc, s_hi, force_table", [
+    (ExponentialCdf(3.0), ExponentialCdf(2.0), 2.0, False),
+    (BetaOneKCdf(5), BetaOneKCdf(4), 0.95, False),
+    (BetaOneKCdf(2), BetaOneKCdf(1), 0.95, False),
+    (OrderStatUniformCdf(3, 1), OrderStatUniformCdf(3, 2), 0.95, False),
+    (*PIECEWISE["tent"], 0.95, False),
+    (*PIECEWISE["near_parallel"], 0.95, False),
+    (*PIECEWISE["flat_cur"], 0.95, False),
+    (*PIECEWISE["two_interval"], 0.95, False),
+    (BetaOneKCdf(3), ExponentialCdf(1.0), 2.0, False),
+    (ExponentialCdf(3.0), ExponentialCdf(2.0), 2.0, True),
+], ids=["exp", "beta54", "beta21", "order_stat", "tent", "near_parallel",
+        "flat_cur", "two_interval", "beta3_exp1_table", "exp_forced_table"])
+def test_solve_tail_roundtrip(fp, fc, s_hi, force_table):
+    hz = pair_hazard(fp, fc, force_table=force_table)
     rng = np.random.default_rng(7)
     s = rng.uniform(0.05, s_hi, 64)
     target = rng.uniform(0.01, 5.0, 64)
@@ -69,6 +98,105 @@ def test_solve_tail_roundtrip(fp, fc, s_hi):
     got = np.asarray(hz.theta(t), dtype=float) - np.asarray(
         hz.theta(s), dtype=float)
     assert np.allclose(got, target, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(PIECEWISE))
+def test_piecewise_solve_tail_at_zero_target_and_beyond_reach(name):
+    hz = pair_hazard(*PIECEWISE[name])
+    g, d = hz.psi.intervals[-1]
+    s = np.array([g + 0.3 * (d - g), g + 0.7 * (d - g)])
+    assert np.array_equal(hz.solve_tail(s, 0.0), s)
+    far = hz.solve_tail(s, 1e6)
+    assert np.all((far > s) & (far < d))
+
+
+def _mp_piecewise(m: PiecewiseLinearCdf):
+    xs = [mpmath.mpf(float(x)) for x in m.xs]
+    Fs = [mpmath.mpf(float(F)) for F in m.Fs]
+
+    def seg(t):
+        return max(j for j in range(len(xs) - 1) if xs[j] <= t)
+
+    def cdf(t):
+        j = seg(t)
+        return Fs[j] + (Fs[j + 1] - Fs[j]) * (t - xs[j]) / (xs[j + 1] - xs[j])
+
+    def pdf(t):
+        j = seg(t)
+        return (Fs[j + 1] - Fs[j]) / (xs[j + 1] - xs[j])
+
+    return cdf, pdf
+
+
+@pytest.mark.parametrize("name", sorted(PIECEWISE))
+def test_piecewise_theta_matches_mpmath_quadrature(name):
+    fp, fc = PIECEWISE[name]
+    hz = pair_hazard(fp, fc)
+    assert isinstance(hz, PiecewisePairHazard)
+    Fp, _ = _mp_piecewise(fp)
+    Fc, fcd = _mp_piecewise(fc)
+    knots = sorted({float(k) for k in (*fp.xs, *fc.xs)})
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(11)
+    for g, d in hz.psi:
+        pts = np.sort(rng.uniform(g + 0.02 * (d - g), d - 0.02 * (d - g), 8))
+        s, t = pts[:4], pts[4:]
+        got = np.asarray(hz.theta(t)) - np.asarray(hz.theta(s))
+        for a, b, v in zip(s, t, got):
+            cuts = [a, *(k for k in knots if a < k < b), b]
+            ref = mpmath.quad(lambda x: fcd(x) / (Fp(x) - Fc(x)), cuts)
+            assert abs(v - float(ref)) <= 1e-10 * max(1.0, abs(float(ref)))
+
+
+def test_near_parallel_density_has_unit_mass():
+    fp, fc = PIECEWISE["near_parallel"]
+    model = build_model(MarginalVector((fp, fc)))
+    mass = simplex_integral(lambda X: f_F_density(model, X), 2, 0.0, 1.0,
+                            cuts=(0.2, 0.6))
+    assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def _counting(monkeypatch, cls, name):
+    """Count the points passed to cls.name."""
+    seen = [0]
+    orig = getattr(cls, name)
+
+    def counted(self, t):
+        seen[0] += np.size(t)
+        return orig(self, t)
+
+    monkeypatch.setattr(cls, name, counted)
+    return seen
+
+
+def test_piecewise_tail_solve_reads_theta_once_per_row(monkeypatch):
+    fp, fc = PIECEWISE["tent"]
+    hz = pair_hazard(fp, fc)
+    rng = np.random.default_rng(3)
+    n = 5000
+    s = np.asarray(fp.ppf(rng.random(n)), dtype=float)
+    target = -np.log1p(-rng.random(n))
+    seen = _counting(monkeypatch, PiecewisePairHazard, "theta")
+    hz.solve_tail(s, target)
+    assert seen[0] <= 2 * n
+
+
+@pytest.mark.parametrize("fp, fc, force_table", [
+    (BetaOneKCdf(3), ExponentialCdf(1.0), False),
+    (ExponentialCdf(3.0), ExponentialCdf(2.0), True),
+], ids=["beta3_exp1", "exp_forced"])
+def test_table_tail_solve_work_per_row(monkeypatch, fp, fc, force_table):
+    # the table's integrand is the hazard's ell, bound when it is built
+    seen = _counting(monkeypatch, TableHazard, "ell")
+    hz = pair_hazard(fp, fc, force_table=force_table)
+    assert isinstance(hz, TableHazard)
+    rng = np.random.default_rng(4)
+    n = 2000
+    s = np.asarray(fp.ppf(rng.random(n)), dtype=float)
+    target = -np.log1p(-rng.random(n))
+    seen[0] = 0
+    hz.solve_tail(s, target)
+    assert seen[0] <= 320 * n
 
 
 def test_table_route_matches_closed_exponential(exp_pair):

@@ -139,3 +139,22 @@ def test_pickle_drops_pair_records(exp3):
         assert [delta_psi(back, i) for i in range(1, back.d + 2)] == \
             [delta_psi(delta, i) for i in range(1, delta.d + 2)]
         assert j_functional_delta(back) == j_functional_delta(delta)
+
+
+def test_cdf_matrix_solves_g_inverse_once(monkeypatch, exp3):
+    from maxentos.cdfs import AverageCdf
+    delta = multidiagonal_from_marginals(exp3)
+    s = np.concatenate([[-0.5, 0.0], np.linspace(0.0, 1.0, 1025), [1.0, 1.5]])
+    # per-component evaluation, each component inverting G on its own
+    ref = np.vstack([c.cdf(s) for c in delta.components])
+    calls = [0]
+    orig = AverageCdf.ppf
+
+    def counted(self, u):
+        calls[0] += 1
+        return orig(self, u)
+
+    monkeypatch.setattr(AverageCdf, "ppf", counted)
+    M = delta.cdf_matrix(s)
+    assert calls[0] == 1
+    assert np.array_equal(M, ref)
