@@ -28,8 +28,7 @@ import numpy as np
 from .cdfs import MarginalCdf
 from .errors import InvalidMarginal, NotAbsolutelyContinuous, NotInF0, OutOfPsi
 from .hazards import PairHazard, TableHazard, _cdf_gap
-from .intervals import (IntervalSet, gap_inside_mask, inside_mask,
-                        interval_arrays, snap_inside)
+from .intervals import IntervalSet, gap_inside_mask, inside_mask, snap_inside
 from .marginals import (EQ_TOL, MarginalVector, average_cdf, in_support_LF,
                         sigma_measure)
 from .multidiag import (Multidiagonal, delta_inverse, delta_psi,
@@ -39,10 +38,16 @@ GAP_TOL = 1e-12
 
 
 def _anchored_theta(hz: PairHazard, anchors: np.ndarray, x):
-    """theta(x) less the anchor of the interval of x, on the hazard's scale."""
-    starts, _ = interval_arrays(hz.psi)
-    idx = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, len(anchors) - 1)
-    return hz.theta(x) - anchors[idx]
+    """theta(x) less the anchor of the interval of x, on the hazard's scale.
+
+    The interval of x is the last one starting at or below it, or the
+    first one when none does.
+    """
+    theta = hz.theta(x)
+    out = theta - anchors[0]
+    for (g, _), anchor in zip(hz.psi.intervals[1:], anchors[1:]):
+        np.subtract(theta, anchor, out=out, where=x >= g)
+    return out
 
 
 class _HazardRoute:
@@ -258,18 +263,25 @@ def c_delta_density(kernel: CopulaKernel, u) -> np.ndarray:
         raise ValueError(f"points must have {kernel.d} columns")
     d = kernel.d
     v = np.sort(u, axis=1)
-    valid = np.all((u >= 0.0) & (u <= 1.0), axis=1)
+    # sorting puts a NaN last, so the end columns decide the [0, 1] range
+    valid = (v[:, 0] >= 0.0) & (v[:, -1] <= 1.0)
     for i in range(2, d + 1):
         valid &= gap_inside_mask(kernel.psis[i], v[:, i - 2], v[:, i - 1], GAP_TOL)
     for i in range(1, d + 1):
         valid &= (inside_mask(kernel.psis[i], v[:, i - 1])
                   & inside_mask(kernel.psis[i + 1], v[:, i - 1]))
     out = np.zeros(u.shape[0])
-    if np.any(valid):
-        logc = np.full(valid.sum(), -math.lgamma(d + 1))
-        for i in range(1, d + 1):
-            logc += kernel._log_a_inner(i, v[valid, i - 1])
-        out[valid] = np.exp(logc)
+    if not np.any(valid):
+        return out
+    # with every row on the support the factors read v itself
+    every = bool(np.all(valid))
+    vv = v if every else v[valid]
+    logc = np.full(len(vv), -math.lgamma(d + 1))
+    for i in range(1, d + 1):
+        logc += kernel._log_a_inner(i, vv[:, i - 1])
+    if every:
+        return np.exp(logc)
+    out[valid] = np.exp(logc)
     return out
 
 

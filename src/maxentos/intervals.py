@@ -108,30 +108,26 @@ def interval_arrays(iset: "IntervalSet"):
 def inside_mask(iset: "IntervalSet", t) -> np.ndarray:
     """Boolean mask of points strictly inside some interval of the set."""
     t = np.asarray(t, dtype=float)
-    if len(iset) == 0:
-        return np.zeros(t.shape, dtype=bool)
-    starts, ends = interval_arrays(iset)
-    idx = np.searchsorted(starts, t, side="right") - 1
-    idxc = np.clip(idx, 0, len(starts) - 1)
-    return (idx >= 0) & (t > starts[idxc]) & (t < ends[idxc])
+    inside = np.zeros(t.shape, dtype=bool)
+    for g, d in iset:
+        inside |= (t > g) & (t < d)
+    return inside
 
 
 def gap_inside_mask(iset: "IntervalSet", a, b, tol: float) -> np.ndarray:
     """Rows where the open gap (a, b) sits inside one interval of the set.
 
     Empty gaps (b <= a + tol) are contained by convention; interval
-    endpoints get tol slack.
+    endpoints get tol slack.  A NaN start counts as past every interval
+    start, so only the end decides its row.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    empty = b <= a + tol
-    if len(iset) == 0:
-        return empty
-    starts, ends = interval_arrays(iset)
-    idx = np.searchsorted(starts, a + tol, side="right") - 1
-    idxc = np.clip(idx, 0, len(starts) - 1)
-    contained = (idx >= 0) & (b <= ends[idxc] + tol)
-    return empty | contained
+    lo = a + tol
+    contained = b <= lo
+    for g, d in iset:
+        contained |= ~(lo < g) & (b <= d + tol)
+    return contained
 
 
 def snap_inside(iset: "IntervalSet", t, slack: float = 1e-9) -> np.ndarray:

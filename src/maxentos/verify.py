@@ -24,18 +24,20 @@ import json
 import math
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from .cdfs import MarginalCdf
-from .copula import (CopulaKernel, c_delta_density, c_F_density,
+from .cdfs import xlogx
+from .copula import (GAP_TOL, CopulaKernel, c_delta_density, c_F_density,
                      copula_entropy_closed, order_stat_copula_entropy,
                      sample_copula, symmetrize_density)
 from .errors import DimensionTooLarge
+from .intervals import gap_inside_mask, inside_mask
 from .joint import MaxEntModel, build_model, detect_degenerate, f_F_density, sample
 from .marginals import (MarginalVector, average_cdf, check_stochastic_order,
                         j_functional, sigma_measure)
@@ -73,19 +75,30 @@ def axis_rule(n: int):
 
 def _product_sum(fn, axes_pts, axes_wts, chunk: int = 1 << 20):
     """Product-rule sum of fn; a float, or one sum per column when fn
-    returns an (n, k) array."""
+    returns an (n, k) array.
+
+    Points run in C order over the axes.  Each call of fn gets whole
+    slabs of the leading axis, about chunk points, or one slab when a
+    slab alone holds more.
+    """
     d = len(axes_pts)
-    sizes = [len(p) for p in axes_pts]
-    total = math.prod(sizes)
+    tail = math.prod(len(p) for p in axes_pts[1:])
+    if d > 1:
+        tail_pts = np.stack(np.meshgrid(*axes_pts[1:], indexing="ij"),
+                            axis=-1).reshape(tail, d - 1)
+    step = max(1, chunk // tail)
     acc = 0.0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        multi = np.unravel_index(idx, sizes)
-        pts = np.column_stack([axes_pts[k][multi[k]] for k in range(d)])
-        w = axes_wts[0][multi[0]].copy()
-        for k in range(1, d):
-            w *= axes_wts[k][multi[k]]
-        acc = acc + w @ np.asarray(fn(pts), dtype=float)
+    for start in range(0, len(axes_pts[0]), step):
+        lead = axes_pts[0][start:start + step]
+        pts = np.empty((len(lead), tail, d))
+        pts[:, :, 0] = lead[:, None]
+        if d > 1:
+            pts[:, :, 1:] = tail_pts
+        # left to right over the axes, as w_0 * w_1 * ... * w_{d-1}
+        w = axes_wts[0][start:start + step]
+        for wk in axes_wts[1:]:
+            w = w[..., None] * wk
+        acc = acc + w.reshape(-1) @ np.asarray(fn(pts.reshape(-1, d)), dtype=float)
     return float(acc) if np.ndim(acc) == 0 else acc
 
 
@@ -151,24 +164,15 @@ def simplex_integral(fn, d: int, lo: float, hi: float,
     return total
 
 
-def _neg_xlogx(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    pos = v > 1e-300
-    out[pos] = -v[pos] * np.log(v[pos])
-    return out
-
-
 def quad_entropy(density_fn, d: int, lo: float, hi: float,
                  nodes: int | None = None, cuts=()) -> float:
     """Entropy -int f log f over the ordered region, by quadrature."""
-    return simplex_integral(lambda X: _neg_xlogx(np.asarray(density_fn(X), dtype=float)),
-                            d, lo, hi, nodes, cuts)
+    return simplex_integral(lambda X: -xlogx(density_fn(X)), d, lo, hi, nodes, cuts)
 
 
 def cube_entropy(density_fn, d: int, nodes: int | None = None) -> float:
     """Entropy -int f log f over [0, 1]^d, by quadrature."""
-    return cube_integral(lambda X: _neg_xlogx(np.asarray(density_fn(X), dtype=float)),
-                         d, nodes)
+    return cube_integral(lambda X: -xlogx(density_fn(X)), d, nodes)
 
 
 def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
@@ -238,6 +242,7 @@ class CheckResult:
     value: float | None = None
     tol: float | None = None
     detail: str = ""
+    seconds: float | None = None  # wall time of the check, set by the battery
 
     @property
     def status(self) -> str:
@@ -270,7 +275,7 @@ class VerificationReport:
             "all_passed": self.all_passed,
             "checks": [{
                 "name": c.name, "status": c.status, "value": c.value,
-                "tol": c.tol, "detail": c.detail,
+                "tol": c.tol, "detail": c.detail, "seconds": c.seconds,
             } for c in self.checks],
         }, indent=2)
 
@@ -281,12 +286,21 @@ class VerificationReport:
 
 
 def _run_checks(named, threads: int):
+    """Run the (name, callable) checks; each result carries its wall time.
+
+    The c_delta mass and entropy pass is shared by c_delta_normalization
+    and copula_entropy_quad.  Its time counts toward whichever of the two
+    runs it first; with several threads, the other may wait for that pass
+    to end, and then its time holds the wait as well.
+    """
     def execute(item):
         name, fn = item
+        start = time.perf_counter()
         try:
-            return fn()
+            result = fn()
         except Exception as exc:                      # noqa: BLE001
-            return CheckResult(name, False, detail=f"{type(exc).__name__}: {exc}")
+            result = CheckResult(name, False, detail=f"{type(exc).__name__}: {exc}")
+        return replace(result, seconds=time.perf_counter() - start)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -362,7 +376,7 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
         # mass and -c log c come from one density evaluation on one rule
         def columns(U):
             c = c_delta_density(kernel, U)
-            return np.column_stack([c, _neg_xlogx(c)])
+            return np.column_stack([c, -xlogx(c)])
         mass, ent = simplex_integral(columns, d, 0.0, 1.0,
                                      nodes=None if d < 3 else 128, cuts=kink_cuts)
         return math.factorial(d) * mass, math.factorial(d) * ent
@@ -411,11 +425,9 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
         u = rng.random((300, d))
         vals = c_delta_density(kernel, u)
         v = np.sort(u, axis=1)
-        bad = 0
-        from .intervals import gap_inside_mask, inside_mask
         ok = np.ones(len(u), dtype=bool)
         for i in range(2, d + 1):
-            ok &= gap_inside_mask(kernel.psis[i], v[:, i - 2], v[:, i - 1], 1e-12)
+            ok &= gap_inside_mask(kernel.psis[i], v[:, i - 2], v[:, i - 1], GAP_TOL)
         for i in range(1, d + 1):
             ok &= inside_mask(kernel.psis[i], v[:, i - 1])
             ok &= inside_mask(kernel.psis[i + 1], v[:, i - 1])
@@ -434,7 +446,6 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                     else np.asarray(delta.components[i - 2].cdf(ts), dtype=float))
             cur = (np.zeros_like(ts) if i == d + 1
                    else np.asarray(delta.components[i - 1].cdf(ts), dtype=float))
-            from .intervals import inside_mask
             m = inside_mask(kernel.psis[i], ts)
             if np.any(m):
                 worst = max(worst, float(np.max(np.abs(B[m] * E[m] - (prev[m] - cur[m])))))
@@ -715,7 +726,7 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
         upper = lambda t: np.asarray(
             margins.margins[0].cdf(margins.margins[1].ppf(t)), dtype=float)
         hc = ordered_region_integral_2d(
-            lambda U: _neg_xlogx(cfun(U)), upper,
+            lambda U: -xlogx(cfun(U)), upper,
             outer_cuts=[float(margins.margins[1].cdf(k)) for k in margin_cuts],
             inner_cuts=[float(margins.margins[0].cdf(k)) for k in margin_cuts])
         hs = 2.0 * quad_entropy(sfun, 2, 0.0, 1.0,

@@ -8,8 +8,11 @@ from maxentos import (CopulaKernel, MarginalVector, Multidiagonal,
                       j_functional_delta, ks_distance,
                       multidiagonal_of_iid_uniform, order_stat_copula_entropy,
                       sample_copula, symmetrize_density, unsymmetrize_density)
-from maxentos.cdfs import AverageCdf, OrderStatUniformCdf, UniformCdf
+from maxentos.cdfs import (AverageCdf, OrderStatUniformCdf, PiecewiseLinearCdf,
+                           UniformCdf)
+from maxentos.copula import GAP_TOL, _anchored_theta
 from maxentos.errors import InvalidMarginal, NotAbsolutelyContinuous, OutOfPsi
+from maxentos.hazards import pair_hazard
 from maxentos.verify import quad_entropy, simplex_integral
 
 
@@ -164,3 +167,73 @@ def test_density_solves_g_inverse_once_per_column(name, request, monkeypatch):
     c = c_delta_density(kernel, u)
     assert np.count_nonzero(c) > 0
     assert len(calls) == delta.d
+
+
+def _tent_delta():
+    return Multidiagonal((PiecewiseLinearCdf(((0, 0), (0.5, 0.75), (1, 1))),
+                          PiecewiseLinearCdf(((0, 0), (0.5, 0.25), (1, 1)))))
+
+
+@pytest.mark.parametrize("name", ["iid3", "exp3_delta", "tent"])
+def test_density_matches_row_by_row_support(name, request):
+    # the support decided one row at a time from the interval sets, and
+    # the factors read on the rows kept; equal to the last bit
+    if name == "iid3":
+        delta = multidiagonal_of_iid_uniform(3)
+    elif name == "tent":
+        delta = _tent_delta()
+    else:
+        delta = request.getfixturevalue(name)
+    kernel = CopulaKernel(delta)
+    d = delta.d
+    rng = np.random.default_rng(11)
+    U = rng.random((3000, d))
+    U[:100, 0] = np.nan
+    U[100:200, -1] = 1.0 + rng.random(100) * 1e-3
+    U[200:300, 0] = -rng.random(100) * 1e-3
+    U[300:400, 0] = 0.0
+    U[400:500, -1] = 1.0
+    U[500:600] = U[500:600, :1]                     # all coordinates tied
+    U[600:650, 0] = np.inf
+    U[650:700, -1] = -np.inf
+    U[700:750, 0] = U[700:750, 1] + 1e-13           # gap inside the slack
+
+    def on_support(row):
+        if not all(0.0 <= x <= 1.0 for x in row):
+            return False
+        v = sorted(row)
+        gaps = all(kernel.psis[i].contains_gap(v[i - 2], v[i - 1], GAP_TOL)
+                   for i in range(2, d + 1))
+        return gaps and all(kernel.psis[i].locate(v[i - 1]) >= 0
+                            and kernel.psis[i + 1].locate(v[i - 1]) >= 0
+                            for i in range(1, d + 1))
+
+    valid = np.array([on_support(row) for row in U])
+    assert 0 < valid.sum() < len(U)
+    V = np.sort(U[valid], axis=1)
+    logc = np.full(len(V), -math.lgamma(d + 1))
+    for i in range(1, d + 1):
+        logc += kernel._log_a_inner(i, V[:, i - 1])
+    expect = np.zeros(len(U))
+    expect[valid] = np.exp(logc)
+    np.testing.assert_array_equal(c_delta_density(kernel, U), expect)
+    # rows that are all on the support take the path without a gather
+    np.testing.assert_array_equal(c_delta_density(kernel, U[valid]), expect[valid])
+
+
+@pytest.mark.parametrize("psi_count", [1, 2])
+def test_anchored_theta_matches_interval_search(psi_count):
+    # each point takes the anchor of the last interval starting at or
+    # below it (the first interval below every start); equal to the last bit
+    fp = (PiecewiseLinearCdf(((0, 0), (0.5, 0.75), (1, 1))) if psi_count == 1 else
+          PiecewiseLinearCdf(((0, 0), (0.25, 0.5), (0.5, 0.5), (0.75, 0.9), (1, 1))))
+    fc = PiecewiseLinearCdf(((0, 0), (0.5, 0.25 if psi_count == 1 else 0.5), (1, 1)))
+    hz = pair_hazard(fp, fc)
+    assert len(hz.psi) == psi_count
+    anchors = np.array([1.5, -2.25, 0.125][:psi_count])
+    starts = np.array([g for g, _ in hz.psi])
+    x = np.concatenate([np.linspace(-0.1, 1.1, 241), starts,
+                        np.nextafter(starts, -np.inf), [np.nan]])
+    idx = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, psi_count - 1)
+    expect = np.asarray(hz.theta(x), dtype=float) - anchors[idx]
+    np.testing.assert_array_equal(_anchored_theta(hz, anchors, x), expect)

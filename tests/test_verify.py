@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from maxentos import (MarginalVector, Multidiagonal, marginals,
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
                            PiecewiseLinearCdf)
 from maxentos.errors import DimensionTooLarge
-from maxentos.verify import (axis_rule, cube_integral, ks_distance,
+from maxentos.verify import (_product_sum, axis_rule, cube_integral, ks_distance,
                              mc_entropy, ordered_region_integral_2d,
                              quad_entropy, simplex_integral)
 
@@ -40,6 +41,60 @@ def test_simplex_cuts_restore_accuracy_on_kinks():
     exact = 0.5 * (1.0 / 4.0) ** 2  # exchangeable product, ordered half
     split = simplex_integral(fn, 2, 0.0, 1.0, nodes=64, cuts=[0.5])
     assert abs(split - exact) < 1e-12
+
+
+def _unravel_product_sum(fn, axes_pts, axes_wts, chunk):
+    # the rule point by point: flat C-order indices, unraveled per axis
+    sizes = [len(p) for p in axes_pts]
+    total = math.prod(sizes)
+    acc = 0.0
+    for start in range(0, total, chunk):
+        multi = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
+        pts = np.column_stack([p[m] for p, m in zip(axes_pts, multi)])
+        w = axes_wts[0][multi[0]].copy()
+        for k in range(1, len(sizes)):
+            w *= axes_wts[k][multi[k]]
+        acc = acc + w @ np.asarray(fn(pts), dtype=float)
+    return acc
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("columns", [False, True])
+@pytest.mark.parametrize("chunk", [1 << 20, 5, 1000])
+def test_product_sum_matches_pointwise_rule(d, columns, chunk):
+    # chunk 5 is smaller than one slab of the leading axis, and 1000 is no
+    # multiple of a slab, so the last call gets a short slab run
+    sizes = [13, 7, 11][:d]
+    rng = np.random.default_rng(d)
+    axes_pts = [np.sort(rng.random(n)) for n in sizes]
+    axes_wts = [rng.random(n) + 0.5 for n in sizes]
+    seen = []
+
+    def fn(X):
+        seen.append(X.copy())
+        f = np.exp(-X.sum(axis=1)) * (1.0 + X[:, 0])
+        return np.column_stack([f, X[:, -1] ** 2]) if columns else f
+
+    got = _product_sum(fn, axes_pts, axes_wts, chunk=chunk)
+    expect = _unravel_product_sum(fn, axes_pts, axes_wts, chunk=1 << 20)
+    assert np.shape(got) == np.shape(expect)
+    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+    # every point once, in C order
+    np.testing.assert_array_equal(np.concatenate(seen[:-1]), seen[-1])
+
+
+def test_simplex_integral_peak_memory():
+    # one chunk holds its points, the integrand's output and the weights;
+    # the old point-by-point index arrays pushed this pass to 128 MB
+    fn = lambda X: np.column_stack([np.ones(len(X)), X[:, 0]])
+    tracemalloc.start()
+    try:
+        val = simplex_integral(fn, 3, 0.0, 1.0, nodes=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(val, [1.0 / 6.0, 1.0 / 24.0], rtol=1e-12)
+    assert peak <= 110e6
 
 
 def test_ordered_region_integral():
@@ -91,6 +146,9 @@ def test_battery_passes_on_smooth_example(beta2):
     payload = json.loads(rep.to_json())
     assert payload["all_passed"] is True
     assert {"name", "status", "value", "tol", "detail"} <= set(payload["checks"][0])
+    for check in payload["checks"]:
+        assert {"name", "status", "value", "tol", "detail"} <= set(check)
+        assert check["seconds"] >= 0.0
 
 
 def test_battery_passes_on_iid_multidiagonal():
