@@ -1,6 +1,6 @@
 """Maximum-entropy copula of a multidiagonal.
 
-Everything lives on the [0, 1] scale.  For a multidiagonal delta the
+Every public value lives on the [0, 1] scale.  For a multidiagonal delta the
 kernels
 
     K_i(t) = int_{m_i}^t delta_(i)'(s) / (delta_(i-1)(s) - delta_(i)(s)) ds
@@ -13,10 +13,17 @@ the copula density through the factors
     c(u) = (1/d!) 1_L(u) prod_i a_i(u_(i)),
 
 with L the set where every gap between consecutive sorted coordinates
-stays inside the corresponding separation set.  When the multidiagonal
-comes from a marginal vector the kernels are pulled back to the marginal
-scale, where closed antiderivatives exist; otherwise they are computed
-directly on the components.
+stays inside the corresponding separation set.
+
+A kernel is read through a first marginal, one pair hazard per
+consecutive pair and an increasing map G onto [0, 1]: at x = G^{-1}(t),
+K_i(t) is the hazard integral theta_i(x) and K_i'(t) is ell_i(x) / g(x).
+So the copula is the joint law of the order statistics read through G,
+and its density and sampler are those of the joint model.  For a
+multidiagonal built from marginals the three are the source's first
+margin, its pair hazards (closed where closed antiderivatives exist) and
+its average CDF; otherwise they are the components themselves, with G the
+identity.
 """
 
 from __future__ import annotations
@@ -25,10 +32,10 @@ import math
 
 import numpy as np
 
-from .cdfs import MarginalCdf
 from .errors import InvalidMarginal, NotAbsolutelyContinuous, NotInF0, OutOfPsi
 from .hazards import PairHazard, TableHazard, _cdf_gap
-from .intervals import IntervalSet, gap_inside_mask, inside_mask, snap_inside
+from .intervals import gap_inside_mask, inside_mask
+from .joint import _draw_sorted
 from .marginals import (EQ_TOL, MarginalVector, average_cdf, in_support_LF,
                         sigma_measure)
 from .multidiag import (Multidiagonal, delta_inverse, delta_psi,
@@ -50,70 +57,32 @@ def _anchored_theta(hz: PairHazard, anchors: np.ndarray, x):
     return out
 
 
-class _HazardRoute:
-    """K_i evaluated directly on the [0, 1] scale through a pair hazard."""
+class _Identity:
+    """G of a multidiagonal read on its own scale: the components average to t.
 
-    def __init__(self, hz: PairHazard):
-        self.hz = hz
-        self._anchors = hz.theta(np.array([0.5 * (g + d) for g, d in hz.psi]))
-
-    def K(self, t):
-        return _anchored_theta(self.hz, self._anchors, np.asarray(t, dtype=float))
-
-    def kprime(self, t):
-        return self.hz.ell(np.asarray(t, dtype=float))
-
-    def solve(self, s, target):
-        return self.hz.solve_tail(s, target)
-
-
-class _TransportRoute:
-    """K_i pulled back to the marginal scale of the source vector.
-
-    With x = G^{-1}(t) the kernel integrand transforms to the marginal
-    hazard, so K_i(t) = theta_i(G^{-1}(t)) - theta_i(G^{-1}(m)).
+    A no-op, where UniformCdf(0, 1) would clip and mask on every call.
     """
 
-    def __init__(self, hz: PairHazard, G: MarginalCdf, psi: IntervalSet):
-        self.hz = hz
-        self.G = G
-        mids = np.array([0.5 * (g + d) for g, d in psi])
-        self._anchors = hz.theta(np.asarray(G.ppf(mids), dtype=float))
+    def cdf(self, x):
+        return x
 
-    def K_at_x(self, x):
-        return _anchored_theta(self.hz, self._anchors, x)
+    ppf = cdf
 
-    def log_kprime_at_x(self, x):
-        ellv = np.asarray(self.hz.ell(x), dtype=float)
-        g = np.asarray(self.G.pdf(x), dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.log(ellv) - np.log(np.where(g > 0.0, g, 1.0))
-        out[(ellv > 0.0) & (g <= 0.0)] = math.inf
-        return out
-
-    def K(self, t):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(self.G.ppf(t), dtype=float)
-        return self.K_at_x(x)
-
-    def kprime(self, t):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(self.G.ppf(t), dtype=float)
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_kprime_at_x(x))
-
-    def solve(self, s, target):
-        x = np.asarray(self.G.ppf(np.asarray(s, dtype=float)), dtype=float)
-        xt = self.hz.solve_tail(x, target)
-        return np.asarray(self.G.cdf(xt), dtype=float)
+    def pdf(self, x):
+        return np.ones_like(x)
 
 
 class CopulaKernel:
     """Kernels, factor functions and sampler state for one multidiagonal.
 
-    mode "auto" picks closed or transported antiderivatives where they
-    exist; mode "quadrature" forces cumulative quadrature directly on the
-    components, which is the independent cross-check route.
+    The kernel reads three things: a first marginal, one pair hazard per
+    consecutive pair, and an increasing map G onto [0, 1].  Every kernel
+    value at t is read at x = G^{-1}(t).  Mode "auto" takes the source
+    marginals when there are any (their first margin, their pair hazards
+    and their average CDF), and otherwise the components themselves with
+    G the identity, since the components average to t.  Mode "quadrature"
+    tabulates the hazards of the components, which is the independent
+    cross-check route.
     """
 
     def __init__(self, delta: Multidiagonal, mode: str = "auto"):
@@ -127,69 +96,79 @@ class CopulaKernel:
             raise InvalidMarginal(
                 f"components do not form a multidiagonal: {self.report}")
         self.psis = {i: delta_psi(delta, i) for i in range(1, self.d + 2)}
-        self._routes = {}
-        G = average_cdf(delta.source) if delta.source is not None else None
-        # the transport routes share G, and so does every factor a_i
-        self._G = G if mode == "auto" else None
-        for i, p in enumerate(delta.pairs, start=2):
-            if len(p.psi) == 0:
-                self._routes[i] = None
-            elif mode == "quadrature":
-                self._routes[i] = _HazardRoute(TableHazard(p.fp, p.fc, p.psi))
-            elif G is not None:
-                self._routes[i] = _TransportRoute(p.source.hazard, G, p.psi)
-            else:
-                self._routes[i] = _HazardRoute(p.hazard)
+        source = delta.source if mode == "auto" else None
+        if source is not None:
+            self._first, self._avg, pairs = (source.margins[0], average_cdf(source),
+                                             source.pairs)
+        else:
+            self._first, self._avg, pairs = (delta.components[0], _Identity(),
+                                             delta.pairs)
+        # separation sets and hazards on the scale of x, keyed like the
+        # joint model's
+        pairs = dict(enumerate(pairs, start=2))
+        self._hazard_psis = {i: p.psi for i, p in pairs.items()}
+        self._hazards = {i: TableHazard(p.fp, p.fc, p.psi) if mode == "quadrature"
+                         else p.hazard for i, p in pairs.items()}
+        # K_i is zero at the midpoint of each interval of Psi_i
+        self._anchors = {}
+        for i, hz in self._hazards.items():
+            mids = np.array([0.5 * (g + dd) for g, dd in self.psis[i]])
+            self._anchors[i] = hz.theta(self._avg.ppf(mids))
 
     # -- raw evaluations, assuming points already inside the right sets --
+
+    def _K_at(self, i: int, x: np.ndarray) -> np.ndarray:
+        """K_i at t = G(x)."""
+        if i == self.d + 1:
+            return np.zeros_like(x)
+        if i == 1:
+            with np.errstate(divide="ignore"):
+                return -np.log(self._first.sf(x))
+        return _anchored_theta(self._hazards[i], self._anchors[i], x)
 
     def _K_inner(self, i: int, t: np.ndarray) -> np.ndarray:
         if i == self.d + 1:
             return np.zeros_like(t)
-        if i == 1:
-            top = self.delta.components[0]
-            with np.errstate(divide="ignore"):
-                return -np.log(np.asarray(top.sf(t), dtype=float))
-        return self._routes[i].K(t)
+        return self._K_at(i, self._avg.ppf(t))
 
     def _kprime_inner(self, i: int, t: np.ndarray) -> np.ndarray:
-        if i == 1:
-            top = self.delta.components[0]
-            f = np.asarray(top.pdf(t), dtype=float)
-            surv = np.asarray(top.sf(t), dtype=float)
-            out = np.zeros_like(f)
-            good = (f > 0.0) & (surv > 0.0)
-            out[good] = f[good] / surv[good]
-            out[(f > 0.0) & ~good] = math.inf
-            return out
-        return self._routes[i].kprime(t)
+        # K_i'(t) = ell_i(x) / g(x), with ell_1 = f_1 / (1 - F_1)
+        x = self._avg.ppf(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if i == 1:
+                f = self._first.pdf(x)
+                ell = np.where(f > 0.0, f / self._first.sf(x), 0.0)
+            else:
+                ell = self._hazards[i].ell(x)
+            return np.where(ell > 0.0, ell / self._avg.pdf(x), 0.0)
 
     def _log_a_inner(self, i: int, t: np.ndarray) -> np.ndarray:
-        # K_1' = f / (1 - delta_1) and exp(-K_1) = 1 - delta_1 cancel
-        # exactly, so a_1 = delta_1' exp(K_2); going through K_1 instead
-        # turns that into inf - inf once the survival underflows.
-        if self._G is not None:
-            # a source-backed kernel reads every term at the one quantile
-            # x = G^{-1}(t): delta_1' = f_1(x) / g(x), and the K difference
-            # is a theta difference of finite floats rather than a
-            # difference of separately large values
-            x = np.asarray(self._G.ppf(t), dtype=float)
-            nxt = self._routes.get(i + 1)
-            k_next = nxt.K_at_x(x) if nxt is not None else np.zeros_like(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if i == 1:
-                    head = np.log(self.delta.components[0].pdf_at_base(x))
-                else:
-                    route = self._routes[i]
-                    head = route.log_kprime_at_x(x) - route.K_at_x(x)
-                return head + k_next
-        with np.errstate(divide="ignore"):
+        # log a_i = log ell_i(x) - K_i + K_{i+1} - log g(x) at x = G^{-1}(t).
+        # For i = 1, ell_1 exp(-K_1) is f_1 exactly; going through K_1
+        # instead turns that into inf - inf once the survival underflows.
+        x = self._avg.ppf(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
             if i == 1:
-                top = self.delta.components[0]
-                return (np.log(np.asarray(top.pdf(t), dtype=float))
-                        + self._K_inner(2, t))
-            return (np.log(self._kprime_inner(i, t))
-                    + self._K_inner(i + 1, t) - self._K_inner(i, t))
+                head = np.log(self._first.pdf(x))
+            else:
+                head = np.log(self._hazards[i].ell(x)) - self._K_at(i, x)
+            return head + self._K_at(i + 1, x) - np.log(self._avg.pdf(x))
+
+    def _log_density(self, v: np.ndarray) -> np.ndarray:
+        """log c at sorted rows v on the support.
+
+        The joint log-density at x = G^{-1}(v), one solve per column, less
+        log g(x_i) for every column and log d!.
+        """
+        xs = [self._avg.ppf(col) for col in v.T]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logc = np.log(self._first.pdf(xs[0])) - math.lgamma(self.d + 1)
+            for x in xs:
+                logc -= np.log(self._avg.pdf(x))
+            for i, hz in self._hazards.items():
+                x, prev = xs[i - 1], xs[i - 2]
+                logc += np.log(hz.ell(x)) - (hz.theta(x) - hz.theta(prev))
+        return logc
 
     # -- public, domain-checked evaluations --
 
@@ -273,12 +252,9 @@ def c_delta_density(kernel: CopulaKernel, u) -> np.ndarray:
     out = np.zeros(u.shape[0])
     if not np.any(valid):
         return out
-    # with every row on the support the factors read v itself
+    # with every row on the support the density reads v itself
     every = bool(np.all(valid))
-    vv = v if every else v[valid]
-    logc = np.full(len(vv), -math.lgamma(d + 1))
-    for i in range(1, d + 1):
-        logc += kernel._log_a_inner(i, vv[:, i - 1])
+    logc = kernel._log_density(v if every else v[valid])
     if every:
         return np.exp(logc)
     out[valid] = np.exp(logc)
@@ -314,28 +290,17 @@ def order_stat_copula_entropy(delta: Multidiagonal, method: str = "auto") -> flo
 def sample_copula(kernel: CopulaKernel, n: int, seed: int = 0) -> np.ndarray:
     """n exchangeable draws from the maximum-entropy copula.
 
-    The ordered vector is built by the kernel chain: the smallest
-    coordinate follows delta_(1), and each next one solves
-    K_i(t) - K_i(s) = -log(1 - V) inside the interval of s.  A random
-    permutation of each row removes the ordering.
+    The sorted rows are the joint sampler's draws on the kernel's scale
+    (exact inversion of each pair hazard's tail, given the coordinate
+    before), mapped to [0, 1] by G.  A random permutation of each row
+    removes the ordering.
     """
     if not kernel.report.is_D0:
         raise NotAbsolutelyContinuous(
             "multidiagonal is not absolutely continuous with zero residual set")
-    d = kernel.d
     rng = np.random.default_rng(seed)
-    V = np.empty((n, d))
-    u0 = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
-    V[:, 0] = delta_inverse(kernel.delta, 1, u0)
-    for i in range(2, d + 1):
-        route = kernel._routes[i]
-        if route is None:
-            raise NotAbsolutelyContinuous(
-                f"separation set for kernel {i} is empty; the chain cannot continue")
-        targets = -np.log1p(-rng.random(n))
-        s = snap_inside(kernel.psis[i], V[:, i - 2])
-        V[:, i - 1] = route.solve(s, targets)
-    return rng.permuted(V, axis=1)
+    X = _draw_sorted(kernel._first, kernel._hazard_psis, kernel._hazards, n, rng)
+    return rng.permuted(kernel._avg.cdf(X), axis=1)
 
 
 def _delta_values_and_slopes(delta: Multidiagonal, v: np.ndarray):

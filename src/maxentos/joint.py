@@ -159,14 +159,25 @@ def sample(model: MaxEntModel, n: int, seed: int = 0,
         if not forced:
             raise Degenerate(f"cannot sample: {rep}")
     rng = np.random.default_rng(seed)
-    X = np.empty((n, model.d))
+    return _draw_sorted(model.margins.margins[0], model.psis, model.hazards, n, rng)
+
+
+def _draw_sorted(first, psis: dict, hazards: dict, n: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """n sorted rows from first, then the hazards[i] for i = 2..d.
+
+    Column 1 inverts first; column i solves theta_i(t) - theta_i(s) =
+    -log(1 - V) from s = x_{i-1}, inside its interval of psis[i].  The
+    generator gives n uniforms per column, in column order.
+    """
+    X = np.empty((n, len(hazards) + 1))
     u0 = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
-    X[:, 0] = model.margins.margins[0].ppf(u0)
-    for i in range(2, model.d + 1):
+    X[:, 0] = first.ppf(u0)
+    for i in range(2, X.shape[1] + 1):
         targets = -np.log1p(-rng.random(n))
-        scale = _psi_scale(model.psis[i])
-        s = snap_inside(model.psis[i], X[:, i - 2], slack=1e-9 * scale)
-        X[:, i - 1] = model.hazards[i].solve_tail(s, targets)
+        scale = _psi_scale(psis[i])
+        s = snap_inside(psis[i], X[:, i - 2], slack=1e-9 * scale)
+        X[:, i - 1] = hazards[i].solve_tail(s, targets)
     return X
 
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from maxentos import (CopulaKernel, MarginalVector, Multidiagonal,
+from maxentos import (CopulaKernel, MarginalVector, Multidiagonal, average_cdf,
                       c_F_density, c_delta_density, copula_entropy_closed,
                       j_functional_delta, ks_distance,
+                      multidiagonal_from_marginals,
                       multidiagonal_of_iid_uniform, order_stat_copula_entropy,
-                      sample_copula, symmetrize_density, unsymmetrize_density)
+                      sample, sample_copula, symmetrize_density,
+                      unsymmetrize_density)
 from maxentos.cdfs import (AverageCdf, OrderStatUniformCdf, PiecewiseLinearCdf,
                            UniformCdf)
 from maxentos.copula import GAP_TOL, _anchored_theta
@@ -169,15 +171,64 @@ def test_density_solves_g_inverse_once_per_column(name, request, monkeypatch):
     assert len(calls) == delta.d
 
 
+def _tent_components():
+    return (PiecewiseLinearCdf(((0, 0), (0.5, 0.75), (1, 1))),
+            PiecewiseLinearCdf(((0, 0), (0.5, 0.25), (1, 1))))
+
+
 def _tent_delta():
-    return Multidiagonal((PiecewiseLinearCdf(((0, 0), (0.5, 0.75), (1, 1))),
-                          PiecewiseLinearCdf(((0, 0), (0.5, 0.25), (1, 1)))))
+    return Multidiagonal(_tent_components())
+
+
+@pytest.mark.parametrize("name", ["beta2_delta", "exp3_delta", "tent_from_margins", "iid3"])
+def test_density_matches_factor_product(name, request):
+    # the density reads the joint law at x = G^{-1}(u_(i)); the factors
+    # a_i read the kernels one coordinate at a time
+    if name == "iid3":
+        delta = multidiagonal_of_iid_uniform(3)
+    elif name == "tent_from_margins":
+        delta = multidiagonal_from_marginals(MarginalVector(_tent_components()))
+    else:
+        delta = request.getfixturevalue(name)
+    kernel = CopulaKernel(delta)
+    d = delta.d
+    rng = np.random.default_rng(17)
+    U = rng.random((2000, d))
+    U[:50] = U[:50, :1]                             # all coordinates tied
+    U[50:100, 0] = 0.0
+    U[100:150, -1] = 1.0
+    c = c_delta_density(kernel, U)
+    V = np.sort(U, axis=1)
+    prod = np.prod([kernel.a(i, V[:, i - 1]) for i in range(1, d + 1)],
+                   axis=0) / math.factorial(d)
+    assert np.array_equal(c > 0, prod > 0)
+    m = c > 0
+    assert np.count_nonzero(m) > 1500
+    assert np.max(np.abs(c[m] - prod[m]) / c[m]) <= 1e-13
+
+
+def test_sampler_is_joint_sampler_through_g(exp3, exp3_delta, exp3_model, monkeypatch):
+    # the sorted rows are the joint model's draws mapped by G, permuted
+    # after them from the same generator; nothing inverts G
+    kernel = CopulaKernel(exp3_delta)
+    calls = []
+    ppf = AverageCdf.ppf
+    monkeypatch.setattr(AverageCdf, "ppf", lambda self, u: (calls.append(1), ppf(self, u))[1])
+    n, seed = 5000, 3
+    S = sample_copula(kernel, n, seed=seed)
+    assert len(calls) == 0
+    X = sample(exp3_model, n, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(exp3.d):
+        rng.random(n)                               # one uniform per coordinate
+    expect = rng.permuted(average_cdf(exp3).cdf(X), axis=1)
+    assert np.max(np.abs(S - expect)) <= 4e-15
 
 
 @pytest.mark.parametrize("name", ["iid3", "exp3_delta", "tent"])
 def test_density_matches_row_by_row_support(name, request):
     # the support decided one row at a time from the interval sets, and
-    # the factors read on the rows kept; equal to the last bit
+    # the kernel's log-density read on the rows kept; equal to the last bit
     if name == "iid3":
         delta = multidiagonal_of_iid_uniform(3)
     elif name == "tent":
@@ -210,12 +261,8 @@ def test_density_matches_row_by_row_support(name, request):
 
     valid = np.array([on_support(row) for row in U])
     assert 0 < valid.sum() < len(U)
-    V = np.sort(U[valid], axis=1)
-    logc = np.full(len(V), -math.lgamma(d + 1))
-    for i in range(1, d + 1):
-        logc += kernel._log_a_inner(i, V[:, i - 1])
     expect = np.zeros(len(U))
-    expect[valid] = np.exp(logc)
+    expect[valid] = np.exp(kernel._log_density(np.sort(U[valid], axis=1)))
     np.testing.assert_array_equal(c_delta_density(kernel, U), expect)
     # rows that are all on the support take the path without a gather
     np.testing.assert_array_equal(c_delta_density(kernel, U[valid]), expect[valid])
