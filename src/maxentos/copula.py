@@ -131,15 +131,10 @@ class CopulaKernel:
             return np.zeros_like(t)
         return self._K_at(i, self._avg.ppf(t))
 
-    def _kprime_inner(self, i: int, t: np.ndarray) -> np.ndarray:
-        # K_i'(t) = ell_i(x) / g(x), with ell_1 = f_1 / (1 - F_1)
-        x = self._avg.ppf(t)
+    def _kprime_at(self, i: int, x: np.ndarray) -> np.ndarray:
+        """K_i' at t = G(x) for i >= 2: ell_i(x) / g(x)."""
+        ell = self._hazards[i].ell(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if i == 1:
-                f = self._first.pdf(x)
-                ell = np.where(f > 0.0, f / self._first.sf(x), 0.0)
-            else:
-                ell = self._hazards[i].ell(x)
             return np.where(ell > 0.0, ell / self._avg.pdf(x), 0.0)
 
     def _log_a_inner(self, i: int, t: np.ndarray) -> np.ndarray:
@@ -228,6 +223,25 @@ class CopulaKernel:
         return out
 
 
+def _sort_rows(u: np.ndarray) -> np.ndarray:
+    """The columns of each row of u in increasing order: np.sort's values.
+
+    Odd-even transposition: d rounds of compare-exchange on neighbouring
+    columns, each an np.minimum and an np.maximum over whole columns.
+    Those return their second operand on a tie, so the operand order
+    below keeps equal values (0.0 and -0.0) in their order.  A NaN
+    spreads to every column of its row.  The result is the transpose of
+    a (d, n) array, so each of its columns is contiguous.
+    """
+    cols = list(u.T)
+    d = len(cols)
+    for r in range(d):
+        for i in range(r % 2, d - 1, 2):
+            a, b = cols[i], cols[i + 1]
+            cols[i], cols[i + 1] = np.minimum(b, a), np.maximum(a, b)
+    return np.stack(cols).T
+
+
 def c_delta_density(kernel: CopulaKernel, u) -> np.ndarray:
     """Copula density at points of [0, 1]^d; zero outside the support.
 
@@ -241,8 +255,8 @@ def c_delta_density(kernel: CopulaKernel, u) -> np.ndarray:
     if u.shape[1] != kernel.d:
         raise ValueError(f"points must have {kernel.d} columns")
     d = kernel.d
-    v = np.sort(u, axis=1)
-    # sorting puts a NaN last, so the end columns decide the [0, 1] range
+    v = _sort_rows(u)
+    # a NaN fills its row, so the end columns decide the [0, 1] range
     valid = (v[:, 0] >= 0.0) & (v[:, -1] <= 1.0)
     for i in range(2, d + 1):
         valid &= gap_inside_mask(kernel.psis[i], v[:, i - 2], v[:, i - 1], GAP_TOL)
@@ -337,13 +351,14 @@ def symmetrize_density(delta: Multidiagonal, c_fn):
 
     def s(u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        v = np.sort(u, axis=1)
+        v = _sort_rows(u)
         vals, slopes = _delta_values_and_slopes(delta, v)
         cvals = np.asarray(c_fn(vals), dtype=float)
         with np.errstate(divide="ignore"):
             logprod = np.sum(np.log(slopes), axis=1)
         out = np.zeros(u.shape[0])
-        live = (cvals > 0.0) & np.isfinite(logprod)
+        # a NaN fills its row; G^{-1} would read it as a number
+        live = (cvals > 0.0) & np.isfinite(logprod) & ~np.isnan(v[:, 0])
         out[live] = cvals[live] * np.exp(logprod[live] - norm)
         return out
 

@@ -11,6 +11,11 @@ Gauss-Legendre panels graded geometrically toward both endpoints, because
 the integrands routinely have integrable endpoint structure that a plain
 product rule resolves too slowly for the tolerances used here.
 
+The product rule runs in blocks of about 2^15 points, whole slabs of the
+leading axis, so that one integrand call's arrays stay in cache.  Only
+x_1 depends on the leading axis: x_2..x_d and the whole Jacobian are
+mapped once from the tail axes, and each block computes x_1 alone.
+
 run_full_verification executes an independent battery of consistency
 checks on a marginal vector or a multidiagonal, each with its own fixed
 seed, and reports one pass/fail/skip verdict per check.  MAXENTOS_THREADS
@@ -46,6 +51,9 @@ from .multidiag import (Multidiagonal, delta_inverse, j_functional_delta,
 
 MAX_QUAD_DIM = 3
 DEFAULT_NODES = {1: 512, 2: 512, 3: 160}
+# points per integrand call of the product rule: a block of a few arrays
+# of this length stays in a core's L2 cache
+_BLOCK = 1 << 15
 KS_FACTOR = 1.63
 
 
@@ -73,32 +81,40 @@ def axis_rule(n: int):
     return pts, wts
 
 
-def _product_sum(fn, axes_pts, axes_wts, chunk: int = 1 << 20):
+def _product_sum(fn, axes_pts, axes_wts, chunk: int = _BLOCK, tail_map=None):
     """Product-rule sum of fn; a float, or one sum per column when fn
     returns an (n, k) array.
 
     Points run in C order over the axes.  Each call of fn gets whole
     slabs of the leading axis, about chunk points, or one slab when a
-    slab alone holds more.
+    slab alone holds more, so that a call's arrays stay in cache.
+
+    The tail nodes (axes 1..d-1, one row per point of a slab) are laid
+    out once.  tail_map, when given, maps them once as well: it returns
+    their coordinates, a factor on their weights (a Jacobian), and lo and
+    scale of the leading coordinate x_1 = lo + scale * w_1, scale a number
+    or one per tail row.  Each block then computes only x_1.
     """
+    tail = np.empty((1, 0))
+    tail_w = np.ones(1)
+    for p, wk in zip(axes_pts[1:], axes_wts[1:]):
+        tail = np.column_stack([np.repeat(tail, len(p), axis=0),
+                                np.tile(p, len(tail))])
+        tail_w = (tail_w[:, None] * wk).reshape(-1)
+    lo, scale = 0.0, 1.0
+    if tail_map is not None:
+        tail, jac, lo, scale = tail_map(tail)
+        tail_w = tail_w * jac
     d = len(axes_pts)
-    tail = math.prod(len(p) for p in axes_pts[1:])
-    if d > 1:
-        tail_pts = np.stack(np.meshgrid(*axes_pts[1:], indexing="ij"),
-                            axis=-1).reshape(tail, d - 1)
-    step = max(1, chunk // tail)
+    step = max(1, chunk // len(tail))
     acc = 0.0
     for start in range(0, len(axes_pts[0]), step):
-        lead = axes_pts[0][start:start + step]
-        pts = np.empty((len(lead), tail, d))
-        pts[:, :, 0] = lead[:, None]
-        if d > 1:
-            pts[:, :, 1:] = tail_pts
-        # left to right over the axes, as w_0 * w_1 * ... * w_{d-1}
-        w = axes_wts[0][start:start + step]
-        for wk in axes_wts[1:]:
-            w = w[..., None] * wk
-        acc = acc + w.reshape(-1) @ np.asarray(fn(pts.reshape(-1, d)), dtype=float)
+        lead = axes_pts[0][start:start + step, None]
+        pts = np.empty((len(lead), len(tail), d))
+        pts[:, :, 0] = lo + scale * lead
+        pts[:, :, 1:] = tail
+        w = (axes_wts[0][start:start + step, None] * tail_w).reshape(-1)
+        acc = acc + w @ np.asarray(fn(pts.reshape(-1, d)), dtype=float)
     return float(acc) if np.ndim(acc) == 0 else acc
 
 
@@ -119,11 +135,15 @@ def cube_integral(fn, d: int, nodes: int | None = None) -> float:
 def _ordered_cells_integral(fn, d: int, cells, assign, nodes):
     """Integral over {x ordered, x_i in cells[assign[i]]} for one
     nondecreasing cell assignment; runs of equal cells use the ordered
-    substitution inside their cell, distinct cells decouple."""
+    substitution inside their cell, distinct cells decouple.
+
+    Every coordinate but x_1, and the whole Jacobian, depends on the
+    tail axes alone, so they are mapped once per assignment."""
     pts, wts = axis_rule(nodes or DEFAULT_NODES[d])
 
-    def transformed(W):
-        X = np.empty_like(W)
+    def tail_map(W):
+        # column 0 stays free for x_1, which each block maps itself
+        X = np.empty((len(W), d))
         jac = np.ones(len(W))
         start = 0
         while start < d:
@@ -131,16 +151,17 @@ def _ordered_cells_integral(fn, d: int, cells, assign, nodes):
             while stop < d and assign[stop] == assign[start]:
                 stop += 1
             a, b = cells[assign[start]]
-            X[:, stop - 1] = a + (b - a) * W[:, stop - 1]
-            jac = jac * (b - a)
-            for i in range(stop - 2, start - 1, -1):
-                X[:, i] = a + (X[:, i + 1] - a) * W[:, i]
-                jac = jac * (X[:, i + 1] - a)
+            for i in range(stop - 1, start - 1, -1):
+                span = b - a if i == stop - 1 else X[:, i + 1] - a
+                jac = jac * span
+                if i == 0:
+                    lead = (a, span)
+                else:
+                    X[:, i] = a + span * W[:, i - 1]
             start = stop
-        vals = np.asarray(fn(X), dtype=float)
-        return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
+        return (X[:, 1:], jac, *lead)
 
-    return _product_sum(transformed, [pts] * d, [wts] * d)
+    return _product_sum(fn, [pts] * d, [wts] * d, tail_map=tail_map)
 
 
 def simplex_integral(fn, d: int, lo: float, hi: float,
@@ -288,10 +309,12 @@ class VerificationReport:
 def _run_checks(named, threads: int):
     """Run the (name, callable) checks; each result carries its wall time.
 
-    The c_delta mass and entropy pass is shared by c_delta_normalization
-    and copula_entropy_quad.  Its time counts toward whichever of the two
-    runs it first; with several threads, the other may wait for that pass
-    to end, and then its time holds the wait as well.
+    Two quadrature passes are shared: the c_delta mass and entropy pass
+    by c_delta_normalization and copula_entropy_quad, the f_F one by
+    normalization_quad and entropy_three_way.  A pass's time counts
+    toward whichever of its two checks runs it first; with several
+    threads, the other may wait for that pass to end, and then its time
+    holds the wait as well.
     """
     def execute(item):
         name, fn = item
@@ -486,12 +509,13 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                         # density; the quotient form overflows in the tail
                         return np.asarray(
                             kernel.delta.components[0].pdf(s), dtype=float)
-                    return (kernel._kprime_inner(i, s)
-                            * np.exp(-kernel._K_inner(i, s)))
+                    # K_i' and K_i read at one x = G^{-1}(s)
+                    x = kernel._avg.ppf(s)
+                    return kernel._kprime_at(i, x) * np.exp(-kernel._K_at(i, x))
                 val, _ = quad(lambda s: float(integrand(np.array([s]))[0]),
                               t0, hi, limit=200)
-                expect = (float(kernel.B(i, np.array([t0]))[0])
-                          - float(kernel.B(i, np.array([hi]))[0]))
+                b0, b1 = kernel.B(i, np.array([t0, hi]))
+                expect = float(b0) - float(b1)
                 worst = max(worst, abs(val - expect))
         return _tolcheck(prefix + "kernel_tail_integral", worst, 1e-6)
     chk("kernel_tail_integral", _tail_integral)
@@ -607,12 +631,21 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
     margin_cuts = sorted({float(k) for m in margins.margins
                           for k in m.knots() if lo < float(k) < hi})
 
+    def _mass_and_entropy():
+        # mass and -f log f from one density evaluation on one rule
+        def columns(X):
+            f = f_F_density(model, X)
+            return np.column_stack([f, -xlogx(f)])
+        return simplex_integral(columns, d, lo, hi,
+                                nodes=None if d < 3 else 128, cuts=margin_cuts)
+    # normalization_quad and entropy_three_way read this pass
+    f_pass = _once(_mass_and_entropy)
+
     def _normalization():
         if d > MAX_QUAD_DIM:
             return CheckResult("normalization_quad", None,
                                detail=f"d={d} beyond quadrature range")
-        val = simplex_integral(lambda X: f_F_density(model, X), d, lo, hi,
-                               nodes=None if d < 3 else 128, cuts=margin_cuts)
+        val = f_pass()[0]
         return _tolcheck("normalization_quad", abs(val - 1.0), 1e-3,
                          f"integral={val:.8f}")
     named.append(("normalization_quad", _normalization))
@@ -622,8 +655,7 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
             return CheckResult("entropy_three_way", None,
                                detail=f"d={d} beyond quadrature range")
         hc = rep.entropy
-        hq = quad_entropy(lambda X: f_F_density(model, X), d, lo, hi,
-                          nodes=None if d < 3 else 104, cuts=margin_cuts)
+        hq = f_pass()[1]
         X = sample(model, n_samples, seed=seed + 211)
         hm, se = mc_entropy(lambda Y: f_F_density(model, Y), X)
         qerr = abs(hc - hq)

@@ -1,18 +1,22 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxentos import (CopulaKernel, MarginalVector, Multidiagonal, average_cdf,
-                      c_F_density, c_delta_density, copula_entropy_closed,
+                      build_model, c_F_density, c_delta_density,
+                      copula_entropy_closed,
                       j_functional_delta, ks_distance,
                       multidiagonal_from_marginals,
                       multidiagonal_of_iid_uniform, order_stat_copula_entropy,
                       sample, sample_copula, symmetrize_density,
                       unsymmetrize_density)
-from maxentos.cdfs import (AverageCdf, OrderStatUniformCdf, PiecewiseLinearCdf,
-                           UniformCdf)
-from maxentos.copula import GAP_TOL, _anchored_theta
+from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
+                           OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf)
+from maxentos.copula import GAP_TOL, _anchored_theta, _sort_rows
 from maxentos.errors import InvalidMarginal, NotAbsolutelyContinuous, OutOfPsi
 from maxentos.hazards import pair_hazard
 from maxentos.verify import quad_entropy, simplex_integral
@@ -284,3 +288,68 @@ def test_anchored_theta_matches_interval_search(psi_count):
     idx = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, psi_count - 1)
     expect = np.asarray(hz.theta(x), dtype=float) - anchors[idx]
     np.testing.assert_array_equal(_anchored_theta(hz, anchors, x), expect)
+
+
+@functools.cache
+def _iid_kernel(d):
+    return CopulaKernel(multidiagonal_of_iid_uniform(d))
+
+
+# ties, signed zeros, the ends of [0, 1], values beyond them and infinities
+_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, 2.0,
+                                      math.inf, -math.inf, math.nan]),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _row_blocks(draw):
+    d = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=d, max_size=d),
+                         min_size=1, max_size=12))
+    return np.array(rows, dtype=float).reshape(-1, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_blocks())
+def test_sort_rows_matches_np_sort(U):
+    v = _sort_rows(U)
+    nan_rows = np.isnan(U).any(axis=1)
+    clean = U[~nan_rows]
+    got = np.ascontiguousarray(v[~nan_rows])
+    # np.sort's values, each row keeping its own bit patterns
+    np.testing.assert_array_equal(got, np.sort(clean, axis=1))
+    np.testing.assert_array_equal(np.sort(got.view(np.int64), axis=1),
+                                  np.sort(clean.view(np.int64), axis=1))
+    # equal values keep their order: np.sort's own order of 0.0 and -0.0
+    # between themselves is unspecified, so rows holding both may differ
+    # from it in that order alone
+    for row, out in zip(clean, got):
+        assert np.array_equal(np.signbit(out[out == 0.0]), np.signbit(row[row == 0.0]))
+    zeros = clean == 0.0
+    one_sign = ~(np.any(zeros & np.signbit(clean), axis=1)
+                 & np.any(zeros & ~np.signbit(clean), axis=1))
+    np.testing.assert_array_equal(got[one_sign].view(np.int64),
+                                  np.sort(clean[one_sign], axis=1).view(np.int64))
+    # a NaN fills its row, so the row is off the support
+    assert np.isnan(v[nan_rows]).all()
+    c = c_delta_density(_iid_kernel(U.shape[1]), U)
+    assert np.all(c[nan_rows] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["tent", "beta3_exp1"])
+def test_shift_density_is_zero_on_nan_rows(name):
+    # G^{-1} reads a NaN as a number, so the shift must drop NaN rows itself
+    comps = (_tent_components() if name == "tent"
+             else (BetaOneKCdf(3), ExponentialCdf(1.0)))
+    margins = MarginalVector(comps)
+    delta = multidiagonal_from_marginals(margins)
+    model = build_model(margins)
+    s = symmetrize_density(delta, lambda V: c_F_density(margins, V,
+                                                        hazards=model.hazards))
+    U = np.random.default_rng(5).random((400, 2))
+    U[:100, 0] = np.nan
+    U[100:200, 1] = np.nan
+    U[200:300] = np.nan
+    vals = s(U)
+    assert np.all(vals[:300] == 0.0)
+    assert np.count_nonzero(vals[300:]) > 50

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -12,9 +13,11 @@ from maxentos import (MarginalVector, Multidiagonal, marginals,
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
                            PiecewiseLinearCdf)
 from maxentos.errors import DimensionTooLarge
-from maxentos.verify import (_product_sum, axis_rule, cube_integral, ks_distance,
-                             mc_entropy, ordered_region_integral_2d,
-                             quad_entropy, simplex_integral)
+from maxentos.verify import (_BLOCK, DEFAULT_NODES, _ordered_cells_integral,
+                             _product_sum, axis_rule, cube_integral,
+                             ks_distance, mc_entropy,
+                             ordered_region_integral_2d, quad_entropy,
+                             simplex_integral)
 
 
 def test_axis_rule_integrates_polynomials():
@@ -95,6 +98,86 @@ def test_simplex_integral_peak_memory():
         tracemalloc.stop()
     np.testing.assert_allclose(val, [1.0 / 6.0, 1.0 / 24.0], rtol=1e-12)
     assert peak <= 110e6
+
+
+def test_simplex_integral_peak_memory_in_blocks():
+    # a block of 1 << 15 points holds its points, the integrand's output
+    # and the weights, a few MB in all
+    fn = lambda X: np.column_stack([np.ones(len(X)), X[:, 0]])
+    tracemalloc.start()
+    try:
+        val = simplex_integral(fn, 3, 0.0, 1.0, nodes=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(val, [1.0 / 6.0, 1.0 / 24.0], rtol=1e-12)
+    assert peak <= 16e6
+
+
+def _substitution_reference(fn, d, cells, assign, nodes):
+    # every point of the product rule mapped on its own: x_i = a + (top - a)
+    # w_i, top the next coordinate in the same cell or else the cell's end
+    pts, wts = axis_rule(nodes)
+    idx = np.array(list(itertools.product(range(len(pts)), repeat=d)))
+    W = pts[idx]
+    w = np.prod(wts[idx], axis=1)
+    X = np.empty_like(W)
+    for i in reversed(range(d)):
+        a, b = cells[assign[i]]
+        top = X[:, i + 1] if i + 1 < d and assign[i + 1] == assign[i] else b
+        X[:, i] = a + (top - a) * W[:, i]
+        w = w * (top - a)
+    return w @ fn(X)
+
+
+def _positive_columns(X):
+    f = np.exp(-X.sum(axis=1)) * (1.0 + X[:, 0] * X[:, -1])
+    return np.column_stack([f, 1.0 + X[:, 0] ** 2])
+
+
+@pytest.mark.parametrize("assign", [(0,), (1,), (0, 1), (1, 1), (0, 0, 1),
+                                    (0, 1, 1), (1, 1, 1), (0, 0, 0)])
+def test_ordered_cells_match_pointwise_substitution(assign):
+    cells = [(-0.5, 0.25), (0.25, 1.5)]
+    d = len(assign)
+    got = _ordered_cells_integral(_positive_columns, d, cells, assign, 16)
+    expect = _substitution_reference(_positive_columns, d, cells, assign, 16)
+    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+def test_simplex_cuts_match_pointwise_substitution():
+    # three cells from two cuts: the integral is the sum over every
+    # nondecreasing assignment of coordinates to cells
+    lo, hi, cuts = -0.5, 1.5, [0.25, 0.75]
+    cells = list(zip([lo, *cuts], [*cuts, hi]))
+    expect = sum(_substitution_reference(_positive_columns, 3, cells, assign, 16)
+                 for assign in itertools.combinations_with_replacement(range(3), 3))
+    got = simplex_integral(_positive_columns, 3, lo, hi, nodes=16, cuts=cuts)
+    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d, nodes, cube", [(1, None, False), (2, None, False),
+                                            (2, None, True), (3, 128, False),
+                                            (3, 512, True)])
+def test_integrand_calls_stay_within_a_block(d, nodes, cube):
+    # each call gets whole slabs of the leading axis, at most _BLOCK points,
+    # or one slab when a slab alone holds more
+    sizes = []
+
+    def fn(X):
+        sizes.append(len(X))
+        return np.ones(len(X))
+
+    n = len(axis_rule(nodes or DEFAULT_NODES[d])[0])
+    slab = n ** (d - 1)
+    if cube:
+        assert cube_integral(fn, d, nodes) == pytest.approx(1.0, rel=1e-12)
+    else:
+        assert simplex_integral(fn, d, 0.0, 1.0, nodes, cuts=[0.5]) == \
+            pytest.approx(1.0 / math.factorial(d), rel=1e-12)
+    assert max(sizes) <= max(_BLOCK, slab)
+    assert all(size % slab == 0 for size in sizes)
+    assert sum(sizes) == n ** d * (1 if cube else math.comb(d + 1, d))
 
 
 def test_ordered_region_integral():
@@ -206,6 +289,47 @@ def test_copula_mass_and_entropy_share_one_pass(monkeypatch):
     assert by_name["c_delta_normalization"].passed
     assert by_name["copula_entropy_quad"].passed
     assert len(passes) == 1
+
+
+def test_f_mass_and_entropy_share_one_pass(beta2, monkeypatch):
+    # normalization_quad and entropy_three_way read one quadrature pass
+    from maxentos import verify
+    passes = []
+    simplex = verify.simplex_integral
+
+    def counted(fn, d, *args, **kwargs):
+        if d == beta2.d:
+            passes.append(d)
+        return simplex(fn, d, *args, **kwargs)
+
+    named = dict(verify._marginal_checks(beta2, seed=0, n_samples=1000, grid=256))
+    monkeypatch.setattr(verify, "simplex_integral", counted)
+    results = [named[name]() for name in ("normalization_quad", "entropy_three_way")]
+    assert all(r.passed for r in results)
+    assert len(passes) == 1
+
+
+def test_kernel_tail_integral_solves_g_inverse_once_per_node(beta2_delta, monkeypatch):
+    # K_i' and K_i are read at one x = G^{-1}(t) for every quad node
+    from maxentos import verify
+    named = dict(verify._delta_checks(beta2_delta, seed=0, n_samples=1000, grid=256))
+    solves, per_node = [], []
+    ppf = AverageCdf.ppf
+    monkeypatch.setattr(AverageCdf, "ppf",
+                        lambda self, u: (solves.append(1), ppf(self, u))[1])
+    quad = verify.quad
+
+    def counted_quad(f, *args, **kwargs):
+        def node(s):
+            before = len(solves)
+            value = f(s)
+            per_node.append(len(solves) - before)
+            return value
+        return quad(node, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "quad", counted_quad)
+    assert named["kernel_tail_integral"]().passed
+    assert len(per_node) > 0 and set(per_node) == {1}
 
 
 def test_j_checks_share_one_transported_integral(monkeypatch):
