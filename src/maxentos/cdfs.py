@@ -372,31 +372,27 @@ class AverageCdf(MarginalCdf):
         return (min(c.support[0] for c in self.components),
                 max(c.support[1] for c in self.components))
 
-    def cdf(self, x):
+    def _mean(self, method: str, x):
+        """(1/d) sum_i of the components' cdf, sf or pdf at x."""
         x, scalar = _as_float_array(x)
         acc = np.zeros_like(x, dtype=float)
         for c in self.components:
-            acc = acc + c.cdf(x)
+            acc = acc + getattr(c, method)(x)
         return _ret(acc / len(self.components), scalar)
+
+    def cdf(self, x):
+        return self._mean("cdf", x)
 
     def sf(self, x):
-        x, scalar = _as_float_array(x)
-        acc = np.zeros_like(x, dtype=float)
-        for c in self.components:
-            acc = acc + c.sf(x)
-        return _ret(acc / len(self.components), scalar)
+        return self._mean("sf", x)
 
     def pdf(self, x):
-        x, scalar = _as_float_array(x)
-        acc = np.zeros_like(x, dtype=float)
-        for c in self.components:
-            acc = acc + c.pdf(x)
-        return _ret(acc / len(self.components), scalar)
+        return self._mean("pdf", x)
 
     def ppf(self, u):
         u, scalar = _as_float_array(u)
         u = np.atleast_1d(u)
-        out = np.empty_like(u)
+        out = np.full_like(u, math.nan)
         out[u <= 0.0] = -math.inf
         out[u > 1.0] = math.inf
         # G(s) = 1 exactly when every component has reached 1.
@@ -433,38 +429,27 @@ class ComposedDeltaCdf(MarginalCdf):
         return (float(self.avg.cdf(lo)) if math.isfinite(lo) else 0.0,
                 float(self.avg.cdf(hi)) if math.isfinite(hi) else 1.0)
 
-    def cdf(self, t):
+    def _read(self, fn, t, ends, at_nan=math.nan):
+        """fn(G^{-1}(t)) for t in (0, 1); ends[0] at t <= 0, ends[1] at
+        t >= 1, at_nan at NaN."""
         t, scalar = _as_float_array(t)
         t1 = np.atleast_1d(t)
-        out = np.empty_like(t1)
-        out[t1 <= 0.0] = 0.0
-        out[t1 >= 1.0] = 1.0
+        out = np.full_like(t1, at_nan)
+        out[t1 <= 0.0] = ends[0]
+        out[t1 >= 1.0] = ends[1]
         interior = (t1 > 0.0) & (t1 < 1.0)
         if np.any(interior):
-            s = self.avg.ppf(t1[interior])
-            out[interior] = self.base.cdf(s)
+            out[interior] = fn(self.avg.ppf(t1[interior]))
         return _ret(out[0] if scalar else out, scalar)
+
+    def cdf(self, t):
+        return self._read(self.base.cdf, t, (0.0, 1.0))
 
     def sf(self, t):
-        t, scalar = _as_float_array(t)
-        t1 = np.atleast_1d(t)
-        out = np.empty_like(t1)
-        out[t1 <= 0.0] = 1.0
-        out[t1 >= 1.0] = 0.0
-        interior = (t1 > 0.0) & (t1 < 1.0)
-        if np.any(interior):
-            s = self.avg.ppf(t1[interior])
-            out[interior] = self.base.sf(s)
-        return _ret(out[0] if scalar else out, scalar)
+        return self._read(self.base.sf, t, (1.0, 0.0))
 
     def pdf(self, t):
-        t, scalar = _as_float_array(t)
-        t1 = np.atleast_1d(t)
-        out = np.zeros_like(t1)
-        interior = (t1 > 0.0) & (t1 < 1.0)
-        if np.any(interior):
-            out[interior] = self.pdf_at_base(self.avg.ppf(t1[interior]))
-        return _ret(out[0] if scalar else out, scalar)
+        return self._read(self.pdf_at_base, t, (0.0, 0.0), at_nan=0.0)
 
     def pdf_at_base(self, s):
         """Density at t = G(s), read at the base-scale point s = G^{-1}(t)."""
@@ -478,7 +463,7 @@ class ComposedDeltaCdf(MarginalCdf):
         # layer and the two are compared in tests.
         u, scalar = _as_float_array(u)
         u1 = np.atleast_1d(u)
-        out = np.empty_like(u1)
+        out = np.full_like(u1, math.nan)
         out[u1 <= 0.0] = -math.inf
         out[u1 > 1.0] = math.inf
         solve = (u1 > 0.0) & (u1 <= 1.0)

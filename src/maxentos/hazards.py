@@ -412,14 +412,9 @@ class TableHazard(PairHazard):
                                   idx, s, target)
 
 
-def pair_hazard(fp: MarginalCdf, fc: MarginalCdf, psi: IntervalSet | None = None,
-                force_table: bool = False) -> PairHazard:
-    """Best PairHazard for the pair; force_table picks the quadrature route.
-
-    The pair's route picks the class; psi, when given, stands in for the
-    computed separation set on the routes that take one.
-    """
+def pair_hazard(fp: MarginalCdf, fc: MarginalCdf, force_table: bool = False) -> PairHazard:
+    """Best PairHazard for the pair, picked by the pair's route;
+    force_table picks the quadrature route."""
     from .marginals import _pair  # marginals builds its records on this module
     pair = _pair(fp, fc)
-    psi = pair.psi if psi is None else psi
-    return TableHazard(fp, fc, psi) if force_table else pair.make_hazard(psi)
+    return TableHazard(fp, fc, pair.psi) if force_table else pair.hazard

@@ -162,10 +162,7 @@ class _Pair:
 
     @cached_property
     def hazard(self):
-        return self.make_hazard(self.psi)
-
-    def make_hazard(self, psi: IntervalSet):
-        return TableHazard(self.fp, self.fc, psi)
+        return TableHazard(self.fp, self.fc, self.psi)
 
     def density_and_gap(self, t: float):
         """(f_cur(t), F_prev(t) - F_cur(t)) at a scalar t: the J integrand."""
@@ -254,8 +251,9 @@ class _PiecewisePair(_Pair):
         self.knots = np.unique(np.concatenate([pp.xs, pc.xs]))
         self.gap = pp.cdf(self.knots) - pc.cdf(self.knots)
 
-    def make_hazard(self, psi):
-        return PiecewisePairHazard(self.pp, self.pc, psi)
+    @cached_property
+    def hazard(self):
+        return PiecewisePairHazard(self.pp, self.pc, self.psi)
 
     @cached_property
     def order(self):
@@ -287,9 +285,10 @@ class _ClosedPair(_Pair):
         super().__init__(fp, fc)
         self.end, self.order, self.j_closed, self.hazard_cls = end, order, j_closed, hazard_cls
 
-    def make_hazard(self, psi):
+    @cached_property
+    def hazard(self):
         if self.end is None:
-            return super().make_hazard(psi)
+            return TableHazard(self.fp, self.fc, self.psi)
         return self.hazard_cls(self.fp, self.fc)
 
     def separation(self):

@@ -172,7 +172,8 @@ def delta_inverse(delta: Multidiagonal, i: int, u):
     u_arr = np.asarray(u, dtype=float)
     scalar = u_arr.ndim == 0
     x = delta.source[i - 1].ppf(np.atleast_1d(u_arr))
-    out = np.where(np.isneginf(x), 0.0, np.where(np.isposinf(x), 1.0, G.cdf(np.where(np.isfinite(x), x, 0.0))))
+    out = np.select([np.isneginf(x), np.isposinf(x), np.isnan(x)], [0.0, 1.0, math.nan],
+                    G.cdf(np.where(np.isfinite(x), x, 0.0)))
     return float(out[0]) if scalar else out
 
 

@@ -20,6 +20,13 @@ run_full_verification executes an independent battery of consistency
 checks on a marginal vector or a multidiagonal, each with its own fixed
 seed, and reports one pass/fail/skip verdict per check.  MAXENTOS_THREADS
 caps the worker threads used to run checks concurrently.
+
+A check is declared once, as check(name)(body) with the check() of
+_checklist: the declaration prefixes the name, skips the check beyond
+the quadrature range when given quad=True, and stamps the name on the
+verdict that body() returns.  The rules several checks share (two J
+routes agree, KS recovery of a sampler, one pass for mass and entropy)
+are functions of their own.
 """
 
 from __future__ import annotations
@@ -39,13 +46,12 @@ from scipy.integrate import quad
 
 from .cdfs import xlogx
 from .copula import (GAP_TOL, CopulaKernel, c_delta_density, c_F_density,
-                     copula_entropy_closed, order_stat_copula_entropy,
-                     sample_copula, symmetrize_density)
+                     copula_entropy_closed, sample_copula, symmetrize_density)
 from .errors import DimensionTooLarge
 from .intervals import gap_inside_mask, inside_mask
-from .joint import MaxEntModel, build_model, detect_degenerate, f_F_density, sample
-from .marginals import (MarginalVector, average_cdf, check_stochastic_order,
-                        j_functional, sigma_measure)
+from .joint import build_model, detect_degenerate, f_F_density, sample
+from .marginals import (MarginalVector, check_stochastic_order, j_functional,
+                        sigma_measure)
 from .multidiag import (Multidiagonal, delta_inverse, j_functional_delta,
                         multidiagonal_from_marginals, validate_multidiagonal)
 
@@ -189,11 +195,6 @@ def quad_entropy(density_fn, d: int, lo: float, hi: float,
                  nodes: int | None = None, cuts=()) -> float:
     """Entropy -int f log f over the ordered region, by quadrature."""
     return simplex_integral(lambda X: -xlogx(density_fn(X)), d, lo, hi, nodes, cuts)
-
-
-def cube_entropy(density_fn, d: int, nodes: int | None = None) -> float:
-    """Entropy -int f log f over [0, 1]^d, by quadrature."""
-    return cube_integral(lambda X: -xlogx(density_fn(X)), d, nodes)
 
 
 def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
@@ -346,43 +347,101 @@ def _once(fn):
     return get
 
 
-def _tolcheck(name, value, tol, detail=""):
-    return CheckResult(name, bool(value <= tol), float(value), tol, detail)
+def _checklist(d: int, prefix: str = ""):
+    """An empty list of (name, callable) checks, and check(name) that
+    declares one into it.
+
+    check(name) decorates a body that returns a verdict, the fields of a
+    CheckResult after its name.  The entry is named prefix + name, and its
+    callable stamps that name on the body's verdict.  With quad=True the
+    check is skipped, its body not run, when d exceeds MAX_QUAD_DIM.
+    """
+    named = []
+
+    def check(name: str, *, quad: bool = False):
+        name = prefix + name
+
+        def declare(body):
+            def run():
+                if quad and d > MAX_QUAD_DIM:
+                    return CheckResult(name, None, detail=f"d={d} beyond quadrature range")
+                return CheckResult(name, *body())
+            named.append((name, run))
+            return body
+        return declare
+
+    return named, check
 
 
-def _grid01(n):
-    return np.linspace(0.0, 1.0, n + 1)[1:-1]
+def _verdict(passed, value=None, tol=None, detail=""):
+    """The fields of a CheckResult after its name."""
+    return passed, value, tol, detail
+
+
+def _tolcheck(value, tol, detail=""):
+    return _verdict(bool(value <= tol), float(value), tol, detail)
+
+
+def _routes_agree(a, b, labels):
+    """Two routes to one J value: both infinite, or within 1e-6."""
+    if math.isinf(a) and math.isinf(b):
+        return _verdict(True, detail="both infinite")
+    return _tolcheck(abs(a - b), 1e-6, f"{labels[0]}={a:.9g} {labels[1]}={b:.9g}")
+
+
+def _ks_recovery(draw, cdfs, n_samples: int, seed: int):
+    """Every coordinate of draw(seed + k) within KS_FACTOR / sqrt(n) of its
+    CDF, for at least 2 of the draws k = 0, 1, 2."""
+    passes = 0
+    bound = KS_FACTOR / math.sqrt(n_samples)
+    worst = 0.0
+    for k in range(3):
+        X = draw(seed + k)
+        dks = max(ks_distance(X[:, i], cdf) for i, cdf in enumerate(cdfs))
+        worst = max(worst, dks)
+        passes += dks <= bound
+    return _verdict(passes >= 2, worst, bound, f"{passes}/3 seeds within bound")
+
+
+def _mass_and_entropy(density, d: int, lo: float, hi: float, cuts, scale=1.0):
+    """The shared pass: scale times the mass and the -f log f of density
+    over the ordered region, from one density evaluation on one rule.
+
+    The first call runs it; the lock of _once keeps it to one run when
+    the checks that read it execute on different threads."""
+    def columns(X):
+        f = density(X)
+        return np.column_stack([f, -xlogx(f)])
+
+    def run():
+        mass, ent = simplex_integral(columns, d, lo, hi,
+                                     nodes=None if d < 3 else 128, cuts=cuts)
+        return scale * mass, scale * ent
+    return _once(run)
+
+
+def _mass_is_one(shared_pass):
+    val = shared_pass()[0]
+    return _tolcheck(abs(val - 1.0), 1e-3, f"integral={val:.8f}")
 
 
 def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                   grid: int, prefix: str = "") -> list:
     """Checks on multidiagonal structure and its copula; shared by both
-
     entry points.  Returns (name, callable) pairs."""
     d = delta.d
     report = validate_multidiagonal(delta, grid=max(grid, 512))
-    named = []
+    named, check = _checklist(d, prefix)
 
-    def chk(name, fn):
-        named.append((prefix + name, fn))
-
-    chk("multidiagonal_class", lambda: CheckResult(
-        prefix + "multidiagonal_class", report.is_D,
+    check("multidiagonal_class")(lambda: _verdict(
+        report.is_D,
         detail=f"is_D={report.is_D} is_D0={report.is_D0} sigma={report.sigma:.3g}"))
-    chk("sum_identity", lambda: _tolcheck(
-        prefix + "sum_identity", report.sum_residual, 1e-9))
-    chk("lipschitz_bound", lambda: CheckResult(
-        prefix + "lipschitz_bound", report.lipschitz_ok,
-        detail=f"component slopes bounded by d={d}"))
-
-    def _j_delta_transport():
-        jq = j_functional_delta(delta, method="quadrature")
-        ja = j_functional_delta(delta, method="auto")
-        if math.isinf(jq) and math.isinf(ja):
-            return CheckResult(prefix + "j_delta_routes", True, detail="both infinite")
-        return _tolcheck(prefix + "j_delta_routes", abs(jq - ja), 1e-6,
-                         f"auto={ja:.9g} quadrature={jq:.9g}")
-    chk("j_delta_routes", _j_delta_transport)
+    check("sum_identity")(lambda: _tolcheck(report.sum_residual, 1e-9))
+    check("lipschitz_bound")(lambda: _verdict(
+        report.lipschitz_ok, detail=f"component slopes bounded by d={d}"))
+    check("j_delta_routes")(lambda: _routes_agree(
+        j_functional_delta(delta, method="auto"),
+        j_functional_delta(delta, method="quadrature"), ("auto", "quadrature")))
 
     if not report.is_D0:
         return named
@@ -392,30 +451,13 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
     # smoothness the panel rule relies on; the quadratures split there
     kink_cuts = sorted({float(k) for comp in delta.components
                         for k in comp.knots() if 0.0 < float(k) < 1.0})
+    # exchangeability turns the cube integrals into d! times the sorted
+    # region ones, whose substitution absorbs the corner singularity
+    c_pass = _mass_and_entropy(lambda U: c_delta_density(kernel, U), d, 0.0, 1.0,
+                               kink_cuts, scale=math.factorial(d))
+    check("c_delta_normalization", quad=True)(lambda: _mass_is_one(c_pass))
 
-    def _mass_and_entropy():
-        # exchangeability turns the cube integrals into d! times the sorted
-        # region ones, whose substitution absorbs the corner singularity;
-        # mass and -c log c come from one density evaluation on one rule
-        def columns(U):
-            c = c_delta_density(kernel, U)
-            return np.column_stack([c, -xlogx(c)])
-        mass, ent = simplex_integral(columns, d, 0.0, 1.0,
-                                     nodes=None if d < 3 else 128, cuts=kink_cuts)
-        return math.factorial(d) * mass, math.factorial(d) * ent
-    # both checks below read this pass; the lock keeps it to one run when
-    # they execute on different threads
-    c_pass = _once(_mass_and_entropy)
-
-    def _c_norm():
-        if d > MAX_QUAD_DIM:
-            return CheckResult(prefix + "c_delta_normalization", None,
-                               detail=f"d={d} beyond quadrature range")
-        val = c_pass()[0]
-        return _tolcheck(prefix + "c_delta_normalization", abs(val - 1.0), 1e-3,
-                         f"integral={val:.8f}")
-    chk("c_delta_normalization", _c_norm)
-
+    @check("c_delta_symmetry")
     def _c_symmetry():
         rng = np.random.default_rng(seed + 11)
         u = rng.random((200, d))
@@ -426,9 +468,9 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
             pv = c_delta_density(kernel, perm)
             scale = np.maximum(base, 1e-12)
             worst = max(worst, float(np.max(np.abs(pv - base) / scale)))
-        return _tolcheck(prefix + "c_delta_symmetry", worst, 1e-9)
-    chk("c_delta_symmetry", _c_symmetry)
+        return _tolcheck(worst, 1e-9)
 
+    @check("c_delta_dual_route")
     def _c_routes():
         kq = CopulaKernel(delta, mode="quadrature")
         rng = np.random.default_rng(seed + 13)
@@ -437,12 +479,11 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
         b = c_delta_density(kq, u)
         m = a > 0
         if (a[m].size == 0) or not np.array_equal(a > 0, b > 0):
-            return CheckResult(prefix + "c_delta_dual_route", False,
-                               detail="support sets disagree")
+            return _verdict(False, detail="support sets disagree")
         rel = float(np.max(np.abs(a[m] - b[m]) / a[m]))
-        return _tolcheck(prefix + "c_delta_dual_route", rel, 1e-6)
-    chk("c_delta_dual_route", _c_routes)
+        return _tolcheck(rel, 1e-6)
 
+    @check("c_delta_vanishes_off_support")
     def _vanishes():
         rng = np.random.default_rng(seed + 17)
         u = rng.random((300, d))
@@ -454,14 +495,12 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
         for i in range(1, d + 1):
             ok &= inside_mask(kernel.psis[i], v[:, i - 1])
             ok &= inside_mask(kernel.psis[i + 1], v[:, i - 1])
-        bad = int(np.sum((vals > 0) & ~ok))
-        return CheckResult(prefix + "c_delta_vanishes_off_support", bad == 0,
-                           float(bad), 0.0)
-    chk("c_delta_vanishes_off_support", _vanishes)
+        return _tolcheck(int(np.sum((vals > 0) & ~ok)), 0.0)
 
+    @check("BE_identity")
     def _be_identity():
         worst = 0.0
-        ts = _grid01(grid)
+        ts = np.linspace(0.0, 1.0, grid + 1)[1:-1]
         for i in range(1, d + 2):
             B = kernel.B(i, ts)
             E = kernel.E(i - 1, ts)
@@ -472,9 +511,9 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
             m = inside_mask(kernel.psis[i], ts)
             if np.any(m):
                 worst = max(worst, float(np.max(np.abs(B[m] * E[m] - (prev[m] - cur[m])))))
-        return _tolcheck(prefix + "BE_identity", worst, 1e-9)
-    chk("BE_identity", _be_identity)
+        return _tolcheck(worst, 1e-9)
 
+    @check("K_singular_growth")
     def _k_growth():
         ok = True
         detail = []
@@ -487,9 +526,9 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                 ok &= grow
                 if not grow:
                     detail.append(f"K_{i} not diverging near {dd:.4g}")
-        return CheckResult(prefix + "K_singular_growth", ok, detail="; ".join(detail))
-    chk("K_singular_growth", _k_growth)
+        return _verdict(ok, detail="; ".join(detail))
 
+    @check("kernel_tail_integral")
     def _tail_integral():
         worst = 0.0
         for i in range(1, d + 1):
@@ -517,34 +556,19 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                 b0, b1 = kernel.B(i, np.array([t0, hi]))
                 expect = float(b0) - float(b1)
                 worst = max(worst, abs(val - expect))
-        return _tolcheck(prefix + "kernel_tail_integral", worst, 1e-6)
-    chk("kernel_tail_integral", _tail_integral)
+        return _tolcheck(worst, 1e-6)
 
-    def _copula_recovery():
-        passes = 0
-        bound = KS_FACTOR / math.sqrt(n_samples)
-        worst = 0.0
-        for k in range(3):
-            S = sample_copula(kernel, n_samples, seed=seed + 101 + k)
-            V = np.sort(S, axis=1)
-            dks = max(ks_distance(V[:, i], delta.components[i].cdf)
-                      for i in range(d))
-            worst = max(worst, dks)
-            passes += dks <= bound
-        return CheckResult(prefix + "copula_sampler_recovery", passes >= 2,
-                           worst, bound, f"{passes}/3 seeds within bound")
-    chk("copula_sampler_recovery", _copula_recovery)
+    check("copula_sampler_recovery")(lambda: _ks_recovery(
+        lambda s: np.sort(sample_copula(kernel, n_samples, seed=s), axis=1),
+        [comp.cdf for comp in delta.components], n_samples, seed + 101))
 
+    @check("copula_entropy_quad", quad=True)
     def _copula_entropy_quad():
-        if d > MAX_QUAD_DIM:
-            return CheckResult(prefix + "copula_entropy_quad", None,
-                               detail=f"d={d} beyond quadrature range")
         hc = copula_entropy_closed(delta)
         hq = c_pass()[1]
-        return _tolcheck(prefix + "copula_entropy_quad", abs(hc - hq), 1e-3,
-                         f"closed={hc:.6f} quadrature={hq:.6f}")
-    chk("copula_entropy_quad", _copula_entropy_quad)
+        return _tolcheck(abs(hc - hq), 1e-3, f"closed={hc:.6f} quadrature={hq:.6f}")
 
+    @check("component_entropy_bound")
     def _component_bounds():
         # |H(delta_(i))| <= d log d, entropy by quadrature; the slope cap
         # delta' <= d also gives the sharper H >= -log d
@@ -554,9 +578,7 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                              1, 0.0, 1.0, cuts=comp.knots())
             worst = max(worst, abs(h) - d * math.log(d),
                         -math.log(d) - h)
-        return _tolcheck(prefix + "component_entropy_bound", worst, 1e-6,
-                         "quadrature H within [-log d, 0]")
-    chk("component_entropy_bound", _component_bounds)
+        return _tolcheck(worst, 1e-6, "quadrature H within [-log d, 0]")
 
     return named
 
@@ -564,25 +586,24 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
 def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
                      grid: int) -> list:
     d = margins.d
-    named = []
+    named, check = _checklist(d)
     order = check_stochastic_order(margins)
 
-    named.append(("stochastic_order", lambda: CheckResult(
-        "stochastic_order", order.ordered,
-        detail="" if order.ordered else f"first violation {order.violations[0]}")))
+    check("stochastic_order")(lambda: _verdict(
+        order.ordered,
+        detail="" if order.ordered else f"first violation {order.violations[0]}"))
     if not order.ordered:
         return named
 
     rep = detect_degenerate(margins)
-    named.append(("degeneracy_class", lambda: CheckResult(
-        "degeneracy_class", True, detail=str(rep))))
+    check("degeneracy_class")(lambda: _verdict(True, detail=str(rep)))
 
     sigma = sigma_measure(margins)
-    named.append(("sigma_measure_zero", lambda: _tolcheck(
-        "sigma_measure_zero", sigma, 1e-9)))
+    check("sigma_measure_zero")(lambda: _tolcheck(sigma, 1e-9))
 
     delta = multidiagonal_from_marginals(margins)
 
+    @check("delta_inverse_consistency")
     def _dinv():
         u = np.linspace(0.01, 0.99, 99)
         worst = 0.0
@@ -590,39 +611,25 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
             a = delta_inverse(delta, i, u)
             b = delta.components[i - 1].ppf(u)
             worst = max(worst, float(np.max(np.abs(a - b))))
-        return _tolcheck("delta_inverse_consistency", worst, 1e-9)
-    named.append(("delta_inverse_consistency", _dinv))
+        return _tolcheck(worst, 1e-9)
 
-    def _j_transport():
-        jf = j_functional(margins, method="quadrature")
-        jd = j_functional_delta(delta, method="quadrature")
-        if math.isinf(jf) and math.isinf(jd):
-            return CheckResult("j_transport", True, detail="both infinite")
-        return _tolcheck("j_transport", abs(jf - jd), 1e-6,
-                         f"J(F)={jf:.9g} J(delta)={jd:.9g}")
-    named.append(("j_transport", _j_transport))
+    check("j_transport")(lambda: _routes_agree(
+        j_functional(margins, method="quadrature"),
+        j_functional_delta(delta, method="quadrature"), ("J(F)", "J(delta)")))
+    check("j_routes")(lambda: _routes_agree(
+        j_functional(margins, method="auto"),
+        j_functional(margins, method="quadrature"), ("auto", "quadrature")))
 
-    def _j_routes():
-        ja = j_functional(margins, method="auto")
-        jq = j_functional(margins, method="quadrature")
-        if math.isinf(ja) and math.isinf(jq):
-            return CheckResult("j_routes", True, detail="both infinite")
-        return _tolcheck("j_routes", abs(ja - jq), 1e-6,
-                         f"auto={ja:.9g} quadrature={jq:.9g}")
-    named.append(("j_routes", _j_routes))
-
+    @check("j_lower_bound")
     def _j_lower():
         jv = j_functional(margins, method="auto")
-        return CheckResult("j_lower_bound", jv >= d - 1 - 1e-9, jv,
-                           detail=f"J >= d-1 = {d - 1}")
-    named.append(("j_lower_bound", _j_lower))
+        return _verdict(jv >= d - 1 - 1e-9, jv, detail=f"J >= d-1 = {d - 1}")
 
     named.extend(_delta_checks(delta, seed=seed, n_samples=n_samples,
                                grid=grid, prefix="delta_"))
 
     if not rep.ok:
-        named.append(("model_checks", lambda: CheckResult(
-            "model_checks", None, detail=f"skipped: {rep.verdict}")))
+        check("model_checks")(lambda: _verdict(None, detail=f"skipped: {rep.verdict}"))
         return named
 
     model = build_model(margins)
@@ -630,58 +637,26 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
     hi = max(float(m.ppf(1.0 - 1e-12)) for m in margins.margins)
     margin_cuts = sorted({float(k) for m in margins.margins
                           for k in m.knots() if lo < float(k) < hi})
+    f_pass = _mass_and_entropy(lambda X: f_F_density(model, X), d, lo, hi, margin_cuts)
+    check("normalization_quad", quad=True)(lambda: _mass_is_one(f_pass))
 
-    def _mass_and_entropy():
-        # mass and -f log f from one density evaluation on one rule
-        def columns(X):
-            f = f_F_density(model, X)
-            return np.column_stack([f, -xlogx(f)])
-        return simplex_integral(columns, d, lo, hi,
-                                nodes=None if d < 3 else 128, cuts=margin_cuts)
-    # normalization_quad and entropy_three_way read this pass
-    f_pass = _once(_mass_and_entropy)
-
-    def _normalization():
-        if d > MAX_QUAD_DIM:
-            return CheckResult("normalization_quad", None,
-                               detail=f"d={d} beyond quadrature range")
-        val = f_pass()[0]
-        return _tolcheck("normalization_quad", abs(val - 1.0), 1e-3,
-                         f"integral={val:.8f}")
-    named.append(("normalization_quad", _normalization))
-
+    @check("entropy_three_way", quad=True)
     def _entropy_three_way():
-        if d > MAX_QUAD_DIM:
-            return CheckResult("entropy_three_way", None,
-                               detail=f"d={d} beyond quadrature range")
         hc = rep.entropy
         hq = f_pass()[1]
         X = sample(model, n_samples, seed=seed + 211)
         hm, se = mc_entropy(lambda Y: f_F_density(model, Y), X)
         qerr = abs(hc - hq)
-        merr = abs(hc - hm)
-        okq = qerr <= 2e-3
-        okm = merr <= 4.0 * max(se, 1e-12)
-        return CheckResult("entropy_three_way", okq and okm, qerr, 2e-3,
-                           f"closed={hc:.6f} quad={hq:.6f} mc={hm:.6f}+-{se:.4f}")
-    named.append(("entropy_three_way", _entropy_three_way))
+        ok = qerr <= 2e-3 and abs(hc - hm) <= 4.0 * max(se, 1e-12)
+        return _verdict(ok, qerr, 2e-3,
+                        f"closed={hc:.6f} quad={hq:.6f} mc={hm:.6f}+-{se:.4f}")
 
-    def _sampler_ks():
-        passes = 0
-        bound = KS_FACTOR / math.sqrt(n_samples)
-        worst = 0.0
-        for k in range(3):
-            X = sample(model, n_samples, seed=seed + 301 + k)
-            dks = max(ks_distance(X[:, i], margins.margins[i].cdf)
-                      for i in range(d))
-            worst = max(worst, dks)
-            passes += dks <= bound
-        return CheckResult("sampler_marginal_ks", passes >= 2, worst, bound,
-                           f"{passes}/3 seeds within bound")
-    named.append(("sampler_marginal_ks", _sampler_ks))
+    check("sampler_marginal_ks")(lambda: _ks_recovery(
+        lambda s: sample(model, n_samples, seed=s),
+        [m.cdf for m in margins.margins], n_samples, seed + 301))
 
+    @check("f_vanishes_off_support")
     def _vanish_joint():
-        rng = np.random.default_rng(seed + 401)
         X = sample(model, 200, seed=seed + 402)
         # unsorted rows must get density zero
         Xs = X.copy()
@@ -692,13 +667,13 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
             bad = int(np.sum(vals > 0))
         else:
             bad = 0
-        return CheckResult("f_vanishes_off_support", bad == 0, float(bad), 0.0)
-    named.append(("f_vanishes_off_support", _vanish_joint))
+        return _tolcheck(bad, 0.0)
 
+    @check("cF_consistency")
     def _cf_consistency():
         if sigma > 1e-9 or not all(m.is_absolutely_continuous
                                    for m in margins.margins):
-            return CheckResult("cF_consistency", None, detail="needs the zero-residual class")
+            return _verdict(None, detail="needs the zero-residual class")
         X = sample(model, 300, seed=seed + 501)
         fF = f_F_density(model, X)
         U = np.column_stack([margins.margins[j].cdf(X[:, j]) for j in range(d)])
@@ -708,20 +683,18 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
             prod *= np.asarray(margins.margins[j].pdf(X[:, j]), dtype=float)
         m = (fF > 0) & (cF > 0) & (prod > 0)
         if m.sum() < len(X) * 0.9:
-            return CheckResult("cF_consistency", False,
-                               detail=f"only {int(m.sum())}/{len(X)} sampled points on support")
+            return _verdict(False, detail=f"only {int(m.sum())}/{len(X)} sampled points on support")
         rel = float(np.max(np.abs(fF[m] - cF[m] * prod[m]) / fF[m]))
-        return _tolcheck("cF_consistency", rel, 1e-9)
-    named.append(("cF_consistency", _cf_consistency))
+        return _tolcheck(rel, 1e-9)
 
+    @check("product_form_locality")
     def _product_form():
         # log f differences must not depend on coordinates outside the
         # touched pair blocks: perturb coordinate j in two contexts.
         rng = np.random.default_rng(seed + 601)
         X = sample(model, 50, seed=seed + 602)
         if d < 3:
-            return CheckResult("product_form_locality", None,
-                               detail="needs d >= 3")
+            return _verdict(None, detail="needs d >= 3")
         worst = 0.0
         for _ in range(20):
             r1, r2 = rng.integers(0, len(X), size=2)
@@ -738,16 +711,14 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
             lhs = math.log(vals[0]) + math.log(vals[1])
             rhs = math.log(vals[2]) + math.log(vals[3])
             worst = max(worst, abs(lhs - rhs))
-        return _tolcheck("product_form_locality", worst, 1e-9,
-                         "tail-swap invariance of log f sums")
-    named.append(("product_form_locality", _product_form))
+        return _tolcheck(worst, 1e-9, "tail-swap invariance of log f sums")
 
+    @check("entropy_shift_identity")
     def _entropy_shift():
         # the shift identity is for copulas supported on the ordered image
         # region; c_F qualifies, the exchangeable c_delta does not
         if d != 2:
-            return CheckResult("entropy_shift_identity", None,
-                               detail="quadrature route kept to d=2")
+            return _verdict(None, detail="quadrature route kept to d=2")
         cfun = lambda U: c_F_density(margins, U, hazards=model.hazards)
         sfun = symmetrize_density(delta, cfun)
         # c_F lives on {u1 <= F_1(F_2^{-1}(u2))}; fitting the quadrature to
@@ -766,9 +737,8 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
                                       for k in comp.knots()])
         hdelta = sum(comp.entropy() for comp in delta.components)
         expect = math.log(2) + hdelta
-        return _tolcheck("entropy_shift_identity", abs((hs - hc) - expect), 1e-3,
+        return _tolcheck(abs((hs - hc) - expect), 1e-3,
                          f"H(shift)-H(c_F)={hs - hc:.6f} expected={expect:.6f}")
-    named.append(("entropy_shift_identity", _entropy_shift))
 
     return named
 
@@ -777,16 +747,11 @@ def run_full_verification(subject, *, n_samples: int = 10000, seed: int = 0,
                           grid: int = 1024) -> VerificationReport:
     """Run the consistency battery on a marginal vector or multidiagonal."""
     if isinstance(subject, MarginalVector):
-        named = _marginal_checks(subject, seed=seed, n_samples=n_samples,
-                                 grid=grid)
-        kind = "marginal_vector"
-        d = subject.d
+        kind, checks = "marginal_vector", _marginal_checks
     elif isinstance(subject, Multidiagonal):
-        named = _delta_checks(subject, seed=seed, n_samples=n_samples,
-                              grid=grid)
-        kind = "multidiagonal"
-        d = subject.d
+        kind, checks = "multidiagonal", _delta_checks
     else:
         raise TypeError(f"cannot verify a {type(subject).__name__}")
+    named = checks(subject, seed=seed, n_samples=n_samples, grid=grid)
     results = _run_checks(named, _thread_cap())
-    return VerificationReport(kind, d, tuple(results))
+    return VerificationReport(kind, subject.d, tuple(results))

@@ -1,0 +1,35 @@
+"""The public names of the package stay put."""
+
+import maxentos
+
+PUBLIC = {
+    "AverageCdf", "BetaOneKCdf", "CheckResult", "ComposedDeltaCdf",
+    "CopulaKernel", "Degenerate", "DegeneracyReport", "DimensionTooLarge",
+    "ExponentialCdf", "IntervalSet", "InvalidMarginal", "MarginalCdf",
+    "MarginalVector", "MaxEntModel", "MaxentError", "Multidiagonal",
+    "NotAbsolutelyContinuous", "NotInF0", "OrderStatUniformCdf", "OutOfPsi",
+    "PiecewiseLinearCdf", "RootBracketFailure", "UniformCdf",
+    "VerificationReport", "average_cdf", "build_model", "c_F_density",
+    "c_delta_density", "check_stochastic_order", "copula_entropy_closed",
+    "delta_inverse", "delta_psi", "detect_degenerate", "f_F_density",
+    "generalized_inverse", "hazard", "in_support_LF", "j_functional",
+    "j_functional_delta", "joint_entropy_closed", "ks_distance",
+    "marginal_from_dict", "marginal_vector_from_dict",
+    "multidiagonal_from_marginals", "multidiagonal_of_iid_uniform",
+    "order_stat_copula_entropy", "psi_intervals", "run_full_verification",
+    "sample", "sample_copula", "sigma_measure", "symmetrize_density",
+    "unsymmetrize_density", "validate_multidiagonal",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC) == 54
+    assert len(maxentos.__all__) == len(set(maxentos.__all__))
+    assert set(maxentos.__all__) == PUBLIC
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from maxentos import *", namespace)
+    for name in PUBLIC:
+        assert namespace[name] is getattr(maxentos, name)

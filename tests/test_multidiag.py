@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from maxentos import (CopulaKernel, MarginalVector, Multidiagonal,
-                      copula_entropy_closed,
+                      average_cdf, copula_entropy_closed,
                       delta_inverse, delta_psi, j_functional, j_functional_delta,
                       multidiagonal_from_marginals, multidiagonal_of_iid_uniform,
                       sigma_measure, validate_multidiagonal)
-from maxentos.cdfs import (BetaOneKCdf, OrderStatUniformCdf, PiecewiseLinearCdf,
-                           UniformCdf)
+from maxentos.cdfs import (BetaOneKCdf, ExponentialCdf, OrderStatUniformCdf,
+                           PiecewiseLinearCdf, UniformCdf)
 
 
 def test_sum_identity(exp3_delta, beta2_delta):
@@ -58,6 +58,27 @@ def test_delta_inverse_routes_agree(exp3_delta):
         assert np.abs(a - b).max() <= 1e-9
         comp = exp3_delta.components[i - 1]
         assert np.allclose(comp.cdf(a), u, atol=1e-10)
+
+
+@pytest.mark.parametrize("margins", [
+    MarginalVector((BetaOneKCdf(3), ExponentialCdf(1.0))),
+    MarginalVector((ExponentialCdf(3.0), ExponentialCdf(2.0), ExponentialCdf(1.0))),
+], ids=["beta3_exp1", "exp3"])
+def test_nan_maps_to_nan(margins):
+    # G^{-1}, the components' cdf, sf and ppf, and delta^{-1} give NaN at
+    # NaN, as the family ppfs do; pdf gives 0 there, as the family pdfs do
+    delta = multidiagonal_from_marginals(margins)
+    u = np.array([np.nan, 0.3, np.nan])
+    nan_at_ends = [True, False, True]
+    funcs = [average_cdf(margins).ppf]
+    for i, comp in enumerate(delta.components, start=1):
+        funcs += [comp.cdf, comp.sf, comp.ppf,
+                  lambda v, i=i: delta_inverse(delta, i, v)]
+        assert comp.pdf(math.nan) == 0.0
+        assert comp.pdf(u)[0] == 0.0 and comp.pdf(u)[2] == 0.0
+    for fn in funcs:
+        assert math.isnan(fn(math.nan))
+        assert np.isnan(fn(u)).tolist() == nan_at_ends
 
 
 def test_delta_psi_full_interval():

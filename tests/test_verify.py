@@ -220,12 +220,27 @@ def test_ks_distance_detects_shift():
     assert ks_distance(u * 0.5, lambda s: s) > 0.4
 
 
+DELTA_CHECKS = [
+    "multidiagonal_class", "sum_identity", "lipschitz_bound", "j_delta_routes",
+    "c_delta_normalization", "c_delta_symmetry", "c_delta_dual_route",
+    "c_delta_vanishes_off_support", "BE_identity", "K_singular_growth",
+    "kernel_tail_integral", "copula_sampler_recovery", "copula_entropy_quad",
+    "component_entropy_bound"]
+
+
 def test_battery_passes_on_smooth_example(beta2):
     rep = run_full_verification(beta2)
     assert rep.all_passed
     assert rep.subject_kind == "marginal_vector" and rep.d == 2
     names = [c.name for c in rep.checks]
     assert len(names) == len(set(names))
+    assert names == [
+        "stochastic_order", "degeneracy_class", "sigma_measure_zero",
+        "delta_inverse_consistency", "j_transport", "j_routes", "j_lower_bound",
+        *("delta_" + name for name in DELTA_CHECKS),
+        "normalization_quad", "entropy_three_way", "sampler_marginal_ks",
+        "f_vanishes_off_support", "cF_consistency", "product_form_locality",
+        "entropy_shift_identity"]
     payload = json.loads(rep.to_json())
     assert payload["all_passed"] is True
     assert {"name", "status", "value", "tol", "detail"} <= set(payload["checks"][0])
@@ -239,6 +254,7 @@ def test_battery_passes_on_iid_multidiagonal():
                                 n_samples=2000, grid=512)
     assert rep.all_passed
     assert rep.subject_kind == "multidiagonal" and rep.d == 3
+    assert [c.name for c in rep.checks] == DELTA_CHECKS
 
 
 def test_battery_passes_on_piecewise_multidiagonal():
@@ -255,6 +271,43 @@ def test_battery_reports_degeneracy_without_raising(uu):
     assert by_name["sigma_measure_zero"].passed is False
     assert by_name["model_checks"].passed is None  # skipped, not failed
     assert by_name["degeneracy_class"].passed
+
+
+def test_quadrature_checks_skip_beyond_range():
+    # called directly, the quadrature checks skip at d = 4; a body that
+    # ran would raise DimensionTooLarge from the quadrature
+    from maxentos import verify
+    exp4 = MarginalVector(tuple(ExponentialCdf(r) for r in (4.0, 3.0, 2.0, 1.0)))
+    gated = [
+        (verify._delta_checks(multidiagonal_of_iid_uniform(4), seed=0,
+                              n_samples=500, grid=256),
+         ["c_delta_normalization", "copula_entropy_quad"]),
+        (verify._marginal_checks(exp4, seed=0, n_samples=500, grid=256),
+         ["delta_c_delta_normalization", "delta_copula_entropy_quad",
+          "normalization_quad", "entropy_three_way"]),
+    ]
+    for named, names in gated:
+        checks = dict(named)
+        for name in names:
+            result = checks[name]()
+            assert (result.name, result.status, result.detail) == \
+                (name, "SKIP", "d=4 beyond quadrature range")
+
+
+def test_check_that_raises_fails_under_its_name(monkeypatch):
+    from maxentos import verify
+    named = verify._delta_checks(multidiagonal_of_iid_uniform(2), seed=0,
+                                 n_samples=500, grid=256, prefix="delta_")
+
+    def broken(*args):
+        raise RuntimeError("no distance")
+
+    monkeypatch.setattr(verify, "ks_distance", broken)
+    results = verify._run_checks(named, 1)
+    assert [r.name for r in results] == ["delta_" + name for name in DELTA_CHECKS]
+    failed = [r for r in results if r.status == "FAIL"]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("delta_copula_sampler_recovery", "RuntimeError: no distance")]
 
 
 def test_thread_cap_env_does_not_change_results(monkeypatch):
