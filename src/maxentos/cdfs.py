@@ -20,6 +20,10 @@ from scipy import integrate, special
 from .errors import InvalidMarginal
 
 _XLOGX_CLIP = 1e-300
+#: relative tolerance of the tanh-sinh panel rule behind every 1-D quadrature;
+#: its absolute tolerance only lets a panel that reads zero throughout settle
+_PANEL_RTOL = 1e-14
+_PANEL_ATOL = 5e-324
 
 
 def _as_float_array(x):
@@ -29,6 +33,35 @@ def _as_float_array(x):
 
 def _ret(arr, scalar):
     return float(arr) if scalar else arr
+
+
+def _panel_integral(fn, a, b):
+    """int_{a[k]}^{b[k]} fn(t) dt for every panel k, in one tanh-sinh call.
+
+    fn is elementwise and takes a 1-D array of nodes.  The rule resolves
+    log endpoint singularities and infinite ends; it may read fn at a
+    panel end or, for an infinite end, at +-inf, with zero weight there.  A
+    panel with finite ends and a finite value on which the rule did not
+    converge is integrated again, once, as its two halves.
+    """
+    a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
+    if a.size == 0:
+        return np.zeros(0)
+
+    def rule(lo, hi):
+        return integrate.tanhsinh(
+            lambda t: np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape),
+            lo, hi, atol=_PANEL_ATOL, rtol=_PANEL_RTOL)
+
+    res = rule(a, b)
+    val = np.array(res.integral, dtype=float, ndmin=1)
+    redo = ~np.atleast_1d(res.success) & np.isfinite(val) & np.isfinite(a) & np.isfinite(b)
+    if np.any(redo):
+        lo, hi = a[redo], b[redo]
+        mid = 0.5 * (lo + hi)
+        halves = np.atleast_1d(rule(np.concatenate([lo, mid]), np.concatenate([mid, hi])).integral)
+        val[redo] = halves[:mid.size] + halves[mid.size:]
+    return val
 
 
 def xlogx(p):
@@ -67,17 +100,9 @@ class MarginalCdf:
         if not self.is_absolutely_continuous:
             return -math.inf
         lo, hi = self.support
-        pts = sorted({k for k in self.knots() if lo < k < hi})
-
-        def integrand(t):
-            return -float(xlogx(self.pdf(t)))
-
-        total = 0.0
-        edges = [lo, *pts, hi]
-        for a, b in zip(edges[:-1], edges[1:]):
-            val, _ = integrate.quad(integrand, a, b, limit=200)
-            total += val
-        return total
+        edges = [lo, *sorted({k for k in self.knots() if lo < k < hi}), hi]
+        return float(np.sum(_panel_integral(lambda t: -xlogx(self.pdf(t)),
+                                            edges[:-1], edges[1:])))
 
     def to_dict(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} has no file representation")
@@ -138,12 +163,13 @@ class ExponentialCdf(MarginalCdf):
         return (0.0, math.inf)
 
     def cdf(self, x):
+        # np.maximum keeps NaN, so NaN reads NaN as in the other families
         x, scalar = _as_float_array(x)
-        return _ret(np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0), scalar)
+        return _ret(-np.expm1(-self.rate * np.maximum(x, 0.0)), scalar)
 
     def sf(self, x):
         x, scalar = _as_float_array(x)
-        return _ret(np.where(x > 0, np.exp(-self.rate * np.maximum(x, 0.0)), 1.0), scalar)
+        return _ret(np.exp(-self.rate * np.maximum(x, 0.0)), scalar)
 
     def pdf(self, x):
         x, scalar = _as_float_array(x)
@@ -490,20 +516,14 @@ class ComposedDeltaCdf(MarginalCdf):
         pts = sorted({k for k in set(self.base.knots()) | set(self.avg.knots()) if lo < k < hi})
 
         def integrand(s):
-            f = float(self.base.pdf(s))
-            if f <= _XLOGX_CLIP:
-                return 0.0
-            g = float(self.avg.pdf(s))
-            if g <= 0.0:
-                return 0.0
-            return -f * math.log(f / g)
+            f = np.asarray(self.base.pdf(s), dtype=float)
+            g = np.asarray(self.avg.pdf(s), dtype=float)
+            live = (f > _XLOGX_CLIP) & (g > 0.0)
+            ratio = np.where(live, f, 1.0) / np.where(live, g, 1.0)
+            return np.where(live, -f * np.log(ratio), 0.0)
 
-        total = 0.0
         edges = [lo, *pts, hi]
-        for a, b in zip(edges[:-1], edges[1:]):
-            val, _ = integrate.quad(integrand, a, b, limit=200)
-            total += val
-        return total
+        return float(np.sum(_panel_integral(integrand, edges[:-1], edges[1:])))
 
 
 class OrderStatUniformCdf(MarginalCdf):

@@ -417,7 +417,11 @@ def c_F_density(margins: MarginalVector, u, *, hazards=None) -> np.ndarray:
     x = np.empty_like(u)
     for j in range(d):
         x[:, j] = margins.margins[j].ppf(np.clip(u[:, j], 1e-300, 1.0))
-    valid = interior & in_support_LF(margins, x)
+    # rows with a u on the cube edge map to infinite x; keep them out of
+    # the support test, whose gap arithmetic reads inf - inf there
+    valid = interior.copy()
+    if np.any(interior):
+        valid[interior] = in_support_LF(margins, x[interior])
     for j in range(d):
         valid &= np.asarray(margins.margins[j].pdf(x[:, j]), dtype=float) > 0.0
     out = np.zeros(u.shape[0])

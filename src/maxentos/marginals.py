@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf, MarginalCdf,
                    OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf,
-                   marginal_from_dict)
+                   _panel_integral, marginal_from_dict)
 from .errors import InvalidMarginal
 from .hazards import (BetaPairHazard, ExpPairHazard, OrderStatPairHazard,
                       PiecewisePairHazard, TableHazard)
@@ -164,9 +164,9 @@ class _Pair:
     def hazard(self):
         return TableHazard(self.fp, self.fc, self.psi)
 
-    def density_and_gap(self, t: float):
-        """(f_cur(t), F_prev(t) - F_cur(t)) at a scalar t: the J integrand."""
-        return float(self.fc.pdf(t)), float(self.fp.cdf(t)) - float(self.fc.cdf(t))
+    def density_and_gap(self, t):
+        """(f_cur(t), F_prev(t) - F_cur(t)) at an array of t: the J integrand."""
+        return self.fc.pdf(t), self.fp.cdf(t) - self.fc.cdf(t)
 
     @property
     def j_quad(self) -> float:
@@ -457,38 +457,32 @@ J_DIVERGENCE_CAP = 1e6
 def _pair_j_quad(density_and_gap, psi: IntervalSet, knots) -> float:
     """Quadrature of int f_cur(t) |log(F_prev(t) - F_cur(t))| dt over Psi.
 
-    density_and_gap(t) gives f_cur(t) and the gap at a scalar t; the panels
-    split at the knots inside each separation interval.
+    density_and_gap(t) gives f_cur and the gap at an array of t; the panels
+    split at the knots inside each separation interval, and one panel rule
+    call integrates them all.
     """
 
     def integrand(t):
         f, gap = density_and_gap(t)
-        if f <= 0.0:
-            return 0.0
-        if gap > 1.0 + EQ_TOL:
-            raise InvalidMarginal(
-                f"CDF gap {gap!r} above 1 at t={t!r}; corrupt marginal input")
-        if gap <= 0.0:
-            gap = 5e-324
-        return f * abs(math.log(gap))
+        live = f > 0.0
+        bad = np.flatnonzero(live & (gap > 1.0 + EQ_TOL))
+        if bad.size:
+            k = bad[0]
+            raise InvalidMarginal(f"CDF gap {float(gap[k])!r} above 1 at "
+                                  f"t={float(t[k])!r}; corrupt marginal input")
+        return np.where(live, f * np.abs(np.log(np.maximum(gap, 5e-324))), 0.0)
 
-    total = 0.0
+    lo, hi = [], []
     for g, d in psi:
-        inner = sorted({k for k in knots if g < k < d})
-        edges = [g, *inner, d]
-        for a, b in zip(edges[:-1], edges[1:]):
-            val, err = integrate.quad(integrand, a, b, limit=400)
-            if not math.isfinite(val) or val > J_DIVERGENCE_CAP:
-                return math.inf
-            # refine a suspicious panel once before trusting it
-            if err > 1e-6 * max(1.0, abs(val)) and math.isfinite(a) and math.isfinite(b):
-                mid = 0.5 * (a + b)
-                v1, _ = integrate.quad(integrand, a, mid, limit=400)
-                v2, _ = integrate.quad(integrand, mid, b, limit=400)
-                val = v1 + v2
-            total += val
-        if total > J_DIVERGENCE_CAP:
-            return math.inf
+        edges = [g, *sorted({k for k in knots if g < k < d}), d]
+        lo += edges[:-1]
+        hi += edges[1:]
+    vals = _panel_integral(integrand, lo, hi)
+    total = float(np.sum(vals))
+    # a non-finite panel, or one or the sum above the cap, reads as divergent
+    if not (np.all(np.isfinite(vals)) and np.all(vals <= J_DIVERGENCE_CAP)
+            and total <= J_DIVERGENCE_CAP):
+        return math.inf
     return total
 
 

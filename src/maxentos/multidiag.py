@@ -18,7 +18,8 @@ of F, and in particular J(F) = J(delta^F).
 Like a marginal vector, a multidiagonal keeps one record per consecutive
 pair.  When it was built from marginals, record k is the transport of the
 source's record k under G: separation set and order verdict are read
-from the source record, and the J integrand inverts G once per node.
+from the source record, and the J integrand inverts G once per call, on
+all of the panel rule's nodes at once.
 """
 
 from __future__ import annotations
@@ -133,13 +134,16 @@ class _TransportedPair(_Pair):
         ok, witness = self.source.order
         return ok, None if witness is None else self._image(witness)
 
-    def density_and_gap(self, t: float):
-        # the components read 0 density and constant values outside (0, 1)
-        if not 0.0 < t < 1.0:
-            return 0.0, 0.0
-        x = self.G.ppf(t)
-        return (float(self.fc.pdf_at_base(x)),
-                float(self.fp.base.cdf(x)) - float(self.fc.base.cdf(x)))
+    def density_and_gap(self, t):
+        # the components read 0 density and constant values outside (0, 1);
+        # inside, one G^{-1} solve serves every node
+        f, gap = np.zeros_like(t), np.zeros_like(t)
+        inside = (t > 0.0) & (t < 1.0)
+        if np.any(inside):
+            x = self.G.ppf(t[inside])
+            f[inside] = self.fc.pdf_at_base(x)
+            gap[inside] = self.fp.base.cdf(x) - self.fc.base.cdf(x)
+        return f, gap
 
 
 def multidiagonal_from_marginals(F: MarginalVector) -> Multidiagonal:

@@ -42,9 +42,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
-from .cdfs import xlogx
+from .cdfs import _panel_integral, xlogx
 from .copula import (GAP_TOL, CopulaKernel, c_delta_density, c_F_density,
                      copula_entropy_closed, sample_copula, symmetrize_density)
 from .errors import DimensionTooLarge
@@ -542,7 +541,6 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                 t0 = g + frac * w
 
                 def integrand(s):
-                    s = np.atleast_1d(s)
                     if i == 1:
                         # K_1' exp(-K_1) collapses to the top component
                         # density; the quotient form overflows in the tail
@@ -551,8 +549,9 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                     # K_i' and K_i read at one x = G^{-1}(s)
                     x = kernel._avg.ppf(s)
                     return kernel._kprime_at(i, x) * np.exp(-kernel._K_at(i, x))
-                val, _ = quad(lambda s: float(integrand(np.array([s]))[0]),
-                              t0, hi, limit=200)
+                # the panels split at the kinks, as the other quadratures do
+                edges = [t0, *[k for k in kink_cuts if t0 < k < hi], hi]
+                val = float(np.sum(_panel_integral(integrand, edges[:-1], edges[1:])))
                 b0, b1 = kernel.B(i, np.array([t0, hi]))
                 expect = float(b0) - float(b1)
                 worst = max(worst, abs(val - expect))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
-                           OrderStatUniformCdf, PiecewiseLinearCdf,
-                           UniformCdf, generalized_inverse, marginal_from_dict)
+from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ComposedDeltaCdf,
+                           ExponentialCdf, OrderStatUniformCdf, PiecewiseLinearCdf,
+                           UniformCdf, _panel_integral, generalized_inverse,
+                           marginal_from_dict)
 from maxentos.errors import InvalidMarginal
 
 
@@ -96,6 +97,44 @@ def test_order_stat_uniform_polynomials():
         F = OrderStatUniformCdf(d, i)
         assert np.allclose(F.cdf(t), expect[i - 1], atol=1e-13)
         assert np.allclose(F.ppf(F.cdf(t[1:-1])), t[1:-1], rtol=1e-10)
+
+
+def test_panel_rule_splits_an_unconverged_panel_once():
+    # sqrt|t - 1/2| has an infinite slope inside [0, 1], where one pass of
+    # the rule stops 1.3e-5 off; its halves put the singularity at their ends
+    def fn(t):
+        return np.sqrt(np.abs(t - 0.5))
+
+    val = _panel_integral(fn, [0.0, 0.0], [1.0, 0.5])
+    assert val == pytest.approx([2 * 0.5 ** 1.5 / 1.5, 0.5 ** 1.5 / 1.5], rel=1e-13)
+    assert _panel_integral(fn, [], []).size == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_extreme_order_stat_entropy_is_beta_one_d(d):
+    # the first and last of d iid uniforms are Beta(1, d) and Beta(d, 1),
+    # whose entropy is -log d + (d - 1) / d
+    expect = -math.log(d) + (d - 1) / d
+    for i in (1, d):
+        assert OrderStatUniformCdf(d, i).entropy() == pytest.approx(expect, rel=1e-13)
+
+
+_EXP3 = (ExponentialCdf(3.0), ExponentialCdf(2.0), ExponentialCdf(1.0))
+
+
+@pytest.mark.parametrize("F", [
+    UniformCdf(0.0, 2.0), ExponentialCdf(2.0), BetaOneKCdf(3),
+    PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.75), (1.0, 1.0))),
+    OrderStatUniformCdf(3, 2), AverageCdf(_EXP3), ComposedDeltaCdf(_EXP3[0], AverageCdf(_EXP3)),
+], ids=["uniform", "exponential", "beta_1_k", "piecewise", "order_stat", "average_exp3",
+        "composed"])
+def test_nan_reads_nan_in_every_family(F):
+    x = np.array([math.nan, 0.25])
+    for fn in (F.cdf, F.sf):
+        out = np.asarray(fn(x))
+        assert math.isnan(out[0]) and not math.isnan(out[1])
+        assert math.isnan(fn(math.nan))
+    assert np.asarray(F.pdf(x))[0] == 0.0
 
 
 def test_average_cdf_mixes_components():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from maxentos import (MarginalVector, average_cdf, check_stochastic_order,
-                      in_support_LF, j_functional, marginal_vector_from_dict,
-                      psi_intervals, sigma_measure)
+from maxentos import (IntervalSet, MarginalVector, average_cdf,
+                      check_stochastic_order, in_support_LF, j_functional,
+                      marginal_vector_from_dict, marginals, psi_intervals,
+                      sigma_measure)
 from maxentos.cdfs import (BetaOneKCdf, ExponentialCdf, PiecewiseLinearCdf,
                            UniformCdf)
 from maxentos.errors import InvalidMarginal
@@ -74,6 +75,19 @@ def test_j_functional_routes_agree(beta2, exp3):
         closed = j_functional(mv, method="auto")
         quad = j_functional(mv, method="quadrature")
         assert quad == pytest.approx(closed, abs=1e-8)
+
+
+def test_j_quadrature_refuses_gap_above_one_where_density_is_positive():
+    psi = IntervalSet(((0.0, 1.0),))
+
+    def half_corrupt(t):
+        # gap 1.5 on (0, 1/2), where f_cur is 0, and 1/2 beyond
+        return np.where(t < 0.5, 0.0, 1.0), np.where(t < 0.5, 1.5, 0.5)
+
+    assert marginals._pair_j_quad(half_corrupt, psi, [0.5]) == pytest.approx(
+        0.5 * math.log(2.0), rel=1e-13)
+    with pytest.raises(InvalidMarginal, match="above 1"):
+        marginals._pair_j_quad(lambda t: (np.ones_like(t), np.full_like(t, 1.5)), psi, [])
 
 
 def test_marginal_vector_from_dict():

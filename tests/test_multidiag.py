@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy import special
 
 from maxentos import (CopulaKernel, MarginalVector, Multidiagonal,
                       average_cdf, copula_entropy_closed,
@@ -147,6 +148,43 @@ def test_transported_j_matches_general_route(margins):
     delta = multidiagonal_from_marginals(MarginalVector(margins))
     ref = j_functional(list(delta.components), method="quadrature")
     assert j_functional_delta(delta, method="quadrature") == pytest.approx(ref, rel=1e-14)
+
+
+def _exp_route_j(rate_prev, rate_cur):
+    return 1.0 + np.euler_gamma + float(special.digamma(rate_cur / (rate_prev - rate_cur) + 1.0))
+
+
+_TENT = (PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.75), (1.0, 1.0))),
+         PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))))
+
+
+@pytest.mark.parametrize("margins, expect", [
+    ((UniformCdf(0.0, 1.0), UniformCdf(0.0, 2.0)), 1.0 + math.log(2.0)),
+    (_TENT, 1.0 + math.log(2.0)),
+    ((UniformCdf(0.0, 1.0), UniformCdf(0.5, 1.5)), 0.5 + math.log(2.0)),
+    ((ExponentialCdf(2.0), ExponentialCdf(1.0)), _exp_route_j(2.0, 1.0)),
+    ((ExponentialCdf(5.0), ExponentialCdf(4.9)), _exp_route_j(5.0, 4.9)),
+    ((BetaOneKCdf(3), BetaOneKCdf(2)), _exp_route_j(3.0, 2.0)),
+    # mpmath at 40 digits
+    ((BetaOneKCdf(3), ExponentialCdf(1.0)), 1.4948250647889279),
+], ids=["uniform_0_2", "tent", "uniform_shift", "exp_2_1", "exp_5_4.9", "beta_3_2",
+        "beta3_exp1"])
+def test_j_quadrature_matches_closed_value_on_both_scales(margins, expect):
+    F = MarginalVector(margins)
+    assert j_functional(F, method="quadrature") == pytest.approx(expect, rel=1e-13)
+    assert j_functional_delta(multidiagonal_from_marginals(F), method="quadrature") == \
+        pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_j_quadrature_matches_order_stat_closed_terms(d):
+    iid = multidiagonal_of_iid_uniform(d)
+    closed = j_functional_delta(iid)
+    assert j_functional_delta(iid, method="quadrature") == pytest.approx(closed, rel=1e-13)
+    # the same vector as marginals: G is the identity, solved by Newton
+    transported = multidiagonal_from_marginals(MarginalVector(iid.components))
+    assert j_functional_delta(transported, method="quadrature") == \
+        pytest.approx(closed, rel=1e-13)
 
 
 def test_pickle_drops_pair_records(exp3):

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -362,32 +363,34 @@ def test_f_mass_and_entropy_share_one_pass(beta2, monkeypatch):
     assert len(passes) == 1
 
 
-def test_kernel_tail_integral_solves_g_inverse_once_per_node(beta2_delta, monkeypatch):
-    # K_i' and K_i are read at one x = G^{-1}(t) for every quad node
+def test_kernel_tail_integral_solves_g_inverse_once_per_integrand_call(beta2_delta, monkeypatch):
+    # the panel rule hands the integrand all of a level's nodes at once, and
+    # K_i' and K_i are read at one x = G^{-1}(t) for all of them
     from maxentos import verify
     named = dict(verify._delta_checks(beta2_delta, seed=0, n_samples=1000, grid=256))
-    solves, per_node = [], []
+    solves, per_call = [], []
     ppf = AverageCdf.ppf
     monkeypatch.setattr(AverageCdf, "ppf",
                         lambda self, u: (solves.append(1), ppf(self, u))[1])
-    quad = verify.quad
+    panel_integral = verify._panel_integral
 
-    def counted_quad(f, *args, **kwargs):
-        def node(s):
+    def counted(fn, *args):
+        def integrand(t):
             before = len(solves)
-            value = f(s)
-            per_node.append(len(solves) - before)
+            value = fn(t)
+            per_call.append(len(solves) - before)
             return value
-        return quad(node, *args, **kwargs)
+        return panel_integral(integrand, *args)
 
-    monkeypatch.setattr(verify, "quad", counted_quad)
+    monkeypatch.setattr(verify, "_panel_integral", counted)
     assert named["kernel_tail_integral"]().passed
-    assert len(per_node) > 0 and set(per_node) == {1}
+    assert len(per_call) > 0 and set(per_call) == {1}
 
 
 def test_j_checks_share_one_transported_integral(monkeypatch):
     # j_transport and delta_j_delta_routes read one J(delta) term, whose
-    # integrand solves G^{-1} once per quadrature node
+    # integrand solves G^{-1} once per call of the panel rule, on all of
+    # that call's nodes
     from maxentos import verify
     margins = MarginalVector((BetaOneKCdf(2), BetaOneKCdf(1)))
     named = dict(verify._marginal_checks(margins, seed=0, n_samples=1000, grid=256))
@@ -401,7 +404,18 @@ def test_j_checks_share_one_transported_integral(monkeypatch):
     monkeypatch.setattr(AverageCdf, "ppf", counted)
     results = [named[name]() for name in ("j_transport", "delta_j_delta_routes")]
     assert all(r.passed for r in results)
-    assert len(calls) <= 600
+    assert len(calls) <= 12
+
+
+def test_battery_raises_no_runtime_warning():
+    # edge rows of the shift identity's quadrature read x = inf; neither
+    # they nor the panel rule's log of a zero gap may warn
+    margins = MarginalVector((ExponentialCdf(2.0), ExponentialCdf(1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = run_full_verification(margins, n_samples=1000, grid=256)
+    failed = [(c.name, c.detail) for c in rep.checks if c.passed is False]
+    assert failed == []
 
 
 def _count_j_integrations(monkeypatch):
