@@ -27,12 +27,19 @@ from .errors import RootBracketFailure
 from .intervals import IntervalSet, interval_arrays
 
 
-def _cdf_gap(fp: MarginalCdf, fc: MarginalCdf, t) -> np.ndarray:
-    """F_prev(t) - F_cur(t), from whichever side keeps the subtraction
-    away from 1."""
+def _cdf_gap_terms(fp: MarginalCdf, fc: MarginalCdf, t):
+    """(a, b) with F_prev(t) - F_cur(t) = a - b, read from whichever side
+    keeps the subtraction away from 1: the CDFs where F_prev <= 1/2, the
+    survival functions (F_cur's first) above."""
     Fp = np.asarray(fp.cdf(t), dtype=float)
-    return np.where(Fp <= 0.5, Fp - np.asarray(fc.cdf(t), dtype=float),
-                    np.asarray(fc.sf(t), dtype=float) - np.asarray(fp.sf(t), dtype=float))
+    left = Fp <= 0.5
+    return (np.where(left, Fp, np.asarray(fc.sf(t), dtype=float)),
+            np.where(left, np.asarray(fc.cdf(t), dtype=float), np.asarray(fp.sf(t), dtype=float)))
+
+
+def _cdf_gap(fp: MarginalCdf, fc: MarginalCdf, t) -> np.ndarray:
+    """F_prev(t) - F_cur(t) on the exact side (see _cdf_gap_terms)."""
+    return np.subtract(*_cdf_gap_terms(fp, fc, t))
 
 
 class PairHazard:

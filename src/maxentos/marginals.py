@@ -19,12 +19,17 @@ Each consecutive pair is sorted once into a route (exponential, piecewise
 linear, consecutive order statistics, or general) and described by one
 record: separation set, order verdict, closed J term and hazard.  A
 MarginalVector keeps its records, so every layer reads the same ones.
+The general route reads F_prev - F_cur on its exact side (CDFs below 1/2,
+survival functions above) in one probe pass for set and verdict; a probe is
+separated where that gap exceeds rounding.  Runs at the grid's ends reach
+the support ends; other boundaries take one cdfs._newton_level per direction.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,16 +38,17 @@ from scipy import special
 
 from .cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf, MarginalCdf,
                    OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf,
-                   _panel_integral, marginal_from_dict)
+                   _newton_level, _panel_integral, marginal_from_dict)
 from .errors import InvalidMarginal
 from .hazards import (BetaPairHazard, ExpPairHazard, OrderStatPairHazard,
-                      PiecewisePairHazard, TableHazard)
+                      PiecewisePairHazard, TableHazard, _cdf_gap, _cdf_gap_terms)
 from .intervals import IntervalSet, merge_closed_intervals
 
 #: absolute tolerance for CDF-value equality
 EQ_TOL = 1e-12
-#: relative separation recognized in either tail, where absolute gaps vanish
-REL_TAIL = 1e-6
+# separation needs a gap beyond 16 ulps of the term it is read from: the
+# same law by two formulas differs by at most 3 ulps on the probe grid
+_SLACK = 16 * np.finfo(float).eps
 #: default number of probe points per pair
 ORDER_GRID = 4096
 
@@ -105,6 +111,11 @@ def _as_piecewise(m: MarginalCdf):
     return None
 
 
+def _excess(a, b):
+    """The gap a - b beyond the rounding slack: positive where separated."""
+    return a - b - _SLACK * a
+
+
 def _probe_points(fp: MarginalCdf, fc: MarginalCdf, n: int = ORDER_GRID):
     eps = 1e-13
     lo = min(fp.ppf(eps), fc.ppf(eps))
@@ -116,37 +127,17 @@ def _probe_points(fp: MarginalCdf, fc: MarginalCdf, n: int = ORDER_GRID):
     for m in (fp, fc):
         pts.append(np.clip(m.ppf(qs), lo, hi))
         pts.append(np.array([k for k in m.knots() if lo <= k <= hi], dtype=float))
-    return np.unique(np.concatenate(pts)), lo, hi
-
-
-def _separated(fp: MarginalCdf, fc: MarginalCdf, s):
-    """Whether F_prev(s) > F_cur(s), absolutely or relatively in a tail."""
-    Fp, Fc = fp.cdf(s), fc.cdf(s)
-    gap = Fp - Fc
-    left = (Fp > (1.0 + REL_TAIL) * Fc) & (Fp > 0.0)
-    right = ((1.0 - Fc) > (1.0 + REL_TAIL) * (1.0 - Fp)) & (Fc < 1.0)
-    return (gap > EQ_TOL) | left | right
-
-
-def _refine_boundary(fp, fc, s_true, s_false, iters: int = 80) -> float:
-    """Bisect the separation predicate between a true and a false probe."""
-    for _ in range(iters):
-        mid = 0.5 * (s_true + s_false)
-        if bool(_separated(fp, fc, mid)):
-            s_true = mid
-        else:
-            s_false = mid
-    return 0.5 * (s_true + s_false)
+    return np.unique(np.concatenate(pts))
 
 
 class _Pair:
     """A consecutive pair (F_prev, F_cur) on the general route.
 
     The record computes each piece at most once, on first use: the
-    separation set (through psi_pair), the order verdict with a witness,
-    the closed J term (None: J by quadrature), the quadrature J term and
-    the hazard.  Here the set and the verdict come from probes and the
-    hazard is tabulated.
+    separation set, the order verdict with a witness, the closed J term
+    (None: J by quadrature), the quadrature J term and the hazard.  Here
+    the set and the verdict read the exact-side gap on one probe pass, and
+    the hazard is tabulated.
     """
 
     j_closed = None
@@ -166,7 +157,7 @@ class _Pair:
 
     def density_and_gap(self, t):
         """(f_cur(t), F_prev(t) - F_cur(t)) at an array of t: the J integrand."""
-        return self.fc.pdf(t), self.fp.cdf(t) - self.fc.cdf(t)
+        return self.fc.pdf(t), _cdf_gap(self.fp, self.fc, t)
 
     @property
     def j_quad(self) -> float:
@@ -179,63 +170,48 @@ class _Pair:
             return self._j_quad
 
     @cached_property
+    def _probes(self):
+        """The probe grid and the gap terms on it: one pass serves both the
+        order verdict and the separation set."""
+        s = _probe_points(self.fp, self.fc)
+        return (s, *_cdf_gap_terms(self.fp, self.fc, s))
+
+    @cached_property
     def order(self):
         """(ordered, witness) for F_prev >= F_cur everywhere."""
-        fp, fc = self.fp, self.fc
-        probes, _, _ = _probe_points(fp, fc)
-        D = fp.cdf(probes) - fc.cdf(probes)
+        probes, a, b = self._probes
+        D = a - b
         j = int(np.argmin(D))
         if D[j] >= -EQ_TOL:
             return True, None
         # sharpen the witness locally
-        a = probes[max(j - 1, 0)]
-        b = probes[min(j + 1, len(probes) - 1)]
-        fine = np.linspace(a, b, 257)
-        Df = fp.cdf(fine) - fc.cdf(fine)
-        jf = int(np.argmin(Df))
-        return False, float(fine[jf])
+        fine = np.linspace(probes[max(j - 1, 0)], probes[min(j + 1, len(probes) - 1)], 257)
+        return False, float(fine[np.argmin(_cdf_gap(self.fp, self.fc, fine))])
 
     def separation(self) -> IntervalSet:
+        """Runs of probes whose gap exceeds rounding, bounded by the support
+        ends at the grid's ends and by the solved crossings in between."""
         fp, fc = self.fp, self.fc
-        probes, lo, hi = _probe_points(fp, fc)
-        mask = _separated(fp, fc, probes)
-        if not np.any(mask):
-            return IntervalSet()
-        left_edge = fp.support[0]
-        right_edge = fc.support[1]
-        snap = 1e-9 * max(1.0, hi - lo)
-        snap_targets = [k for m in (fp, fc) for k in m.knots() if math.isfinite(k)]
-        intervals = []
-        j = 0
-        n = len(probes)
-        while j < n:
-            if not mask[j]:
-                j += 1
-                continue
-            j1 = j
-            while j1 + 1 < n and mask[j1 + 1]:
-                j1 += 1
-            if j == 0:
-                g = left_edge
-            else:
-                g = _refine_boundary(fp, fc, probes[j], probes[j - 1])
-            if j1 == n - 1:
-                d = right_edge
-            else:
-                d = _refine_boundary(fp, fc, probes[j1], probes[j1 + 1])
-            for target in snap_targets:
-                if math.isfinite(g) and abs(g - target) <= snap:
-                    g = target
-                if math.isfinite(d) and abs(d - target) <= snap:
-                    d = target
-            if math.isfinite(g) and g - left_edge <= snap:
-                g = left_edge
-            if math.isfinite(d) and right_edge - d <= snap:
-                d = right_edge
-            if g < d:
-                intervals.append((g, d))
-            j = j1 + 1
-        return IntervalSet(tuple(intervals))
+        probes, a, b = self._probes
+        sep = _excess(a, b) > 0.0
+        turn = np.diff(sep.astype(np.int8))
+
+        def crossings(j, sign):
+            # one solve for all brackets [probes[j], probes[j + 1]]: sign
+            # times the excess rises through 0 in each
+            if j.size == 0:
+                return []
+            return list(_newton_level(lambda x: sign * _excess(*_cdf_gap_terms(fp, fc, x)),
+                                      lambda x: sign * (fp.pdf(x) - fc.pdf(x)),
+                                      np.zeros(j.size), probes[j], probes[j + 1]))
+
+        starts = crossings(np.flatnonzero(turn > 0), 1.0)
+        ends = crossings(np.flatnonzero(turn < 0), -1.0)
+        if sep[0]:
+            starts.insert(0, fp.support[0])
+        if sep[-1]:
+            ends.append(fc.support[1])
+        return IntervalSet(tuple((float(g), float(d)) for g, d in zip(starts, ends) if g < d))
 
 
 class _PiecewisePair(_Pair):
@@ -327,7 +303,22 @@ def _order_stat_pair(fp, fc) -> _ClosedPair:
     return _ClosedPair(fp, fc, 1.0, (True, None), j, OrderStatPairHazard)
 
 
+# the live record of each pair of margin objects: a record asking psi_pair
+# for its set answers itself, from its own probe pass
+_records, _records_lock = weakref.WeakValueDictionary(), threading.Lock()
+
+
 def _pair(fp: MarginalCdf, fc: MarginalCdf) -> _Pair:
+    """The record of the pair: the live one if any, else a new one."""
+    key = (id(fp), id(fc))
+    with _records_lock:
+        record = _records.get(key)
+        if record is None:
+            record = _records[key] = _route(fp, fc)
+    return record
+
+
+def _route(fp: MarginalCdf, fc: MarginalCdf) -> _Pair:
     """Sort a consecutive pair into its route: the one family dispatch.
 
     BetaOneKCdf(k) is ExponentialCdf(k) in s = -log(1 - t), so beta_1_k
@@ -349,7 +340,7 @@ def _pair(fp: MarginalCdf, fc: MarginalCdf) -> _Pair:
 
 def _pairs(F) -> tuple:
     """Records of F's consecutive pairs: kept on a MarginalVector or a
-    Multidiagonal, fresh for a plain sequence of CDFs."""
+    Multidiagonal, from _pair for a plain sequence of CDFs."""
     pairs = getattr(F, "pairs", None)
     if pairs is not None:
         return pairs

@@ -34,6 +34,7 @@ import numpy as np
 from .cdfs import (AverageCdf, ComposedDeltaCdf, MarginalCdf,
                    OrderStatUniformCdf)
 from .errors import InvalidMarginal
+from .hazards import _cdf_gap
 from .intervals import IntervalSet
 from .marginals import (MarginalVector, _Pair, _pairs, average_cdf,
                         j_functional, sigma_measure)
@@ -142,7 +143,7 @@ class _TransportedPair(_Pair):
         if np.any(inside):
             x = self.G.ppf(t[inside])
             f[inside] = self.fc.pdf_at_base(x)
-            gap[inside] = self.fp.base.cdf(x) - self.fc.base.cdf(x)
+            gap[inside] = _cdf_gap(self.fp.base, self.fc.base, x)
         return f, gap
 
 
