@@ -35,6 +35,19 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _per_distinct(fn, x):
+    """fn(x) for an elementwise fn, evaluated once per distinct value of x.
+
+    x is flattened and fn reads its sorted distinct values (NaNs as one,
+    -0.0 with 0.0), and the results are gathered back into x's shape.  On a
+    tensor grid, whose columns repeat a few levels, fn's cost follows the
+    number of levels instead of the number of points.
+    """
+    x = np.asarray(x, dtype=float)
+    levels, inverse = np.unique(x.ravel(), return_inverse=True)
+    return np.asarray(fn(levels), dtype=float)[inverse].reshape(x.shape)
+
+
 def _panel_integral(fn, a, b):
     """int_{a[k]}^{b[k]} fn(t) dt for every panel k, in one tanh-sinh call.
 
@@ -42,7 +55,10 @@ def _panel_integral(fn, a, b):
     log endpoint singularities and infinite ends; it may read fn at a
     panel end or, for an infinite end, at +-inf, with zero weight there.  A
     panel with finite ends and a finite value on which the rule did not
-    converge is integrated again, once, as its two halves.
+    converge is integrated again, once, as its two halves.  On a panel at most
+    4 ulps wide the rule's nodes round onto a few floats, those on an end
+    weighted 0, and it returns NaN or a value far off: such a panel takes
+    the midpoint rule instead.
     """
     a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
     if a.size == 0:
@@ -61,6 +77,11 @@ def _panel_integral(fn, a, b):
         mid = 0.5 * (lo + hi)
         halves = np.atleast_1d(rule(np.concatenate([lo, mid]), np.concatenate([mid, hi])).integral)
         val[redo] = halves[:mid.size] + halves[mid.size:]
+    narrow = np.isfinite(a) & np.isfinite(b) & (
+        b - a <= 4.0 * np.spacing(np.fmax(np.abs(a), np.abs(b))))
+    if np.any(narrow):
+        lo, hi = a[narrow], b[narrow]
+        val[narrow] = (hi - lo) * np.asarray(fn(0.5 * (lo + hi)), dtype=float)
     return val
 
 
@@ -416,8 +437,18 @@ class AverageCdf(MarginalCdf):
         return self._mean("pdf", x)
 
     def ppf(self, u):
+        """G^{-1}(u), elementwise over u of any shape.
+
+        Each distinct level is solved once (_per_distinct), by bracketed
+        Newton between the component quantiles: a grid's columns cost one
+        solve per level they hold, and a (d, n) array of d columns is
+        solved as their union.
+        """
         u, scalar = _as_float_array(u)
-        u = np.atleast_1d(u)
+        return _ret(_per_distinct(self._solve_levels, u), scalar)
+
+    def _solve_levels(self, u):
+        """G^{-1} at a 1-D array of levels."""
         out = np.full_like(u, math.nan)
         out[u <= 0.0] = -math.inf
         out[u > 1.0] = math.inf
@@ -432,7 +463,7 @@ class AverageCdf(MarginalCdf):
             if np.any(part):
                 qs = np.array([c.ppf(u[part]) for c in self.components])
                 out[part] = _newton_level(fn, self.pdf, level[part], qs.min(axis=0), qs.max(axis=0))
-        return _ret(out[0] if scalar else out, scalar)
+        return out
 
     def knots(self):
         ks = set()

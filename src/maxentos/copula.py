@@ -152,10 +152,11 @@ class CopulaKernel:
     def _log_density(self, v: np.ndarray) -> np.ndarray:
         """log c at sorted rows v on the support.
 
-        The joint log-density at x = G^{-1}(v), one solve per column, less
-        log g(x_i) for every column and log d!.
+        The joint log-density at x = G^{-1}(v), less log g(x_i) for every
+        column and log d!.  One G^{-1} call takes all d columns, so each
+        distinct level among them is solved once.
         """
-        xs = [self._avg.ppf(col) for col in v.T]
+        xs = self._avg.ppf(v.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             logc = np.log(self._first.pdf(xs[0])) - math.lgamma(self.d + 1)
             for x in xs:

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .cdfs import MarginalCdf, OrderStatUniformCdf, _newton_level
+from .cdfs import MarginalCdf, OrderStatUniformCdf, _newton_level, _per_distinct
 from .errors import RootBracketFailure
 from .intervals import IntervalSet, interval_arrays
 
@@ -332,10 +332,11 @@ class CumulativeTable:
     """Cumulative integral of a vectorized integrand over graded nodes.
 
     Node-to-node increments are 32-point Gauss-Legendre panels, computed
-    once; value(t) adds a fresh panel from the preceding node to t, so
-    accuracy is panel accuracy, not interpolation accuracy.  Values are
-    anchored to 0 at the middle node, and queries outside the node range
-    clamp to the edge values.
+    once; value(t) adds a fresh panel from the preceding node to each
+    distinct t, so accuracy is panel accuracy, not interpolation accuracy,
+    and a grid pays one panel per abscissa it holds.  Values are anchored
+    to 0 at the middle node, and queries outside the node range clamp to
+    the edge values.
     """
 
     def __init__(self, integrand, nodes: np.ndarray):
@@ -350,15 +351,22 @@ class CumulativeTable:
         self.cum = cum - cum[len(cum) // 2]
 
     def _panel(self, k, t):
-        """Integral from node k to t, by one fresh panel."""
+        """Integral from node k to t, by one fresh panel.
+
+        Each panel's weighted sum runs in one fixed order (a row
+        reduction, not a BLAS product, whose rounding depends on a row's
+        place in the batch), so a panel's value depends only on its t.
+        """
         x0 = self.nodes[k]
         half = 0.5 * (t - x0)
         pts = x0[:, None] + half[:, None] * (_GL_X[None, :] + 1.0)
         vals = np.asarray(self.h(pts.ravel()), dtype=float).reshape(pts.shape)
-        return (vals @ _GL_W) * half
+        return np.sum(vals * _GL_W, axis=1) * half
 
     def value(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return _per_distinct(self._value, np.atleast_1d(t))
+
+    def _value(self, t):
         tc = np.clip(t, self.nodes[0], self.nodes[-1])
         k = np.clip(np.searchsorted(self.nodes, tc, side="right") - 1, 0, len(self.nodes) - 2)
         return self.cum[k] + self._panel(k, tc)

@@ -110,6 +110,15 @@ def test_panel_rule_splits_an_unconverged_panel_once():
     assert _panel_integral(fn, [], []).size == 0
 
 
+def test_panel_rule_reads_a_panel_a_few_ulps_wide():
+    # tanh-sinh returns NaN or a value far off on these: its nodes round
+    # onto a few floats, and those on an end weigh 0
+    ulp = np.spacing(1.0)
+    widths = np.arange(1, 5) * ulp
+    val = _panel_integral(lambda t: 2.0 + 0.0 * t, np.ones(4), 1.0 + widths)
+    assert np.array_equal(val, 2.0 * widths)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_extreme_order_stat_entropy_is_beta_one_d(d):
     # the first and last of d iid uniforms are Beta(1, d) and Beta(d, 1),

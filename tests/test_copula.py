@@ -163,7 +163,8 @@ def test_kernel_rejects_non_multidiagonal():
 
 @pytest.mark.parametrize("name", ["exp3_delta", "beta2_delta"])
 def test_density_solves_g_inverse_once_per_column(name, request, monkeypatch):
-    # every factor a_i, a_1 included, reads the one quantile G^{-1}(u_(i))
+    # every factor a_i, a_1 included, reads the one quantile G^{-1}(u_(i)),
+    # and all d columns go to G^{-1} in one call
     delta = request.getfixturevalue(name)
     kernel = CopulaKernel(delta)
     calls = []
@@ -172,7 +173,7 @@ def test_density_solves_g_inverse_once_per_column(name, request, monkeypatch):
     u = np.random.default_rng(5).random((500, delta.d))
     c = c_delta_density(kernel, u)
     assert np.count_nonzero(c) > 0
-    assert len(calls) == delta.d
+    assert len(calls) == 1
 
 
 def _tent_components():
