@@ -138,6 +138,9 @@ def _write_meta(args, digest: str, extra: dict) -> None:
 
 
 def _write_csv(args, digest: str, header: list[str], rows) -> None:
+    """Write the header, then each block of rows: a 2-D array of numbers,
+    or a pair (text, numbers) of 2-D arrays whose text cells, already
+    rendered, go before the number cells of the same rows."""
     # surface evaluation errors before anything is written
     rows = iter(rows)
     first = next(rows, None)
@@ -146,13 +149,17 @@ def _write_csv(args, digest: str, header: list[str], rows) -> None:
         out.write(",".join(header) + "\n")
         count = 0
         for block in ([] if first is None else itertools.chain([first], rows)):
-            block = np.atleast_2d(block)
-            line = ",".join([_CSV_FMT] * block.shape[1]) + "\n"
+            if isinstance(block, tuple):
+                cells, n_text = np.hstack(block), block[0].shape[1]
+            else:
+                cells, n_text = np.atleast_2d(block), 0
+            line = ",".join(["%s"] * n_text
+                            + [_CSV_FMT] * (cells.shape[1] - n_text)) + "\n"
             # one % per chunk of rows; chunks keep the text small
-            for start in range(0, block.shape[0], _CSV_CHUNK):
-                chunk = block[start:start + _CSV_CHUNK]
+            for start in range(0, cells.shape[0], _CSV_CHUNK):
+                chunk = cells[start:start + _CSV_CHUNK]
                 out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
-            count += block.shape[0]
+            count += cells.shape[0]
     finally:
         if out is not sys.stdout:
             out.close()
@@ -248,14 +255,18 @@ def _axis_box(margins: MarginalVector):
 
 
 def _grid_rows(axes, density_fn, chunk: int = 1 << 14):
+    """Blocks (coordinate text, density column) over the grid in C order,
+    last axis fastest.  Each axis level is rendered once, here where the
+    grid is known: d*g strings instead of d*g**d."""
     sizes = [len(a) for a in axes]
     total = math.prod(sizes)
+    labels = [np.array([_CSV_FMT % v for v in a.tolist()], dtype=object)
+              for a in axes]
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        multi = np.unravel_index(idx, sizes)
-        pts = np.column_stack([axes[k][multi[k]] for k in range(len(axes))])
-        vals = density_fn(pts)
-        yield np.column_stack([pts, vals])
+        multi = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
+        pts = np.column_stack([a[i] for a, i in zip(axes, multi)])
+        text = np.column_stack([lab[i] for lab, i in zip(labels, multi)])
+        yield text, density_fn(pts)[:, None]
 
 
 def cmd_density(subject, args, digest) -> int:
@@ -270,11 +281,11 @@ def cmd_density(subject, args, digest) -> int:
         rows = _grid_rows(axes, lambda P: c_delta_density(kernel, P))
         _write_csv(args, digest, header, rows)
         return 0
-    rep = detect_degenerate(subject)
+    model = build_model(subject)
+    rep = model.degeneracy
     if not rep.ok and not _forced(rep, args):
         print(f"degenerate model, no density: {rep}", file=sys.stderr)
         return 1
-    model = build_model(subject)
     lows, highs = _axis_box(subject)
     axes = [np.linspace(lows[k], highs[k], grid) for k in range(subject.d)]
     header = [f"x{i}" for i in range(1, subject.d + 1)] + ["f"]

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import itertools
 import json
 import math
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from maxentos import cli, f_F_density
+from maxentos.copula import CopulaKernel, c_delta_density
 from maxentos.joint import build_model
 from maxentos.marginals import marginal_vector_from_dict
+from maxentos.multidiag import Multidiagonal
 
 EXP3 = {"margins": [{"family": "exponential", "rate": 3.0},
                     {"family": "exponential", "rate": 2.0},
@@ -38,6 +41,57 @@ def test_csv_writer_matches_per_value_format(capsys):
     ref = "a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
                               for b in blocks for row in np.atleast_2d(b))
     assert capsys.readouterr().out == ref
+
+
+def test_csv_writer_text_cells_match_numbers(capsys):
+    X = np.array([[math.inf, 1.0, -2.5], [-math.inf, 0.1, 3.0],
+                  [math.nan, -0.0, 7e-310], [-0.0, 2.0, -1e-5],
+                  [5e-324, 1e300, 0.0], [1e308, -3.0, 1.0 / 3.0]])
+    text = np.array([["%.17g" % v for v in row] for row in X[:, :2].tolist()],
+                    dtype=object)
+    args = argparse.Namespace(output=None)
+    cli._write_csv(args, "", ["a", "b", "c"], [X])
+    numbers = capsys.readouterr().out
+    cli._write_csv(args, "", ["a", "b", "c"], [(text, X[:, 2:])])
+    assert capsys.readouterr().out == numbers
+
+
+BETA5 = {"margins": [{"family": "beta_1_k", "k": k} for k in (5, 4, 3, 2, 1)]}
+
+
+@pytest.mark.parametrize("spec, grid, multidiagonal", [
+    (TENT, 100, False),
+    (BETA5, 7, False),      # 16,807 rows: two 16,384-row chunks of _grid_rows
+    (TENT, 30, True),
+], ids=["tent", "beta5", "tent-multidiagonal"])
+def test_density_csv_bytes_match_per_value_format(tmp_path, spec, grid,
+                                                  multidiagonal):
+    out = tmp_path / "f.csv"
+    argv = ["density", "--input", write_spec(tmp_path, spec), "--grid", str(grid),
+            "--output", str(out)] + (["--multidiagonal"] if multidiagonal else [])
+    assert cli.main(argv) == 0
+    margins = marginal_vector_from_dict(spec)
+    d = margins.d
+    if multidiagonal:
+        axes = [np.linspace(0.0, 1.0, grid)] * d
+        header = [f"u{i}" for i in range(1, d + 1)] + ["c"]
+    else:
+        lows, highs = cli._axis_box(margins)
+        axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
+        header = [f"x{i}" for i in range(1, d + 1)] + ["f"]
+    # C order over the grid, last axis fastest
+    P = np.array(list(itertools.product(*axes)))
+    if multidiagonal:
+        f = c_delta_density(CopulaKernel(Multidiagonal(components=margins.margins)), P)
+    else:
+        f = f_F_density(build_model(margins), P)
+    ref = ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n"
+        for row in np.column_stack([P, f]).tolist())
+    assert out.read_bytes() == ref.encode()
+    meta = json.loads((tmp_path / "f.csv.meta.json").read_text())
+    assert meta["rows"] == grid ** d
+    assert meta["columns"] == header
 
 
 def test_validate_ok(tmp_path, capsys):
