@@ -107,7 +107,7 @@ class CopulaKernel:
         # joint model's
         pairs = dict(enumerate(pairs, start=2))
         self._hazard_psis = {i: p.psi for i, p in pairs.items()}
-        self._hazards = {i: TableHazard(p.fp, p.fc, p.psi) if mode == "quadrature"
+        self._hazards = {i: TableHazard(p) if mode == "quadrature"
                          else p.hazard for i, p in pairs.items()}
         # K_i is zero at the midpoint of each interval of Psi_i
         self._anchors = {}
@@ -159,8 +159,10 @@ class CopulaKernel:
         xs = self._avg.ppf(v.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             logc = np.log(self._first.pdf(xs[0])) - math.lgamma(self.d + 1)
-            for x in xs:
-                logc -= np.log(self._avg.pdf(x))
+            # log g is 0 for the identity G
+            if not isinstance(self._avg, _Identity):
+                for x in xs:
+                    logc -= np.log(self._avg.pdf(x))
             for i, hz in self._hazards.items():
                 x, prev = xs[i - 1], xs[i - 2]
                 logc += np.log(hz.ell(x)) - (hz.theta(x) - hz.theta(prev))
@@ -243,6 +245,13 @@ def _sort_rows(u: np.ndarray) -> np.ndarray:
     return np.stack(cols).T
 
 
+def _rows_sorted(u: np.ndarray) -> bool:
+    """Whether every row of u is nondecreasing, a NaN failing its compare:
+    then _sort_rows would return u's values, bit for bit."""
+    cols = u.T
+    return all(np.all(a <= b) for a, b in zip(cols[:-1], cols[1:]))
+
+
 def c_delta_density(kernel: CopulaKernel, u) -> np.ndarray:
     """Copula density at points of [0, 1]^d; zero outside the support.
 
@@ -256,7 +265,8 @@ def c_delta_density(kernel: CopulaKernel, u) -> np.ndarray:
     if u.shape[1] != kernel.d:
         raise ValueError(f"points must have {kernel.d} columns")
     d = kernel.d
-    v = _sort_rows(u)
+    # rows already sorted (an ordered-region rule's) are their own sort
+    v = u if _rows_sorted(u) else _sort_rows(u)
     # a NaN fills its row, so the end columns decide the [0, 1] range
     valid = (v[:, 0] >= 0.0) & (v[:, -1] <= 1.0)
     for i in range(2, d + 1):
@@ -341,6 +351,16 @@ def _delta_values_and_slopes(delta: Multidiagonal, v: np.ndarray):
     return vals, slopes
 
 
+def _log_product(slopes: np.ndarray) -> np.ndarray:
+    """sum_i log slopes[:, i], added column by column, left to right."""
+    cols = slopes.T
+    with np.errstate(divide="ignore"):
+        acc = np.log(cols[0])
+        for c in cols[1:]:
+            acc = acc + np.log(c)
+    return acc
+
+
 def symmetrize_density(delta: Multidiagonal, c_fn):
     """Exchangeable density of the multidiagonal shift of a copula density.
 
@@ -352,11 +372,10 @@ def symmetrize_density(delta: Multidiagonal, c_fn):
 
     def s(u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        v = _sort_rows(u)
+        v = u if _rows_sorted(u) else _sort_rows(u)
         vals, slopes = _delta_values_and_slopes(delta, v)
         cvals = np.asarray(c_fn(vals), dtype=float)
-        with np.errstate(divide="ignore"):
-            logprod = np.sum(np.log(slopes), axis=1)
+        logprod = _log_product(slopes)
         out = np.zeros(u.shape[0])
         # a NaN fills its row; G^{-1} would read it as a number
         live = (cvals > 0.0) & np.isfinite(logprod) & ~np.isnan(v[:, 0])
@@ -383,10 +402,11 @@ def unsymmetrize_density(delta: Multidiagonal, s_fn):
             w[:, i - 1] = delta_inverse(delta, i, u[:, i - 1])
         _, slopes = _delta_values_and_slopes(delta, w)
         svals = np.asarray(s_fn(w), dtype=float)
-        ordered = np.all(w[:, 1:] >= w[:, :-1] - GAP_TOL, axis=1)
-        ordered &= np.all(np.isfinite(w), axis=1)
-        with np.errstate(divide="ignore"):
-            logprod = np.sum(np.log(slopes), axis=1)
+        cols = w.T
+        ordered = np.isfinite(cols[0])
+        for a, b in zip(cols[:-1], cols[1:]):
+            ordered &= (b >= a - GAP_TOL) & np.isfinite(b)
+        logprod = _log_product(slopes)
         out = np.zeros(u.shape[0])
         live = ordered & (svals > 0.0) & np.isfinite(logprod)
         out[live] = svals[live] * np.exp(norm - logprod[live])
@@ -414,26 +434,35 @@ def c_F_density(margins: MarginalVector, u, *, hazards=None) -> np.ndarray:
         raise ValueError(f"points must have {d} columns")
     if hazards is None:
         hazards = {i: p.hazard for i, p in enumerate(margins.pairs, start=2)}
-    interior = np.all((u > 0.0) & (u < 1.0), axis=1)
+    interior = np.ones(len(u), dtype=bool)
+    for c in u.T:
+        interior &= (c > 0.0) & (c < 1.0)
     x = np.empty_like(u)
     for j in range(d):
         x[:, j] = margins.margins[j].ppf(np.clip(u[:, j], 1e-300, 1.0))
     # rows with a u on the cube edge map to infinite x; keep them out of
     # the support test, whose gap arithmetic reads inf - inf there
-    valid = interior.copy()
-    if np.any(interior):
-        valid[interior] = in_support_LF(margins, x[interior])
+    if np.all(interior):
+        valid = in_support_LF(margins, x)
+    else:
+        valid = interior.copy()
+        if np.any(interior):
+            valid[interior] = in_support_LF(margins, x[interior])
     for j in range(d):
         valid &= np.asarray(margins.margins[j].pdf(x[:, j]), dtype=float) > 0.0
     out = np.zeros(u.shape[0])
-    if np.any(valid):
-        xv = x[valid]
-        uv = u[valid]
-        logc = np.zeros(valid.sum())
-        for i in range(2, d + 1):
-            lam = hazards[i].lambda_between(xv[:, i - 2], xv[:, i - 1])
-            gap = np.asarray(margins.margins[i - 2].cdf(xv[:, i - 1]), dtype=float) - uv[:, i - 1]
-            with np.errstate(divide="ignore"):
-                logc += -lam - np.log(np.maximum(gap, 5e-324))
-        out[valid] = np.exp(logc)
+    if not np.any(valid):
+        return out
+    # with every row on the support the columns are read in place
+    every = bool(np.all(valid))
+    xv, uv = (x.T, u.T) if every else (x[valid].T, u[valid].T)
+    logc = np.zeros(len(xv[0]))
+    for i in range(2, d + 1):
+        lam = hazards[i].lambda_between(xv[i - 2], xv[i - 1])
+        gap = np.asarray(margins.margins[i - 2].cdf(xv[i - 1]), dtype=float) - uv[i - 1]
+        with np.errstate(divide="ignore"):
+            logc += -lam - np.log(np.maximum(gap, 5e-324))
+    if every:
+        return np.exp(logc)
+    out[valid] = np.exp(logc)
     return out

@@ -42,6 +42,16 @@ def _cdf_gap(fp: MarginalCdf, fc: MarginalCdf, t) -> np.ndarray:
     return np.subtract(*_cdf_gap_terms(fp, fc, t))
 
 
+def _hazard_ratio(f, gap):
+    """f / gap where both are positive, +inf where f > 0 meets a closed gap,
+    0 where f is not positive: one masked pass, no gather."""
+    f = np.asarray(f, dtype=float)
+    pos = f > 0.0
+    out = np.where(pos, math.inf, 0.0)
+    np.divide(f, gap, out=out, where=pos & (gap > 0.0))
+    return out if out.ndim else float(out)
+
+
 class PairHazard:
     """Base class; subclasses fill in theta on each separation interval."""
 
@@ -54,20 +64,15 @@ class PairHazard:
     def ell(self, t):
         """Hazard values; +inf where the gap closes under positive density."""
         t = np.asarray(t, dtype=float)
-        f = np.asarray(self.fc.pdf(t), dtype=float)
-        gap = _cdf_gap(self.fp, self.fc, t)
-        out = np.full(np.broadcast(t, f).shape, 0.0)
-        pos = f > 0.0
-        good = pos & (gap > 0.0)
-        out[good] = f[good] / gap[good]
-        out[pos & ~good] = math.inf
-        return out if out.ndim else float(out)
+        return _hazard_ratio(self.fc.pdf(t), _cdf_gap(self.fp, self.fc, t))
 
     def interval_index(self, t):
         """Index of the open interval containing each t, else -1."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if len(self._starts) == 0:
             return np.full(t.shape, -1, dtype=int)
+        if len(self._starts) == 1:
+            return np.where((t > self._starts[0]) & (t < self._ends[0]), 0, -1)
         idx = np.searchsorted(self._starts, t, side="right") - 1
         idxc = np.clip(idx, 0, len(self._starts) - 1)
         inside = (idx >= 0) & (t > self._starts[idxc]) & (t < self._ends[idxc])
@@ -86,12 +91,16 @@ class PairHazard:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s, t = np.broadcast_arrays(s, t)
-        out = np.full(s.shape, math.inf)
-        empty = t <= s
-        out[empty] = 0.0
-        i_s = self.interval_index(s)
-        i_t = self.interval_index(t)
-        same = (i_s >= 0) & (i_s == i_t) & ~empty
+        if len(self.psi) == 1:
+            (g, d), = self.psi
+            same = (g < s) & (s < t) & (t < d)
+        else:
+            i_s = self.interval_index(s)
+            same = (i_s >= 0) & (i_s == self.interval_index(t)) & ~(t <= s)
+        # theta is elementwise: with every row live it reads s and t whole
+        if np.all(same):
+            return self.theta(t) - self.theta(s)
+        out = np.where(t <= s, 0.0, math.inf)
         if np.any(same):
             out[same] = self.theta(t[same]) - self.theta(s[same])
         return out
@@ -153,12 +162,11 @@ class ExpPairHazard(PairHazard):
     def ell(self, t):
         # gap = exp(-lam s)(1 - exp(-drop s)), stable deep in both tails
         t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, 0.0)
-        pos = t > 0.0
-        with np.errstate(divide="ignore"):
-            denom = -np.expm1(-self.drop * self.s_of(t[pos]))
-            out[pos] = self.lam / denom * self.ds_dt(t[pos])
-        out[t == 0.0] = math.inf
+        # one pass over every t; the rows at or below 0 are replaced
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            denom = -np.expm1(-self.drop * self.s_of(t))
+            live = self.lam / denom * self.ds_dt(t)
+        out = np.where(t > 0.0, live, np.where(t == 0.0, math.inf, 0.0))
         return out if out.ndim else float(out)
 
     def solve_tail(self, s, target):
@@ -204,10 +212,9 @@ class OrderStatPairHazard(PairHazard):
 
     def ell(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, 0.0)
-        pos = (t > 0.0) & (t < 1.0)
-        out[pos] = self.c / (1.0 - t[pos])
-        out[t >= 1.0] = math.inf
+        with np.errstate(divide="ignore"):
+            live = self.c / (1.0 - t)
+        out = np.where((t > 0.0) & (t < 1.0), live, np.where(t >= 1.0, math.inf, 0.0))
         return out if out.ndim else float(out)
 
     def solve_tail(self, s, target):
@@ -400,13 +407,17 @@ class CumulativeTable:
 class TableHazard(PairHazard):
     """Cumulative-quadrature hazard for pairs without a closed form.
 
-    Unbounded intervals are truncated where both survival functions drop
-    below 1e-14; evaluation within 1e-12 of an interval endpoint clamps to
-    the nearest table node.
+    Built on a pair record (marginals._Pair), whose density_and_gap reads
+    f_cur and F_prev - F_cur at one point: on a pair transported to [0, 1]
+    an ell call solves G^{-1} once.  Unbounded intervals are truncated where
+    both survival functions drop below 1e-14; evaluation within 1e-12 of an
+    interval endpoint clamps to the nearest table node.
     """
 
-    def __init__(self, fp, fc, psi: IntervalSet):
+    def __init__(self, pair):
+        fp, fc, psi = pair.fp, pair.fc, pair.psi
         super().__init__(fp, fc, psi)
+        self._density_and_gap = pair.density_and_gap
         self._tables = []
         knots = set(fp.knots()) | set(fc.knots())
         for g, d in psi:
@@ -415,6 +426,9 @@ class TableHazard(PairHazard):
                                                    float(fc.ppf(1.0 - 1e-14)))
             nodes = _graded_nodes(g_eff, d_eff, knots)
             self._tables.append(CumulativeTable(self.ell, nodes))
+
+    def ell(self, t):
+        return _hazard_ratio(*self._density_and_gap(np.asarray(t, dtype=float)))
 
     def theta(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -432,4 +446,4 @@ def pair_hazard(fp: MarginalCdf, fc: MarginalCdf, force_table: bool = False) -> 
     force_table picks the quadrature route."""
     from .marginals import _pair  # marginals builds its records on this module
     pair = _pair(fp, fc)
-    return TableHazard(fp, fc, pair.psi) if force_table else pair.hazard
+    return TableHazard(pair) if force_table else pair.hazard

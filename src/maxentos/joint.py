@@ -95,7 +95,7 @@ class MaxEntModel:
         pairs = dict(enumerate(margins.pairs, start=2))
         self.psis: dict[int, IntervalSet] = {i: p.psi for i, p in pairs.items()}
         self.hazards: dict[int, PairHazard] = {
-            i: TableHazard(p.fp, p.fc, p.psi) if force_table else p.hazard
+            i: TableHazard(p) if force_table else p.hazard
             for i, p in pairs.items()}
 
 
@@ -122,15 +122,21 @@ def f_F_density(model: MaxEntModel, x) -> np.ndarray:
     out = np.zeros(x.shape[0])
     if not np.any(valid):
         return out
-    xv = x[valid]
+    # the density is a sum of column terms in log: with every row on the
+    # support it reads the columns of x itself
+    every = bool(np.all(valid))
+    cols = (x if every else x[valid]).T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logf = np.log(np.asarray(model.margins.margins[0].pdf(xv[:, 0]), dtype=float))
+        logf = np.log(np.asarray(model.margins.margins[0].pdf(cols[0]), dtype=float))
         for i in range(2, model.d + 1):
-            ell = model.hazards[i].ell(xv[:, i - 1])
-            lam = model.hazards[i].lambda_between(xv[:, i - 2], xv[:, i - 1])
+            ell = model.hazards[i].ell(cols[i - 1])
+            lam = model.hazards[i].lambda_between(cols[i - 2], cols[i - 1])
             logf += np.log(ell) - lam
         vals = np.exp(logf)
-    vals[np.isnan(vals)] = 0.0
+    # exp is never negative, so fmax maps NaN alone to 0
+    vals = np.fmax(vals, 0.0)
+    if every:
+        return vals
     out[valid] = vals
     return out
 

@@ -153,7 +153,7 @@ class _Pair:
 
     @cached_property
     def hazard(self):
-        return TableHazard(self.fp, self.fc, self.psi)
+        return TableHazard(self)
 
     def density_and_gap(self, t):
         """(f_cur(t), F_prev(t) - F_cur(t)) at an array of t: the J integrand."""
@@ -264,7 +264,7 @@ class _ClosedPair(_Pair):
     @cached_property
     def hazard(self):
         if self.end is None:
-            return TableHazard(self.fp, self.fc, self.psi)
+            return TableHazard(self)
         return self.hazard_cls(self.fp, self.fc)
 
     def separation(self):
@@ -427,17 +427,23 @@ def in_support_LF(F, x):
     if X.shape[1] != d:
         raise ValueError(f"points have dimension {X.shape[1]}, expected {d}")
     # ordering gets the same relative slack as the gap test: quantile
-    # roundtrips land on the sorted boundary with ~1e-15 noise
-    scale = np.maximum(1.0, np.max(np.abs(X), axis=1))
-    ok = np.all(X[:, 1:] >= X[:, :-1] - 1e-12 * scale[:, None], axis=1)
+    # roundtrips land on the sorted boundary with ~1e-15 noise.  Every test
+    # is a pass over whole columns; the row maximum is exact in any order.
+    cols = X.T
+    scale = np.abs(cols[0])
+    for c in cols[1:]:
+        scale = np.maximum(scale, np.abs(c))
+    tol = 1e-12 * np.maximum(1.0, scale)
+    ok = np.ones(len(X), dtype=bool)
     for i, p in enumerate(pairs, start=2):
-        a, b = X[:, i - 2], X[:, i - 1]
+        a, b = cols[i - 2], cols[i - 1]
+        ok &= b >= a - tol
         inside = a >= b  # empty gap
         for g, dd in p.psi:
-            tol = 1e-12 * max(1.0, abs(g) if math.isfinite(g) else 1.0,
-                              abs(dd) if math.isfinite(dd) else 1.0)
-            inside = inside | ((a >= g - tol) & (b <= dd + tol))
-        ok = ok & inside
+            slack = 1e-12 * max(1.0, abs(g) if math.isfinite(g) else 1.0,
+                                abs(dd) if math.isfinite(dd) else 1.0)
+            inside |= (a >= g - slack) & (b <= dd + slack)
+        ok &= inside
     return bool(ok[0]) if scalar else ok
 
 

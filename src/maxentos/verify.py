@@ -112,14 +112,17 @@ def _product_sum(fn, axes_pts, axes_wts, chunk: int = _BLOCK, tail_map=None):
         tail_w = tail_w * jac
     d = len(axes_pts)
     step = max(1, chunk // len(tail))
+    tail_cols = tail.T[:, None, :]
     acc = 0.0
     for start in range(0, len(axes_pts[0]), step):
         lead = axes_pts[0][start:start + step, None]
-        pts = np.empty((len(lead), len(tail), d))
-        pts[:, :, 0] = lo + scale * lead
-        pts[:, :, 1:] = tail
+        # one contiguous column per coordinate, as the integrand's column
+        # passes read them; fn gets the (n, d) view of it
+        pts = np.empty((d, len(lead), len(tail)))
+        pts[0] = lo + scale * lead
+        pts[1:] = tail_cols
         w = (axes_wts[0][start:start + step, None] * tail_w).reshape(-1)
-        acc = acc + w @ np.asarray(fn(pts.reshape(-1, d)), dtype=float)
+        acc = acc + w @ np.asarray(fn(pts.reshape(d, -1).T), dtype=float)
     return float(acc) if np.ndim(acc) == 0 else acc
 
 

@@ -1,6 +1,12 @@
-"""The public names of the package stay put."""
+"""The public names of the package, and the knobs of its density layer,
+stay put."""
+
+import inspect
+import re
+from pathlib import Path
 
 import maxentos
+from maxentos.hazards import PairHazard
 
 PUBLIC = {
     "AverageCdf", "BetaOneKCdf", "CheckResult", "ComposedDeltaCdf",
@@ -33,3 +39,30 @@ def test_public_names_resolve():
     exec("from maxentos import *", namespace)
     for name in PUBLIC:
         assert namespace[name] is getattr(maxentos, name)
+
+
+# the density layer's entry points: their evaluation strategy is decided
+# inside, from the input, never by a caller's option
+SIGNATURES = {
+    maxentos.in_support_LF: "(F, x)",
+    PairHazard.lambda_between: "(self, s, t)",
+    maxentos.f_F_density: "(model: 'MaxEntModel', x) -> 'np.ndarray'",
+    maxentos.c_F_density: "(margins: 'MarginalVector', u, *, hazards=None) -> 'np.ndarray'",
+    maxentos.c_delta_density: "(kernel: 'CopulaKernel', u) -> 'np.ndarray'",
+}
+
+
+def test_density_signatures_are_pinned():
+    for fn, sig in SIGNATURES.items():
+        assert str(inspect.signature(fn)) == sig, fn.__qualname__
+
+
+def test_environment_variables_are_pinned():
+    # the one variable the package reads: the verification battery's threads
+    src = Path(maxentos.__file__).parent
+    names = set()
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        assert "getenv" not in text and "os.environ[" not in text, path.name
+        names.update(re.findall(r"environ\.get\(\s*['\"]([^'\"]+)", text))
+    assert names == {"MAXENTOS_THREADS"}

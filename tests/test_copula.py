@@ -18,7 +18,7 @@ from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
                            OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf)
 from maxentos.copula import GAP_TOL, _anchored_theta, _sort_rows
 from maxentos.errors import InvalidMarginal, NotAbsolutelyContinuous, OutOfPsi
-from maxentos.hazards import pair_hazard
+from maxentos.hazards import _cdf_gap, pair_hazard
 from maxentos.verify import quad_entropy, simplex_integral
 
 
@@ -144,6 +144,37 @@ def test_sampler_recovers_components(beta2_delta):
         assert ks_distance(V[:, i], beta2_delta.components[i].cdf) < bound * 1.5
     assert np.array_equal(S, sample_copula(kernel, n, seed=0))
     assert not np.array_equal(S, sample_copula(kernel, n, seed=1))
+
+
+@pytest.mark.parametrize("name", ["beta2_delta", "exp3_delta"])
+def test_quadrature_mode_sampler_matches_auto(name, request):
+    # the tabulated hazards of the components against the source's own
+    delta = request.getfixturevalue(name)
+    quad = sample_copula(CopulaKernel(delta, mode="quadrature"), 200, seed=3)
+    auto = sample_copula(CopulaKernel(delta), 200, seed=3)
+    assert np.max(np.abs(np.sort(quad, axis=1) - np.sort(auto, axis=1))) <= 1e-12
+
+
+def test_transported_table_hazard_solves_g_inverse_once_per_call(beta2_delta, monkeypatch):
+    # the table hazard of a quadrature-mode kernel reads f_cur and the gap
+    # at one G^{-1}(t); the ratio is the one the components' pdf, cdf and
+    # sf give, to the last bit
+    hz = CopulaKernel(beta2_delta, mode="quadrature")._hazards[2]
+    fp, fc = beta2_delta.components
+    t = np.concatenate([np.linspace(0.0, 1.0, 20001), [np.nan, 1e-300, -0.5, 1.5]])
+    f = fc.pdf(t)
+    gap = _cdf_gap(fp, fc, t)
+    expect = np.zeros(len(t))
+    good = (f > 0.0) & (gap > 0.0)
+    expect[good] = f[good] / gap[good]
+    expect[(f > 0.0) & ~good] = math.inf
+    calls = []
+    ppf = AverageCdf.ppf
+    monkeypatch.setattr(AverageCdf, "ppf", lambda self, u: (calls.append(1), ppf(self, u))[1])
+    got = hz.ell(t)
+    assert len(calls) == 1
+    assert got.tobytes() == expect.tobytes()
+    assert np.count_nonzero(got) > 19000
 
 
 def test_comonotone_multidiagonal_has_no_density():
