@@ -69,14 +69,11 @@ class PairHazard:
     def interval_index(self, t):
         """Index of the open interval containing each t, else -1."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if len(self._starts) == 0:
-            return np.full(t.shape, -1, dtype=int)
-        if len(self._starts) == 1:
-            return np.where((t > self._starts[0]) & (t < self._ends[0]), 0, -1)
-        idx = np.searchsorted(self._starts, t, side="right") - 1
-        idxc = np.clip(idx, 0, len(self._starts) - 1)
-        inside = (idx >= 0) & (t > self._starts[idxc]) & (t < self._ends[idxc])
-        return np.where(inside, idxc, -1)
+        idx = np.full(t.shape, -1, dtype=int)
+        # the intervals are open and disjoint: at most one holds each t
+        for j, (g, d) in enumerate(self.psi):
+            idx = np.where((t > g) & (t < d), j, idx)
+        return idx
 
     def theta(self, t):
         """Antiderivative of the hazard, per interval; must not be called
@@ -91,12 +88,9 @@ class PairHazard:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s, t = np.broadcast_arrays(s, t)
-        if len(self.psi) == 1:
-            (g, d), = self.psi
-            same = (g < s) & (s < t) & (t < d)
-        else:
-            i_s = self.interval_index(s)
-            same = (i_s >= 0) & (i_s == self.interval_index(t)) & ~(t <= s)
+        same = np.zeros(s.shape, dtype=bool)
+        for g, d in self.psi:
+            same |= (g < s) & (s < t) & (t < d)
         # theta is elementwise: with every row live it reads s and t whole
         if np.all(same):
             return self.theta(t) - self.theta(s)

@@ -392,6 +392,24 @@ def test_multidiagonal_shift_matches_row_wise_code(name, data):
     _same_bits(unsymmetrize_density(delta, c_fn)(U), _ref_unsymmetrize_density(delta, c_fn)(U))
 
 
+def test_multidiagonal_shift_is_layout_independent_at_d8():
+    # from d = 8 on, np.sum along axis 1 adds a C-ordered row pairwise and
+    # an F-ordered one left to right; the shift maps add left to right for
+    # both layouts, which is the reference's value on the F-ordered copy
+    delta = multidiagonal_of_iid_uniform(8)
+    U = np.random.default_rng(8).random((2000, 8))
+    UF = np.asfortranarray(U)
+
+    def c_fn(V):
+        return 1.0 + V[:, 0] - V[:, -1]
+    for shift, ref in ((symmetrize_density, _ref_symmetrize_density),
+                       (unsymmetrize_density, _ref_unsymmetrize_density)):
+        got = shift(delta, c_fn)(U)
+        assert np.count_nonzero(got) > 20
+        _same_bits(got, shift(delta, c_fn)(UF))
+        _same_bits(got, ref(delta, c_fn)(UF))
+
+
 def test_blocks_reach_both_paths():
     # every-row-live blocks and mixed blocks both occur: the pool rows are
     # all on the support, and the specials take rows off it
