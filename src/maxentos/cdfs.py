@@ -1,12 +1,16 @@
 """One-dimensional continuous CDFs and generalized inverses.
 
-Every CDF object is vectorized: ``cdf``, ``pdf`` and ``ppf`` accept scalars
-or numpy arrays.  ``ppf`` implements the generalized inverse
+Every CDF object is vectorized: ``cdf``, ``sf``, ``pdf`` and ``ppf`` accept
+scalars or numpy arrays, and return a float for a scalar.  ``ppf``
+implements the generalized inverse
 
     J^{-1}(t) = inf{s in R : J(s) >= t},   inf(empty) = +inf, inf(R) = -inf,
 
 so ``ppf(t) = -inf`` for t <= 0 (every s satisfies J(s) >= 0) and
-``ppf(t) = +inf`` for t > 1 or when the level is never attained.
+``ppf(t) = +inf`` for t > 1 or when the level is never attained.  These
+conventions live in ``MarginalCdf`` alone; a family writes ``_cdf``,
+``_pdf`` and ``_quantile`` (and ``_sf`` where 1 - cdf cancels) on float
+arrays.
 """
 
 from __future__ import annotations
@@ -24,15 +28,6 @@ _XLOGX_CLIP = 1e-300
 #: its absolute tolerance only lets a panel that reads zero throughout settle
 _PANEL_RTOL = 1e-14
 _PANEL_ATOL = 5e-324
-
-
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, (arr.ndim == 0)
-
-
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
 
 
 def _per_distinct(fn, x):
@@ -92,24 +87,58 @@ def xlogx(p):
     return np.where(p > _XLOGX_CLIP, p * np.log(safe), 0.0)
 
 
+def _float_out(out, x):
+    """out as a float when the input x was a scalar or 0-d."""
+    return float(out) if x.ndim == 0 else out
+
+
 class MarginalCdf:
-    """Base class for continuous one-dimensional CDFs."""
+    """Base class for continuous one-dimensional CDFs.
+
+    The public methods convert their input to a float array once and
+    return a float for a scalar; ``ppf`` owns the generalized inverse's
+    ends.  A family implements ``_cdf``, ``_pdf`` and ``_quantile``, the
+    last on levels in (0, 1] only, and ``_sf`` where 1 - cdf cancels.
+    """
 
     #: left/right support endpoints (extended reals)
     support: tuple[float, float] = (-math.inf, math.inf)
     is_absolutely_continuous: bool = True
 
     def cdf(self, x):
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        return _float_out(self._cdf(x), x)
 
     def sf(self, x):
+        x = np.asarray(x, dtype=float)
+        return _float_out(self._sf(x), x)
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return _float_out(self._pdf(x), x)
+
+    def ppf(self, u):
+        """-inf at u <= 0, +inf at u > 1, NaN at NaN, the family's quantile
+        in between; the family reads only the levels in (0, 1]."""
+        u = np.asarray(u, dtype=float)
+        live = (u > 0.0) & (u <= 1.0)
+        if live.all():
+            return _float_out(self._quantile(u), u)
+        out = np.where(u > 1.0, math.inf, np.where(u <= 0.0, -math.inf, math.nan))
+        out[live] = self._quantile(u[live])
+        return _float_out(out, u)
+
+    def _cdf(self, x):
+        raise NotImplementedError
+
+    def _sf(self, x):
         """Survival 1 - cdf; overridden wherever the subtraction cancels."""
         return 1.0 - self.cdf(x)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         raise NotImplementedError
 
-    def ppf(self, u):
+    def _quantile(self, u):
         raise NotImplementedError
 
     def knots(self):
@@ -144,20 +173,15 @@ class UniformCdf(MarginalCdf):
     def support(self):
         return (self.a, self.b)
 
-    def cdf(self, x):
-        x, scalar = _as_float_array(x)
-        return _ret(np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0), scalar)
+    def _cdf(self, x):
+        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def pdf(self, x):
-        x, scalar = _as_float_array(x)
+    def _pdf(self, x):
         inside = (x > self.a) & (x < self.b)
-        return _ret(np.where(inside, 1.0 / (self.b - self.a), 0.0), scalar)
+        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
-    def ppf(self, u):
-        u, scalar = _as_float_array(u)
-        out = np.where(u > 1.0, math.inf, self.a + u * (self.b - self.a))
-        out = np.where(u <= 0.0, -math.inf, out)
-        return _ret(out, scalar)
+    def _quantile(self, u):
+        return self.a + u * (self.b - self.a)
 
     def entropy(self) -> float:
         return math.log(self.b - self.a)
@@ -183,26 +207,19 @@ class ExponentialCdf(MarginalCdf):
     def support(self):
         return (0.0, math.inf)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         # np.maximum keeps NaN, so NaN reads NaN as in the other families
-        x, scalar = _as_float_array(x)
-        return _ret(-np.expm1(-self.rate * np.maximum(x, 0.0)), scalar)
+        return -np.expm1(-self.rate * np.maximum(x, 0.0))
 
-    def sf(self, x):
-        x, scalar = _as_float_array(x)
-        return _ret(np.exp(-self.rate * np.maximum(x, 0.0)), scalar)
+    def _sf(self, x):
+        return np.exp(-self.rate * np.maximum(x, 0.0))
 
-    def pdf(self, x):
-        x, scalar = _as_float_array(x)
-        return _ret(np.where(x > 0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0), scalar)
+    def _pdf(self, x):
+        return np.where(x > 0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
 
-    def ppf(self, u):
-        u, scalar = _as_float_array(u)
+    def _quantile(self, u):
         with np.errstate(divide="ignore"):
-            core = -np.log1p(-np.clip(u, 0.0, 1.0)) / self.rate
-        out = np.where(u > 1.0, math.inf, core)
-        out = np.where(u <= 0.0, -math.inf, out)
-        return _ret(out, scalar)
+            return -np.log1p(-u) / self.rate
 
     def entropy(self) -> float:
         return 1.0 - math.log(self.rate)
@@ -228,32 +245,23 @@ class BetaOneKCdf(MarginalCdf):
     def support(self):
         return (0.0, 1.0)
 
-    def cdf(self, x):
-        x, scalar = _as_float_array(x)
+    def _cdf(self, x):
         t = np.clip(x, 0.0, 1.0)
         # -expm1(k log1p(-t)) keeps relative accuracy down to subnormal t
         with np.errstate(divide="ignore"):
-            out = -np.expm1(self.k * np.log1p(-t))
-        return _ret(out, scalar)
+            return -np.expm1(self.k * np.log1p(-t))
 
-    def sf(self, x):
-        x, scalar = _as_float_array(x)
-        t = np.clip(x, 0.0, 1.0)
-        return _ret((1.0 - t) ** self.k, scalar)
+    def _sf(self, x):
+        return (1.0 - np.clip(x, 0.0, 1.0)) ** self.k
 
-    def pdf(self, x):
-        x, scalar = _as_float_array(x)
+    def _pdf(self, x):
         inside = (x > 0.0) & (x < 1.0)
         t = np.clip(x, 0.0, 1.0)
-        return _ret(np.where(inside, self.k * (1.0 - t) ** (self.k - 1), 0.0), scalar)
+        return np.where(inside, self.k * (1.0 - t) ** (self.k - 1), 0.0)
 
-    def ppf(self, u):
-        u, scalar = _as_float_array(u)
+    def _quantile(self, u):
         with np.errstate(divide="ignore"):
-            core = -np.expm1(np.log1p(-np.clip(u, 0.0, 1.0)) / self.k)
-        out = np.where(u > 1.0, math.inf, core)
-        out = np.where(u <= 0.0, -math.inf, out)
-        return _ret(out, scalar)
+            return -np.expm1(np.log1p(-u) / self.k)
 
     def entropy(self) -> float:
         return (self.k - 1.0) / self.k - math.log(self.k)
@@ -303,31 +311,21 @@ class PiecewiseLinearCdf(MarginalCdf):
         hi = self.xs[np.min(np.nonzero(self.Fs == 1.0))]
         return (float(lo), float(hi))
 
-    def cdf(self, x):
-        x, scalar = _as_float_array(x)
-        return _ret(np.interp(x, self.xs, self.Fs), scalar)
+    def _cdf(self, x):
+        return np.interp(x, self.xs, self.Fs)
 
-    def pdf(self, x):
-        x, scalar = _as_float_array(x)
+    def _pdf(self, x):
         seg = np.searchsorted(self.xs, x, side="right") - 1
         inside = (seg >= 0) & (seg < len(self.slopes))
         seg = np.clip(seg, 0, len(self.slopes) - 1)
-        return _ret(np.where(inside, self.slopes[seg], 0.0), scalar)
+        return np.where(inside, self.slopes[seg], 0.0)
 
-    def ppf(self, u):
-        u, scalar = _as_float_array(u)
-        uc = np.clip(u, 0.0, 1.0)
-        idx = np.searchsorted(self.Fs, uc, side="left")
-        idx = np.clip(idx, 0, len(self.Fs) - 1)
-        at_knot = self.Fs[idx] == uc
-        prev = np.clip(idx - 1, 0, len(self.Fs) - 1)
-        dF = self.Fs[idx] - self.Fs[prev]
-        frac = np.where(dF > 0, (uc - self.Fs[prev]) / np.where(dF > 0, dF, 1.0), 0.0)
-        interp = self.xs[prev] + frac * (self.xs[idx] - self.xs[prev])
-        out = np.where(at_knot, self.xs[idx], interp)
-        out = np.where(u > 1.0, math.inf, out)
-        out = np.where(u <= 0.0, -math.inf, out)
-        return _ret(out, scalar)
+    def _quantile(self, u):
+        # Fs[j-1] < u <= Fs[j], since Fs runs from 0 to 1 and u is in (0, 1]
+        j = np.searchsorted(self.Fs, u, side="left")
+        frac = (u - self.Fs[j - 1]) / (self.Fs[j] - self.Fs[j - 1])
+        interp = self.xs[j - 1] + frac * (self.xs[j] - self.xs[j - 1])
+        return np.where(self.Fs[j] == u, self.xs[j], interp)
 
     def entropy(self) -> float:
         if not self.is_absolutely_continuous:
@@ -421,22 +419,21 @@ class AverageCdf(MarginalCdf):
 
     def _mean(self, method: str, x):
         """(1/d) sum_i of the components' cdf, sf or pdf at x."""
-        x, scalar = _as_float_array(x)
-        acc = np.zeros_like(x, dtype=float)
+        acc = np.zeros_like(x)
         for c in self.components:
             acc = acc + getattr(c, method)(x)
-        return _ret(acc / len(self.components), scalar)
+        return acc / len(self.components)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         return self._mean("cdf", x)
 
-    def sf(self, x):
+    def _sf(self, x):
         return self._mean("sf", x)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         return self._mean("pdf", x)
 
-    def ppf(self, u):
+    def _quantile(self, u):
         """G^{-1}(u), elementwise over u of any shape.
 
         Each distinct level is solved once (_per_distinct), by bracketed
@@ -444,14 +441,11 @@ class AverageCdf(MarginalCdf):
         solve per level they hold, and a (d, n) array of d columns is
         solved as their union.
         """
-        u, scalar = _as_float_array(u)
-        return _ret(_per_distinct(self._solve_levels, u), scalar)
+        return _per_distinct(self._solve_levels, u)
 
     def _solve_levels(self, u):
-        """G^{-1} at a 1-D array of levels."""
+        """G^{-1} at a 1-D array of levels in (0, 1]."""
         out = np.full_like(u, math.nan)
-        out[u <= 0.0] = -math.inf
-        out[u > 1.0] = math.inf
         # G(s) = 1 exactly when every component has reached 1.
         top = max(c.ppf(1.0) for c in self.components)
         out[u == 1.0] = top
@@ -489,23 +483,21 @@ class ComposedDeltaCdf(MarginalCdf):
     def _read(self, fn, t, ends, at_nan=math.nan):
         """fn(G^{-1}(t)) for t in (0, 1); ends[0] at t <= 0, ends[1] at
         t >= 1, at_nan at NaN."""
-        t, scalar = _as_float_array(t)
-        t1 = np.atleast_1d(t)
-        out = np.full_like(t1, at_nan)
-        out[t1 <= 0.0] = ends[0]
-        out[t1 >= 1.0] = ends[1]
-        interior = (t1 > 0.0) & (t1 < 1.0)
+        out = np.full_like(t, at_nan)
+        out[t <= 0.0] = ends[0]
+        out[t >= 1.0] = ends[1]
+        interior = (t > 0.0) & (t < 1.0)
         if np.any(interior):
-            out[interior] = fn(self.avg.ppf(t1[interior]))
-        return _ret(out[0] if scalar else out, scalar)
+            out[interior] = fn(self.avg.ppf(t[interior]))
+        return out
 
-    def cdf(self, t):
+    def _cdf(self, t):
         return self._read(self.base.cdf, t, (0.0, 1.0))
 
-    def sf(self, t):
+    def _sf(self, t):
         return self._read(self.base.sf, t, (1.0, 0.0))
 
-    def pdf(self, t):
+    def _pdf(self, t):
         return self._read(self.pdf_at_base, t, (0.0, 0.0), at_nan=0.0)
 
     def pdf_at_base(self, s):
@@ -514,19 +506,11 @@ class ComposedDeltaCdf(MarginalCdf):
         den = np.asarray(self.avg.pdf(s), dtype=float)
         return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
 
-    def ppf(self, u):
+    def _quantile(self, u):
         # Honest generalized inverse of this object's own cdf; the closed
         # composition through the source marginals lives in the multidiagonal
         # layer and the two are compared in tests.
-        u, scalar = _as_float_array(u)
-        u1 = np.atleast_1d(u)
-        out = np.full_like(u1, math.nan)
-        out[u1 <= 0.0] = -math.inf
-        out[u1 > 1.0] = math.inf
-        solve = (u1 > 0.0) & (u1 <= 1.0)
-        if np.any(solve):
-            out[solve] = _newton_level(self.cdf, self.pdf, u1[solve], 0.0, 1.0)
-        return _ret(out[0] if scalar else out, scalar)
+        return _newton_level(self.cdf, self.pdf, u, 0.0, 1.0)
 
     def knots(self):
         ks = {0.0, 1.0}
@@ -569,38 +553,28 @@ class OrderStatUniformCdf(MarginalCdf):
             raise InvalidMarginal(f"order statistic index {i} out of range for d={d}")
         self.d = int(d)
         self.i = int(i)
+        self._lognorm = (special.gammaln(self.d + 1) - special.gammaln(self.i)
+                         - special.gammaln(self.d - self.i + 1))
 
     @property
     def support(self):
         return (0.0, 1.0)
 
-    def cdf(self, t):
-        t, scalar = _as_float_array(t)
-        tc = np.clip(t, 0.0, 1.0)
-        return _ret(special.betainc(self.i, self.d - self.i + 1, tc), scalar)
+    def _cdf(self, t):
+        return special.betainc(self.i, self.d - self.i + 1, np.clip(t, 0.0, 1.0))
 
-    def sf(self, t):
-        t, scalar = _as_float_array(t)
-        tc = np.clip(t, 0.0, 1.0)
-        return _ret(special.betainc(self.d - self.i + 1, self.i, 1.0 - tc), scalar)
+    def _sf(self, t):
+        return special.betainc(self.d - self.i + 1, self.i, 1.0 - np.clip(t, 0.0, 1.0))
 
-    def pdf(self, t):
-        t, scalar = _as_float_array(t)
+    def _pdf(self, t):
         inside = (t > 0.0) & (t < 1.0)
-        tc = np.clip(t, 0.0, 1.0)
-        lognorm = (special.gammaln(self.d + 1) - special.gammaln(self.i)
-                   - special.gammaln(self.d - self.i + 1))
+        tc = np.where(inside, t, 0.5)
         with np.errstate(divide="ignore"):
-            logpdf = lognorm + (self.i - 1) * np.log(np.where(inside, tc, 0.5)) \
-                + (self.d - self.i) * np.log1p(-np.where(inside, tc, 0.5))
-        return _ret(np.where(inside, np.exp(logpdf), 0.0), scalar)
+            logpdf = self._lognorm + (self.i - 1) * np.log(tc) + (self.d - self.i) * np.log1p(-tc)
+        return np.where(inside, np.exp(logpdf), 0.0)
 
-    def ppf(self, u):
-        u, scalar = _as_float_array(u)
-        core = special.betaincinv(self.i, self.d - self.i + 1, np.clip(u, 0.0, 1.0))
-        out = np.where(u > 1.0, math.inf, core)
-        out = np.where(u <= 0.0, -math.inf, out)
-        return _ret(out, scalar)
+    def _quantile(self, u):
+        return special.betaincinv(self.i, self.d - self.i + 1, u)
 
     def knots(self):
         return [0.0, 1.0]

@@ -271,9 +271,6 @@ def _grid_rows(axes, density_fn, chunk: int = 1 << 14):
 
 def cmd_density(subject, args, digest) -> int:
     grid = _resolve_grid(args)
-    if grid < 2:
-        print("--grid must be at least 2", file=sys.stderr)
-        return 2
     if isinstance(subject, Multidiagonal):
         kernel = CopulaKernel(subject)
         axes = [np.linspace(0.0, 1.0, grid)] * subject.d
@@ -321,6 +318,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if not 0 <= args.seed < 2 ** 64:
         print("--seed must fit in 64 bits", file=sys.stderr)
+        return 2
+    if _resolve_grid(args) < 2:
+        print("--grid must be at least 2", file=sys.stderr)
         return 2
     _echo_config(args)
     try:

@@ -36,9 +36,8 @@ from .errors import InvalidMarginal, NotAbsolutelyContinuous, NotInF0, OutOfPsi
 from .hazards import PairHazard, TableHazard, _cdf_gap
 from .intervals import gap_inside_mask, inside_mask
 from .joint import _draw_sorted
-from .marginals import (EQ_TOL, MarginalVector, average_cdf, in_support_LF,
-                        sigma_measure)
-from .multidiag import (Multidiagonal, delta_inverse, delta_psi,
+from .marginals import EQ_TOL, MarginalVector, in_support_LF, sigma_measure
+from .multidiag import (Multidiagonal, _Identity, delta_inverse, delta_psi,
                         j_functional_delta, validate_multidiagonal)
 
 GAP_TOL = 1e-12
@@ -57,32 +56,17 @@ def _anchored_theta(hz: PairHazard, anchors: np.ndarray, x):
     return out
 
 
-class _Identity:
-    """G of a multidiagonal read on its own scale: the components average to t.
-
-    A no-op, where UniformCdf(0, 1) would clip and mask on every call.
-    """
-
-    def cdf(self, x):
-        return x
-
-    ppf = cdf
-
-    def pdf(self, x):
-        return np.ones_like(x)
-
-
 class CopulaKernel:
     """Kernels, factor functions and sampler state for one multidiagonal.
 
     The kernel reads three things: a first marginal, one pair hazard per
     consecutive pair, and an increasing map G onto [0, 1].  Every kernel
-    value at t is read at x = G^{-1}(t).  Mode "auto" takes the source
-    marginals when there are any (their first margin, their pair hazards
-    and their average CDF), and otherwise the components themselves with
-    G the identity, since the components average to t.  Mode "quadrature"
-    tabulates the hazards of the components, which is the independent
-    cross-check route.
+    value at t is read at x = G^{-1}(t).  Mode "auto" reads the
+    multidiagonal's transport: the source marginals when there are any
+    (their first margin, their pair hazards and their average CDF), and
+    otherwise the components themselves with G the identity.  Mode
+    "quadrature" tabulates the hazards of the components, read through
+    the identity, which is the independent cross-check route.
     """
 
     def __init__(self, delta: Multidiagonal, mode: str = "auto"):
@@ -96,13 +80,11 @@ class CopulaKernel:
             raise InvalidMarginal(
                 f"components do not form a multidiagonal: {self.report}")
         self.psis = {i: delta_psi(delta, i) for i in range(1, self.d + 2)}
-        source = delta.source if mode == "auto" else None
-        if source is not None:
-            self._first, self._avg, pairs = (source.margins[0], average_cdf(source),
-                                             source.pairs)
+        if mode == "auto":
+            self._margins, self._avg, pairs = delta.transport
         else:
-            self._first, self._avg, pairs = (delta.components[0], _Identity(),
-                                             delta.pairs)
+            self._margins, self._avg, pairs = delta.components, _Identity(), delta.pairs
+        self._first = self._margins[0]
         # separation sets and hazards on the scale of x, keyed like the
         # joint model's
         pairs = dict(enumerate(pairs, start=2))
@@ -215,14 +197,11 @@ class CopulaKernel:
         mask = inside_mask(self.psis[i + 1], t)
         out = np.zeros(t.shape)
         if np.any(mask):
-            tm = t[mask]
-            cur = self.delta.components[i - 1]
-            if i < self.d:
-                nxt = self.delta.components[i]
-                gap = _cdf_gap(cur, nxt, tm)
-            else:
-                gap = np.asarray(cur.cdf(tm), dtype=float)
-            out[mask] = gap * np.exp(self._K_inner(i + 1, tm))
+            # delta_(i) - delta_(i+1) is F_i - F_{i+1} at x = G^{-1}(t)
+            x = self._avg.ppf(t[mask])
+            cur = self._margins[i - 1]
+            gap = _cdf_gap(cur, self._margins[i], x) if i < self.d else cur.cdf(x)
+            out[mask] = gap * np.exp(self._K_at(i + 1, x))
         return out
 
 
@@ -329,25 +308,17 @@ def sample_copula(kernel: CopulaKernel, n: int, seed: int = 0) -> np.ndarray:
 
 
 def _delta_values_and_slopes(delta: Multidiagonal, v: np.ndarray):
-    """delta_(i)(v_i) and delta_(i)'(v_i) column-wise for sorted points v."""
-    d = delta.d
+    """delta_(i)(v_i) and delta_(i)'(v_i) column-wise for sorted points v:
+    F_i(x_i) and f_i(x_i) / g(x_i) at x = G^{-1}(v), through the
+    multidiagonal's transport."""
+    margins, G, _ = delta.transport
     vals = np.empty_like(v)
     slopes = np.empty_like(v)
-    if delta.source is not None:
-        G = average_cdf(delta.source)
-        x = np.asarray(G.ppf(v.ravel()), dtype=float).reshape(v.shape)
-        g = np.asarray(G.pdf(x.ravel()), dtype=float).reshape(v.shape)
-        for i in range(d):
-            Fi = delta.source.margins[i]
-            vals[:, i] = Fi.cdf(x[:, i])
-            fi = np.asarray(Fi.pdf(x[:, i]), dtype=float)
-            gi = g[:, i]
-            slopes[:, i] = np.where((fi > 0.0) & (gi > 0.0), fi / np.where(gi > 0, gi, 1.0), 0.0)
-    else:
-        for i in range(d):
-            comp = delta.components[i]
-            vals[:, i] = comp.cdf(v[:, i])
-            slopes[:, i] = comp.pdf(v[:, i])
+    xs = G.ppf(v.T)
+    for i, (m, x, g) in enumerate(zip(margins, xs, G.pdf(xs))):
+        vals[:, i] = m.cdf(x)
+        f = m.pdf(x)
+        slopes[:, i] = np.where((f > 0.0) & (g > 0.0), f / np.where(g > 0, g, 1.0), 0.0)
     return vals, slopes
 
 

@@ -15,6 +15,11 @@ The multidiagonal of a marginal vector F is delta_(i) = F_i o G^{-1} with
 G the average CDF; it carries exactly the exchangeable-dependence content
 of F, and in particular J(F) = J(delta^F).
 
+Every layer reads delta_(i) = F_i o G^{-1} through one triple,
+``Multidiagonal.transport`` = (margins, G, pairs): the source's margins,
+average CDF and pair records, or, without a source, the components
+themselves with G the identity.
+
 Like a marginal vector, a multidiagonal keeps one record per consecutive
 pair.  When it was built from marginals, record k is the transport of the
 source's record k under G: separation set and order verdict are read
@@ -31,8 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdfs import (AverageCdf, ComposedDeltaCdf, MarginalCdf,
-                   OrderStatUniformCdf)
+from .cdfs import ComposedDeltaCdf, MarginalCdf, OrderStatUniformCdf
 from .errors import InvalidMarginal
 from .hazards import _cdf_gap
 from .intervals import IntervalSet
@@ -41,6 +45,21 @@ from .marginals import (MarginalVector, _Pair, _pairs, average_cdf,
 
 SUM_TOL = 1e-9
 LIPSCHITZ_TOL = 1e-6
+
+
+class _Identity:
+    """G of a multidiagonal read on its own scale: the components average to t.
+
+    A no-op, where UniformCdf(0, 1) would clip and mask on every call.
+    """
+
+    def cdf(self, x):
+        return x
+
+    ppf = cdf
+
+    def pdf(self, x):
+        return np.ones_like(x)
 
 
 @dataclass(frozen=True)
@@ -80,22 +99,21 @@ class Multidiagonal:
         return {"components": self.components, "source": self.source,
                 "kind": self.kind}
 
-    def cdf_matrix(self, s):
-        """Stack of component CDF values, shape (d, len(s)).
-
-        With a source every component is F_i o G^{-1}, so G^{-1} is solved
-        once on the interior points and every F_i is read there.
-        """
-        s = np.atleast_1d(np.asarray(s, dtype=float))
+    @cached_property
+    def transport(self) -> tuple:
+        """(margins, G, pairs) with delta_(i) = margins[i-1] o G^{-1}: the
+        source's margins, average CDF and pair records, or the components
+        themselves with G the identity (they average to t)."""
         if self.source is None:
-            return np.vstack([c.cdf(s) for c in self.components])
-        M = np.tile(np.where(s >= 1.0, 1.0, 0.0), (self.d, 1))
-        interior = (s > 0.0) & (s < 1.0)
-        if np.any(interior):
-            x = self.components[0].avg.ppf(s[interior])
-            for row, c in zip(M, self.components):
-                row[interior] = c.base.cdf(x)
-        return M
+            return self.components, _Identity(), self.pairs
+        return self.source.margins, average_cdf(self.source), self.source.pairs
+
+    def cdf_matrix(self, s):
+        """Stack of component CDF values, shape (d, len(s)): F_i(G^{-1}(s)),
+        with G^{-1} solved once for every component."""
+        margins, G, _ = self.transport
+        x = G.ppf(np.atleast_1d(np.asarray(s, dtype=float)))
+        return np.vstack([m.cdf(x) for m in margins])
 
     def to_dict(self):
         return {"margins": [c.to_dict() for c in self.components]}
@@ -163,23 +181,17 @@ def multidiagonal_of_iid_uniform(d: int) -> Multidiagonal:
 
 
 def delta_inverse(delta: Multidiagonal, i: int, u):
-    """delta_(i)^{-1} through the source marginals, G o F_i^{-1}.
+    """delta_(i)^{-1} = G o F_i^{-1} through the multidiagonal's transport.
 
-    Falls back to the component's own generalized inverse when the
-    multidiagonal has no marginal source.  The two routes agree almost
-    everywhere and are compared in the verification suite.
+    With a marginal source this reads the source's quantile and G; without
+    one it is the component's own generalized inverse, G being the
+    identity.  The two routes agree almost everywhere and are compared in
+    the verification suite.
     """
     if not 1 <= i <= delta.d:
         raise ValueError(f"index {i} out of range 1..{delta.d}")
-    if delta.source is None:
-        return delta.components[i - 1].ppf(u)
-    G = average_cdf(delta.source)
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    x = delta.source[i - 1].ppf(np.atleast_1d(u_arr))
-    out = np.select([np.isneginf(x), np.isposinf(x), np.isnan(x)], [0.0, 1.0, math.nan],
-                    G.cdf(np.where(np.isfinite(x), x, 0.0)))
-    return float(out[0]) if scalar else out
+    margins, G, _ = delta.transport
+    return G.cdf(margins[i - 1].ppf(u))
 
 
 def delta_psi(delta: Multidiagonal, i: int) -> IntervalSet:

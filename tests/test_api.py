@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import maxentos
+from maxentos import cdfs
 from maxentos.hazards import PairHazard
 
 PUBLIC = {
@@ -66,3 +67,19 @@ def test_environment_variables_are_pinned():
         assert "getenv" not in text and "os.environ[" not in text, path.name
         names.update(re.findall(r"environ\.get\(\s*['\"]([^'\"]+)", text))
     assert names == {"MAXENTOS_THREADS"}
+
+
+def test_cdf_conventions_live_in_the_base_class():
+    # the scalar return and the quantile's ends are decided in MarginalCdf
+    # alone; a family writes only the private _cdf, _sf, _pdf and _quantile
+    public = {"cdf", "sf", "pdf", "ppf"}
+    families = [c for c in vars(cdfs).values()
+                if inspect.isclass(c) and issubclass(c, cdfs.MarginalCdf)]
+    assert len(families) == 8
+    for cls in families:
+        if cls is not cdfs.MarginalCdf:
+            assert not public & set(vars(cls)), cls.__name__
+    sigs = {name: str(inspect.signature(getattr(cdfs.MarginalCdf, name)))
+            for name in sorted(public)}
+    assert sigs == {"cdf": "(self, x)", "pdf": "(self, x)", "ppf": "(self, u)",
+                    "sf": "(self, x)"}

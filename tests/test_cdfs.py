@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ComposedDeltaCdf,
-                           ExponentialCdf, OrderStatUniformCdf, PiecewiseLinearCdf,
-                           UniformCdf, _panel_integral, generalized_inverse,
-                           marginal_from_dict)
+                           ExponentialCdf, MarginalCdf, OrderStatUniformCdf,
+                           PiecewiseLinearCdf, UniformCdf, _panel_integral,
+                           generalized_inverse, marginal_from_dict)
 from maxentos.errors import InvalidMarginal
 
 
@@ -131,12 +131,15 @@ def test_extreme_order_stat_entropy_is_beta_one_d(d):
 _EXP3 = (ExponentialCdf(3.0), ExponentialCdf(2.0), ExponentialCdf(1.0))
 
 
-@pytest.mark.parametrize("F", [
+_EVERY_FAMILY = pytest.mark.parametrize("F", [
     UniformCdf(0.0, 2.0), ExponentialCdf(2.0), BetaOneKCdf(3),
     PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.75), (1.0, 1.0))),
     OrderStatUniformCdf(3, 2), AverageCdf(_EXP3), ComposedDeltaCdf(_EXP3[0], AverageCdf(_EXP3)),
 ], ids=["uniform", "exponential", "beta_1_k", "piecewise", "order_stat", "average_exp3",
         "composed"])
+
+
+@_EVERY_FAMILY
 def test_nan_reads_nan_in_every_family(F):
     x = np.array([math.nan, 0.25])
     for fn in (F.cdf, F.sf):
@@ -144,6 +147,41 @@ def test_nan_reads_nan_in_every_family(F):
         assert math.isnan(out[0]) and not math.isnan(out[1])
         assert math.isnan(fn(math.nan))
     assert np.asarray(F.pdf(x))[0] == 0.0
+
+
+@_EVERY_FAMILY
+def test_every_family_keeps_one_contract(F):
+    # a scalar or 0-d input gives a float, an array keeps its shape
+    for fn in (F.cdf, F.sf, F.pdf, F.ppf):
+        for v in (0.25, np.float64(0.25), np.array(0.25)):
+            assert type(fn(v)) is float
+        for shape in ((4,), (2, 3)):
+            x = np.linspace(0.1, 0.6, math.prod(shape)).reshape(shape)
+            assert np.asarray(fn(x)).shape == shape
+    # the generalized inverse's ends, scalar and array alike
+    ends = [-0.5, -0.0, 0.0, 1.5, math.inf, math.nan]
+    expect = [-math.inf, -math.inf, -math.inf, math.inf, math.inf, math.nan]
+    np.testing.assert_array_equal(F.ppf(np.array(ends)), expect)
+    for v, e in zip(ends, expect):
+        np.testing.assert_array_equal(F.ppf(v), e)
+
+
+def test_minimal_subclass_answers_sf():
+    # a family that writes only the public cdf, pdf and ppf still gets sf
+    class Unit(MarginalCdf):
+        def cdf(self, x):
+            return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+
+        def pdf(self, x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
+
+        def ppf(self, u):
+            return np.asarray(u, dtype=float)
+
+    F = Unit()
+    assert F.sf(0.25) == 0.75
+    np.testing.assert_array_equal(F.sf(np.array([-1.0, 0.5, 2.0])), [1.0, 0.5, 0.0])
 
 
 def test_average_cdf_mixes_components():

@@ -261,6 +261,20 @@ def test_usage_errors(tmp_path, capsys):
                      "--seed", "99999999999999999999"]) == 2
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("validate", ["--multidiagonal"]), ("entropy", ["--multidiagonal"]),
+    ("verify", []), ("verify", ["--multidiagonal"]), ("density", []),
+])
+@pytest.mark.parametrize("grid", ["-5", "0", "1"])
+def test_grid_below_two_is_a_usage_error(tmp_path, capsys, command, flags, grid):
+    # one check in main: no numpy traceback, and no check reported as failed
+    spec = write_spec(tmp_path, TENT)
+    assert cli.main([command, "--input", spec, "--grid", grid, *flags]) == 2
+    captured = capsys.readouterr()
+    assert "--grid must be at least 2" in captured.err
+    assert captured.out == ""
+
+
 def test_config_echo_goes_to_stderr(tmp_path, capsys):
     cli.main(["validate", "--input", write_spec(tmp_path, EXP3)])
     captured = capsys.readouterr()

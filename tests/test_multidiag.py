@@ -59,6 +59,27 @@ def test_delta_inverse_routes_agree(exp3_delta):
         assert np.abs(a - b).max() <= 1e-9
         comp = exp3_delta.components[i - 1]
         assert np.allclose(comp.cdf(a), u, atol=1e-10)
+    # the ends: G o F_i^{-1} reads [0, 1] through G; the component's own
+    # inverse keeps -inf/+inf, and at u = 1 gives where its cdf, rounded,
+    # first reaches 1 (exactly 1 for the last component)
+    ends = np.array([-0.5, 0.0, 1.0, 1.5])
+    for i in (1, 2, 3):
+        a = delta_inverse(exp3_delta, i, ends)
+        b = delta_inverse(raw, i, ends)
+        np.testing.assert_array_equal(a, [0.0, 0.0, 1.0, 1.0])
+        assert b[0] == b[1] == -math.inf and b[3] == math.inf
+        assert 1.0 - 1e-5 < b[2] <= 1.0 and raw.components[i - 1].cdf(b[2]) == 1.0
+    assert b[2] == 1.0
+
+
+def test_cdf_matrix_routes_agree_at_the_ends(exp3_delta):
+    # F_i(G^{-1}(s)) reads 0 below [0, 1], 1 from s = 1 on, and NaN at NaN,
+    # through the source as through the components
+    raw = Multidiagonal(exp3_delta.components)
+    s = np.array([-0.5, -0.0, 0.0, 1.0, 1.5, math.nan])
+    expect = np.tile([0.0, 0.0, 0.0, 1.0, 1.0, math.nan], (3, 1))
+    np.testing.assert_array_equal(exp3_delta.cdf_matrix(s), expect)
+    np.testing.assert_array_equal(raw.cdf_matrix(s), expect)
 
 
 @pytest.mark.parametrize("margins", [
