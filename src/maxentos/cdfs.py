@@ -480,25 +480,30 @@ class ComposedDeltaCdf(MarginalCdf):
         return (float(self.avg.cdf(lo)) if math.isfinite(lo) else 0.0,
                 float(self.avg.cdf(hi)) if math.isfinite(hi) else 1.0)
 
-    def _read(self, fn, t, ends, at_nan=math.nan):
-        """fn(G^{-1}(t)) for t in (0, 1); ends[0] at t <= 0, ends[1] at
-        t >= 1, at_nan at NaN."""
-        out = np.full_like(t, at_nan)
-        out[t <= 0.0] = ends[0]
-        out[t >= 1.0] = ends[1]
+    def _read(self, t, *reads):
+        """One array per read (fn, at_low, at_high, at_nan): fn(G^{-1}(t))
+        for t in (0, 1), at_low at t <= 0, at_high at t >= 1 and at_nan at
+        NaN.  G^{-1} is solved once for all the reads."""
         interior = (t > 0.0) & (t < 1.0)
-        if np.any(interior):
-            out[interior] = fn(self.avg.ppf(t[interior]))
-        return out
+        s = self.avg.ppf(t[interior]) if np.any(interior) else None
+        outs = []
+        for fn, at_low, at_high, at_nan in reads:
+            out = np.full_like(t, at_nan)
+            out[t <= 0.0] = at_low
+            out[t >= 1.0] = at_high
+            if s is not None:
+                out[interior] = fn(s)
+            outs.append(out)
+        return outs
 
     def _cdf(self, t):
-        return self._read(self.base.cdf, t, (0.0, 1.0))
+        return self._read(t, (self.base.cdf, 0.0, 1.0, math.nan))[0]
 
     def _sf(self, t):
-        return self._read(self.base.sf, t, (1.0, 0.0))
+        return self._read(t, (self.base.sf, 1.0, 0.0, math.nan))[0]
 
     def _pdf(self, t):
-        return self._read(self.pdf_at_base, t, (0.0, 0.0), at_nan=0.0)
+        return self._read(t, (self.pdf_at_base, 0.0, 0.0, 0.0))[0]
 
     def pdf_at_base(self, s):
         """Density at t = G(s), read at the base-scale point s = G^{-1}(t)."""
@@ -509,8 +514,22 @@ class ComposedDeltaCdf(MarginalCdf):
     def _quantile(self, u):
         # Honest generalized inverse of this object's own cdf; the closed
         # composition through the source marginals lives in the multidiagonal
-        # layer and the two are compared in tests.
-        return _newton_level(self.cdf, self.pdf, u, 0.0, 1.0)
+        # layer and the two are compared in tests.  Each Newton iterate reads
+        # the cdf and then the pdf at one x: the cdf read keeps the pdf of
+        # the same G^{-1} solve, and the pdf read returns it.
+        last = {}
+
+        def cdf(x):
+            value, last["pdf"] = self._read(
+                np.asarray(x, dtype=float), (self.base.cdf, 0.0, 1.0, math.nan),
+                (self.pdf_at_base, 0.0, 0.0, 0.0))
+            last["x"] = x
+            return value
+
+        def pdf(x):
+            return last["pdf"] if x is last.get("x") else self.pdf(x)
+
+        return _newton_level(cdf, pdf, u, 0.0, 1.0)
 
     def knots(self):
         ks = {0.0, 1.0}

@@ -212,16 +212,20 @@ def _sort_rows(u: np.ndarray) -> np.ndarray:
     columns, each an np.minimum and an np.maximum over whole columns.
     Those return their second operand on a tie, so the operand order
     below keeps equal values (0.0 and -0.0) in their order.  A NaN
-    spreads to every column of its row.  The result is the transpose of
-    a (d, n) array, so each of its columns is contiguous.
+    spreads to every column of its row.  The rounds run in place on one
+    (d, n) copy of u, and the result is its transpose, so each of its
+    columns is contiguous.
     """
-    cols = list(u.T)
-    d = len(cols)
+    out = np.array(u.T, order="C")
+    low = np.empty(out.shape[1])
+    d = len(out)
     for r in range(d):
         for i in range(r % 2, d - 1, 2):
-            a, b = cols[i], cols[i + 1]
-            cols[i], cols[i + 1] = np.minimum(b, a), np.maximum(a, b)
-    return np.stack(cols).T
+            a, b = out[i], out[i + 1]
+            np.minimum(b, a, out=low)
+            np.maximum(a, b, out=b)
+            a[...] = low
+    return out.T
 
 
 def _rows_sorted(u: np.ndarray) -> bool:

@@ -1,20 +1,31 @@
 """Numerical verification: quadratures, sampling diagnostics, check battery.
 
 The quadrature engine integrates over [0, 1]^d or over the ordered region
-{lo <= x_1 <= ... <= x_d <= hi} after the substitution
+{lo <= x_1 <= ... <= x_d <= hi}.  Both use composite Gauss-Legendre panels
+graded geometrically toward the ends of [0, 1], because the integrands
+routinely have integrable endpoint structure that a plain product rule
+resolves too slowly for the tolerances used here.
 
-    x_d = lo + (hi - lo) w_d,   x_i = lo + (x_{i+1} - lo) w_i,
+The cube rule is the tensor product of the panel nodes on every axis.  It
+runs in blocks of about 2^15 points, whole slabs of the leading axis, so
+that one integrand call's arrays stay in cache.
 
-which maps the region onto the unit cube with Jacobian
-(hi - lo) prod_{i<d} (x_{i+1} - lo).  Each axis uses composite
-Gauss-Legendre panels graded geometrically toward both endpoints, because
-the integrands routinely have integrable endpoint structure that a plain
-product rule resolves too slowly for the tolerances used here.
+The ordered rule maps the graded panels into each cell between the cuts
+and takes every nondecreasing assignment of x_1..x_d to those panels.  An
+assignment splits the coordinates into runs that share a panel [a, b].
+Coordinates in distinct panels decouple, each on its panel's own q Gauss
+nodes; inside a run of m coordinates the substitution
 
-The product rule runs in blocks of about 2^15 points, whole slabs of the
-leading axis, so that one integrand call's arrays stay in cache.  Only
-x_1 depends on the leading axis: x_2..x_d and the whole Jacobian are
-mapped once from the tail axes, and each block computes x_1 alone.
+    x_top = a + (b - a) w_top,   x_i = a + (x_{i+1} - a) w_i,
+
+keeps them ordered, with Jacobian (b - a) prod (x_{i+1} - a).  The
+assignments are grouped by their pattern of run lengths (2^(d-1) of
+them): each pattern's unit nodes and weights are built once, and each
+assignment only shifts and scales them.  A column's values are thus a few
+nodes per panel, shared by every point, so integrands that solve per
+distinct level (G^{-1} through cdfs._per_distinct) solve a few thousand
+levels per pass.  The points run in blocks of at most 2^15, whole
+assignments, one contiguous column per coordinate.
 
 run_full_verification executes an independent battery of consistency
 checks on a marginal vector or a multidiagonal, each with its own fixed
@@ -70,14 +81,20 @@ def _thread_cap() -> int:
         return 1
 
 
-def axis_rule(n: int):
-    """~n graded composite Gauss-Legendre nodes and weights on [0, 1]."""
+def _axis_panels(n: int):
+    """Edges of the graded panels on [0, 1] for ~n nodes, and the number
+    q of Gauss-Legendre nodes on each panel."""
     if n >= 384:
         q, half = 16, max(2, n // 32)
     else:
         q, half = 8, max(2, n // 16)
     g = np.geomspace(1e-8, 0.5, half + 1)
-    edges = np.unique(np.concatenate([[0.0], g, 1.0 - g[::-1], [1.0]]))
+    return np.unique(np.concatenate([[0.0], g, 1.0 - g[::-1], [1.0]])), q
+
+
+def axis_rule(n: int):
+    """~n graded composite Gauss-Legendre nodes and weights on [0, 1]."""
+    edges, q = _axis_panels(n)
     xg, wg = leggauss(q)
     a, b = edges[:-1], edges[1:]
     halfw = 0.5 * (b - a)
@@ -86,19 +103,15 @@ def axis_rule(n: int):
     return pts, wts
 
 
-def _product_sum(fn, axes_pts, axes_wts, chunk: int = _BLOCK, tail_map=None):
+def _product_sum(fn, axes_pts, axes_wts, chunk: int = _BLOCK):
     """Product-rule sum of fn; a float, or one sum per column when fn
     returns an (n, k) array.
 
     Points run in C order over the axes.  Each call of fn gets whole
     slabs of the leading axis, about chunk points, or one slab when a
-    slab alone holds more, so that a call's arrays stay in cache.
-
-    The tail nodes (axes 1..d-1, one row per point of a slab) are laid
-    out once.  tail_map, when given, maps them once as well: it returns
-    their coordinates, a factor on their weights (a Jacobian), and lo and
-    scale of the leading coordinate x_1 = lo + scale * w_1, scale a number
-    or one per tail row.  Each block then computes only x_1.
+    slab alone holds more, so that a call's arrays stay in cache.  The
+    tail nodes (axes 1..d-1, one row per point of a slab) are laid out
+    once.
     """
     tail = np.empty((1, 0))
     tail_w = np.ones(1)
@@ -106,10 +119,6 @@ def _product_sum(fn, axes_pts, axes_wts, chunk: int = _BLOCK, tail_map=None):
         tail = np.column_stack([np.repeat(tail, len(p), axis=0),
                                 np.tile(p, len(tail))])
         tail_w = (tail_w[:, None] * wk).reshape(-1)
-    lo, scale = 0.0, 1.0
-    if tail_map is not None:
-        tail, jac, lo, scale = tail_map(tail)
-        tail_w = tail_w * jac
     d = len(axes_pts)
     step = max(1, chunk // len(tail))
     tail_cols = tail.T[:, None, :]
@@ -119,7 +128,7 @@ def _product_sum(fn, axes_pts, axes_wts, chunk: int = _BLOCK, tail_map=None):
         # one contiguous column per coordinate, as the integrand's column
         # passes read them; fn gets the (n, d) view of it
         pts = np.empty((d, len(lead), len(tail)))
-        pts[0] = lo + scale * lead
+        pts[0] = lead
         pts[1:] = tail_cols
         w = (axes_wts[0][start:start + step, None] * tail_w).reshape(-1)
         acc = acc + w @ np.asarray(fn(pts.reshape(d, -1).T), dtype=float)
@@ -140,36 +149,49 @@ def cube_integral(fn, d: int, nodes: int | None = None) -> float:
     return _product_sum(fn, [pts] * d, [wts] * d)
 
 
-def _ordered_cells_integral(fn, d: int, cells, assign, nodes):
-    """Integral over {x ordered, x_i in cells[assign[i]]} for one
-    nondecreasing cell assignment; runs of equal cells use the ordered
-    substitution inside their cell, distinct cells decouple.
+def _run_rule(runs, q: int):
+    """Nodes (q^d, d) and weights of the rule on the unit cube for one run
+    pattern: runs lists the lengths of the runs of consecutive coordinates
+    that share a panel, lowest first.
 
-    Every coordinate but x_1, and the whole Jacobian, depends on the
-    tail axes alone, so they are mapped once per assignment."""
-    pts, wts = axis_rule(nodes or DEFAULT_NODES[d])
+    Each run spans its own unit panel.  Its top coordinate is a plain
+    Gauss-Legendre node w_top, and below it the ordered substitution
+    y_i = y_{i+1} w_i, with Jacobian y_{i+1}, keeps the run sorted."""
+    d = sum(runs)
+    xg, wg = leggauss(q)
+    idx = np.indices((q,) * d).reshape(d, -1).T
+    W, w = 0.5 * (xg[idx] + 1.0), np.prod(0.5 * wg[idx], axis=1)
+    tops = {int(k) for k in np.cumsum(runs) - 1}
+    Y = np.empty_like(W)
+    for i in reversed(range(d)):
+        if i in tops:
+            Y[:, i] = W[:, i]
+        else:
+            Y[:, i] = Y[:, i + 1] * W[:, i]
+            w = w * Y[:, i + 1]
+    return Y, w
 
-    def tail_map(W):
-        # column 0 stays free for x_1, which each block maps itself
-        X = np.empty((len(W), d))
-        jac = np.ones(len(W))
-        start = 0
-        while start < d:
-            stop = start
-            while stop < d and assign[stop] == assign[start]:
-                stop += 1
-            a, b = cells[assign[start]]
-            for i in range(stop - 1, start - 1, -1):
-                span = b - a if i == stop - 1 else X[:, i + 1] - a
-                jac = jac * span
-                if i == 0:
-                    lead = (a, span)
-                else:
-                    X[:, i] = a + span * W[:, i - 1]
-            start = stop
-        return (X[:, 1:], jac, *lead)
 
-    return _product_sum(fn, [pts] * d, [wts] * d, tail_map=tail_map)
+def _run_pattern_sum(fn, runs, choice, starts, widths, q: int):
+    """The rule's sum of fn over every panel assignment of one run pattern.
+
+    choice holds one row of strictly increasing panel indices per
+    assignment, one per run; a run of m coordinates in the panel [a, a + h]
+    reads x = a + h y at the pattern's unit nodes y, with weight factor
+    h^m.  Each call of fn gets whole assignments, at most _BLOCK points or
+    one assignment, one contiguous column per coordinate."""
+    Y, wy = _run_rule(runs, q)
+    run_of = np.repeat(np.arange(len(runs)), runs)
+    d, step = len(run_of), max(1, _BLOCK // len(wy))
+    cols = Y.T[:, None, :]
+    acc = 0.0
+    for start in range(0, len(choice), step):
+        panels = choice[start:start + step][:, run_of]
+        a, h = starts[panels].T[:, :, None], widths[panels].T[:, :, None]
+        pts = a + h * cols
+        w = (np.prod(h[:, :, 0], axis=0)[:, None] * wy).reshape(-1)
+        acc = acc + w @ np.asarray(fn(pts.reshape(d, -1).T), dtype=float)
+    return acc
 
 
 def simplex_integral(fn, d: int, lo: float, hi: float,
@@ -185,12 +207,22 @@ def simplex_integral(fn, d: int, lo: float, hi: float,
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError("ordered-region quadrature needs finite lo < hi")
     inner = sorted({float(c) for c in cuts if lo < float(c) < hi})
-    edges = [lo, *inner, hi]
-    cells = list(zip(edges[:-1], edges[1:]))
+    ends = [lo, *inner, hi]
+    # the graded panels of [0, 1], mapped into each cell between the cuts
+    unit, q = _axis_panels(nodes or DEFAULT_NODES[d])
+    edges = np.concatenate([a + (b - a) * unit[:-1] for a, b in zip(ends[:-1], ends[1:])]
+                           + [[hi]])
+    starts, widths = edges[:-1], np.diff(edges)
     total = 0.0
-    for assign in itertools.combinations_with_replacement(range(len(cells)), d):
-        total += _ordered_cells_integral(fn, d, cells, assign, nodes)
-    return total
+    # a nondecreasing assignment of the coordinates to panels splits them
+    # into runs that share a panel; the patterns of run lengths are the
+    # 2^(d-1) ways to cut the coordinates 1..d between neighbours
+    for cut_after in itertools.product((False, True), repeat=d - 1):
+        runs = np.diff([0, *[i + 1 for i, c in enumerate(cut_after) if c], d])
+        choice = np.array(list(itertools.combinations(range(len(starts)), len(runs))),
+                          dtype=np.intp).reshape(-1, len(runs))
+        total = total + _run_pattern_sum(fn, runs, choice, starts, widths, q)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def quad_entropy(density_fn, d: int, lo: float, hi: float,

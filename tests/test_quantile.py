@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
-                           PiecewiseLinearCdf)
+from maxentos import cdfs
+from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ComposedDeltaCdf,
+                           ExponentialCdf, PiecewiseLinearCdf)
 
 TENT = (((0.0, 0.0), (0.5, 0.75), (1.0, 1.0)),
         ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))
@@ -170,3 +171,32 @@ def test_newton_level_cap_returns_bracket_hi():
     one = lambda x: np.ones_like(x)
     assert _newton_level(ident, one, np.array([0.3]), 0.0, 1.0, iters=1)[0] == 0.5
     assert _newton_level(ident, one, np.array([0.3]), 0.0, 1.0)[0] == 0.3
+
+
+@pytest.mark.parametrize("u", [np.linspace(0.01, 0.99, 99), np.array([1.0])])
+def test_composed_ppf_solves_g_inverse_once_per_iterate(u, monkeypatch):
+    # a Newton iterate reads the cdf and the pdf at one x, both from one
+    # G^{-1} solve, and lands where separate reads of the two land
+    comps = [ExponentialCdf(r) for r in (3.0, 2.0, 1.0)]
+    F = ComposedDeltaCdf(comps[0], AverageCdf(comps))
+    expect = cdfs._newton_level(F.cdf, F.pdf, u, 0.0, 1.0)
+    solves, iterates, outer = [], [], []
+    solve, newton = AverageCdf._solve_levels, cdfs._newton_level
+    monkeypatch.setattr(AverageCdf, "_solve_levels",
+                        lambda self, v: (solves.append(1), solve(self, v))[1])
+
+    def counted(cdf_vec, pdf_vec, *args, **kwargs):
+        # the iterates of the outer solve only: G^{-1} runs a Newton too
+        if outer:
+            return newton(cdf_vec, pdf_vec, *args, **kwargs)
+        outer.append(1)
+        try:
+            return newton(lambda x: (iterates.append(1), cdf_vec(x))[1], pdf_vec,
+                          *args, **kwargs)
+        finally:
+            outer.pop()
+
+    monkeypatch.setattr(cdfs, "_newton_level", counted)
+    got = F.ppf(u)
+    np.testing.assert_array_equal(got, expect)
+    assert len(iterates) > 0 and len(solves) == len(iterates)

@@ -8,15 +8,17 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from maxentos import (MarginalVector, Multidiagonal, marginals,
                       multidiagonal_of_iid_uniform, run_full_verification)
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
                            PiecewiseLinearCdf)
+from maxentos.copula import CopulaKernel, c_delta_density, copula_entropy_closed
 from maxentos.errors import DimensionTooLarge
-from maxentos.verify import (_BLOCK, DEFAULT_NODES, _ordered_cells_integral,
-                             _product_sum, axis_rule, cube_integral,
-                             ks_distance, mc_entropy,
+from maxentos.verify import (_BLOCK, DEFAULT_NODES, _axis_panels,
+                             _product_sum, _run_pattern_sum, axis_rule,
+                             cube_integral, ks_distance, mc_entropy,
                              ordered_region_integral_2d, quad_entropy,
                              simplex_integral)
 
@@ -115,10 +117,11 @@ def test_simplex_integral_peak_memory_in_blocks():
     assert peak <= 16e6
 
 
-def _substitution_reference(fn, d, cells, assign, nodes):
-    # every point of the product rule mapped on its own: x_i = a + (top - a)
-    # w_i, top the next coordinate in the same cell or else the cell's end
-    pts, wts = axis_rule(nodes)
+def _substitution_reference(fn, cells, assign, pts, wts):
+    # every point of the product rule (pts, wts on [0, 1] on each axis)
+    # mapped on its own: x_i = a + (top - a) w_i, top the next coordinate
+    # in the same cell or else the cell's end
+    d = len(assign)
     idx = np.array(list(itertools.product(range(len(pts)), repeat=d)))
     W = pts[idx]
     w = np.prod(wts[idx], axis=1)
@@ -131,6 +134,12 @@ def _substitution_reference(fn, d, cells, assign, nodes):
     return w @ fn(X)
 
 
+def _unit_gauss(q):
+    # q Gauss-Legendre nodes and weights on [0, 1]
+    t, wt = leggauss(q)
+    return 0.5 * (t + 1.0), 0.5 * wt
+
+
 def _positive_columns(X):
     f = np.exp(-X.sum(axis=1)) * (1.0 + X[:, 0] * X[:, -1])
     return np.column_stack([f, 1.0 + X[:, 0] ** 2])
@@ -139,10 +148,31 @@ def _positive_columns(X):
 @pytest.mark.parametrize("assign", [(0,), (1,), (0, 1), (1, 1), (0, 0, 1),
                                     (0, 1, 1), (1, 1, 1), (0, 0, 0)])
 def test_ordered_cells_match_pointwise_substitution(assign):
-    cells = [(-0.5, 0.25), (0.25, 1.5)]
-    d = len(assign)
-    got = _ordered_cells_integral(_positive_columns, d, cells, assign, 16)
-    expect = _substitution_reference(_positive_columns, d, cells, assign, 16)
+    # one nondecreasing assignment of the coordinates to two panels: runs
+    # sharing a panel are ordered inside it, distinct panels decouple
+    panels = [(-0.5, 0.25), (0.25, 1.5)]
+    starts = np.array([a for a, _ in panels])
+    widths = np.array([b - a for a, b in panels])
+    runs = [len(list(run)) for _, run in itertools.groupby(assign)]
+    choice = np.array([sorted(set(assign))])
+    got = _run_pattern_sum(_positive_columns, runs, choice, starts, widths, 8)
+    expect = _substitution_reference(_positive_columns, panels, assign, *_unit_gauss(8))
+    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simplex_integral_sums_every_panel_assignment(d):
+    # the graded panels of each cut cell, and the rule of every
+    # nondecreasing assignment of the coordinates to them
+    lo, hi, cuts, nodes = -0.5, 1.5, [0.25], 16
+    unit, q = _axis_panels(nodes)
+    cells = [(lo, 0.25), (0.25, hi)]
+    edges = [a + (b - a) * u for a, b in cells for u in unit[:-1]] + [hi]
+    panels = list(zip(edges[:-1], edges[1:]))
+    expect = sum(_substitution_reference(_positive_columns, panels, assign, *_unit_gauss(q))
+                 for assign in itertools.combinations_with_replacement(
+                     range(len(panels)), d))
+    got = simplex_integral(_positive_columns, d, lo, hi, nodes=nodes, cuts=cuts)
     np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
 
 
@@ -151,7 +181,7 @@ def test_simplex_cuts_match_pointwise_substitution():
     # nondecreasing assignment of coordinates to cells
     lo, hi, cuts = -0.5, 1.5, [0.25, 0.75]
     cells = list(zip([lo, *cuts], [*cuts, hi]))
-    expect = sum(_substitution_reference(_positive_columns, 3, cells, assign, 16)
+    expect = sum(_substitution_reference(_positive_columns, cells, assign, *axis_rule(16))
                  for assign in itertools.combinations_with_replacement(range(3), 3))
     got = simplex_integral(_positive_columns, 3, lo, hi, nodes=16, cuts=cuts)
     np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
@@ -161,24 +191,30 @@ def test_simplex_cuts_match_pointwise_substitution():
                                             (2, None, True), (3, 128, False),
                                             (3, 512, True)])
 def test_integrand_calls_stay_within_a_block(d, nodes, cube):
-    # each call gets whole slabs of the leading axis, at most _BLOCK points,
-    # or one slab when a slab alone holds more
+    # the cube rule hands each call whole slabs of the leading axis, at most
+    # _BLOCK points, or one slab when a slab alone holds more; the ordered
+    # rule hands it whole panel assignments of q^d points, at most _BLOCK
     sizes = []
 
     def fn(X):
         sizes.append(len(X))
         return np.ones(len(X))
 
-    n = len(axis_rule(nodes or DEFAULT_NODES[d])[0])
-    slab = n ** (d - 1)
     if cube:
+        n = len(axis_rule(nodes or DEFAULT_NODES[d])[0])
+        slab = n ** (d - 1)
         assert cube_integral(fn, d, nodes) == pytest.approx(1.0, rel=1e-12)
+        assert max(sizes) <= max(_BLOCK, slab)
+        assert all(size % slab == 0 for size in sizes)
+        assert sum(sizes) == n ** d
     else:
+        unit, q = _axis_panels(nodes or DEFAULT_NODES[d])
+        panels = 2 * (len(unit) - 1)  # the graded panels of both cells
         assert simplex_integral(fn, d, 0.0, 1.0, nodes, cuts=[0.5]) == \
             pytest.approx(1.0 / math.factorial(d), rel=1e-12)
-    assert max(sizes) <= max(_BLOCK, slab)
-    assert all(size % slab == 0 for size in sizes)
-    assert sum(sizes) == n ** d * (1 if cube else math.comb(d + 1, d))
+        assert max(sizes) <= _BLOCK
+        assert all(size % q ** d == 0 for size in sizes)
+        assert sum(sizes) == q ** d * math.comb(panels + d - 1, d)
 
 
 def test_ordered_region_integral():
@@ -248,6 +284,32 @@ def test_battery_passes_on_smooth_example(beta2):
     for check in payload["checks"]:
         assert {"name", "status", "value", "tol", "detail"} <= set(check)
         assert check["seconds"] >= 0.0
+
+
+def test_battery_passes_on_exp3(exp3):
+    # the d = 3 battery from margins: every check passes but the shift
+    # identity, whose quadrature route is kept to d = 2 and skips
+    rep = run_full_verification(exp3, n_samples=2000)
+    assert rep.all_passed
+    assert [c.name for c in rep.checks if c.passed is None] == ["entropy_shift_identity"]
+
+
+def test_exp3_copula_pass_solves_few_levels(exp3_delta, monkeypatch):
+    # the ordered rule's columns repeat a few levels per panel, so exp3's
+    # c_delta mass and entropy pass solves G^{-1} on a few thousand levels
+    from maxentos import verify
+    kernel = CopulaKernel(exp3_delta)
+    cuts = sorted({float(k) for comp in exp3_delta.components
+                   for k in comp.knots() if 0.0 < float(k) < 1.0})
+    levels = []
+    solve = AverageCdf._solve_levels
+    monkeypatch.setattr(AverageCdf, "_solve_levels",
+                        lambda self, u: (levels.append(u.size), solve(self, u))[1])
+    mass, ent = verify._mass_and_entropy(lambda U: c_delta_density(kernel, U),
+                                         3, 0.0, 1.0, cuts, scale=6.0)()
+    assert abs(mass - 1.0) <= 1e-7
+    assert abs(ent - copula_entropy_closed(exp3_delta)) <= 1e-6
+    assert sum(levels) <= 20_000
 
 
 def test_battery_passes_on_iid_multidiagonal():
