@@ -358,8 +358,11 @@ def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
     leading digits) from below the level, or when no float lies between
     its bracket ends.  A small step from above first probes just
     below the root, so a flat stretch at the level is not mistaken for its
-    right end.  A point still moving after iters evaluations gets its
-    bracket's hi.
+    right end.  A probe below a point that read the level exactly, that
+    reads it too, shows such a stretch: from then on the point bisects
+    where it would probe, and ends at the stretch's left end to the ulp
+    instead of creeping down it a few ulps per evaluation.  A point still
+    moving after iters evaluations gets its bracket's hi.
     """
     targets = np.asarray(targets, dtype=float)
     shape = targets.shape
@@ -369,6 +372,8 @@ def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
     out = np.empty(t.size)
     idx = np.arange(t.size)
     x = 0.5 * (lo + hi)
+    probed = np.zeros(t.size, dtype=bool)
+    flat = np.zeros(t.size, dtype=bool)
     for _ in range(iters):
         if idx.size == 0:
             break
@@ -387,18 +392,25 @@ def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
         mid = 0.5 * (lo + hi)
         x = np.where((xn > lo) & (xn < hi), xn, mid)
         settled = (small & below) | (mid <= lo) | (mid >= hi)
+        # a probe below a point that read the level exactly, reading it
+        # too, shows a flat stretch: from then on the point keeps x (mid,
+        # or a Newton step inside the bracket) instead of probing again
+        flat |= probed & ~below
         # integer indices: boolean masks gather far slower here
-        rise = np.flatnonzero(small & ~below)
+        rise = np.flatnonzero(small & ~below & ~flat)
+        probed[:] = False
         if rise.size:
             # a few ulps below the root estimate, well inside the tolerance
             probe = np.nextafter(xn[rise] - 0.25 * tol[rise], -math.inf)
             settled[rise] |= probe <= lo[rise]
             x[rise] = probe
+            probed[rise] = r[rise] == 0.0
         done = np.flatnonzero(settled)
         if done.size:
             out[idx[done]] = np.where(small[done], np.clip(xn[done], lo[done], hi[done]), hi[done])
             keep = np.flatnonzero(~settled)
             idx, t, lo, hi, x = idx[keep], t[keep], lo[keep], hi[keep], x[keep]
+            probed, flat = probed[keep], flat[keep]
     out[idx] = hi
     return out.reshape(shape)
 

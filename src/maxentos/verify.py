@@ -27,6 +27,14 @@ distinct level (G^{-1} through cdfs._per_distinct) solve a few thousand
 levels per pass.  The points run in blocks of at most 2^15, whole
 assignments, one contiguous column per coordinate.
 
+The curved rule, int_0^1 du2 int_0^{upper(u2)} du1 as c_F's region
+{u1 <= F_1(F_2^{-1}(u2))} needs, maps the graded panels into the cells
+between each axis's cuts as well.  Under an outer node u2 the inner panels
+wholly below upper(u2) keep their own Gauss nodes, shared by every outer
+node; only the one panel across upper(u2) is mapped onto [edge, upper(u2)].
+The u1 column thus holds the shared nodes and q more per outer node, and
+the points run in blocks of at most 2^15, whole panels.
+
 run_full_verification executes an independent battery of consistency
 checks on a marginal vector or a multidiagonal, each with its own fixed
 seed, and reports one pass/fail/skip verdict per check.  MAXENTOS_THREADS
@@ -135,6 +143,18 @@ def _product_sum(fn, axes_pts, axes_wts, chunk: int = _BLOCK):
     return float(acc) if np.ndim(acc) == 0 else acc
 
 
+def _cut_ends(cuts, lo: float, hi: float):
+    """lo, the cuts strictly inside (lo, hi) in order, and hi."""
+    return [lo, *sorted({float(c) for c in cuts if lo < float(c) < hi}), hi]
+
+
+def _cell_edges(ends, unit):
+    """The graded panel edges unit of [0, 1] mapped into each cell between
+    consecutive ends."""
+    return np.concatenate([a + (b - a) * unit[:-1] for a, b in zip(ends[:-1], ends[1:])]
+                          + [[ends[-1]]])
+
+
 def _check_dim(d: int):
     if d > MAX_QUAD_DIM:
         raise DimensionTooLarge(
@@ -206,12 +226,9 @@ def simplex_integral(fn, d: int, lo: float, hi: float,
     _check_dim(d)
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError("ordered-region quadrature needs finite lo < hi")
-    inner = sorted({float(c) for c in cuts if lo < float(c) < hi})
-    ends = [lo, *inner, hi]
     # the graded panels of [0, 1], mapped into each cell between the cuts
     unit, q = _axis_panels(nodes or DEFAULT_NODES[d])
-    edges = np.concatenate([a + (b - a) * unit[:-1] for a, b in zip(ends[:-1], ends[1:])]
-                           + [[hi]])
+    edges = _cell_edges(_cut_ends(cuts, lo, hi), unit)
     starts, widths = edges[:-1], np.diff(edges)
     total = 0.0
     # a nondecreasing assignment of the coordinates to panels splits them
@@ -236,34 +253,45 @@ def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
     """int_0^1 du2 int_0^{upper(u2)} fn(u1, u2) du1 for a curved region.
 
     outer_cuts/inner_cuts list interior kink abscissae of the integrand
-    along u2 and u1; both axes are split there.
+    along u2 and u1; both axes are split there.  upper may take any value
+    >= 0, above 1 too; an outer node where upper <= 0 adds nothing.
+
+    Both axes take the graded panels mapped into each cell between their
+    cuts, the inner one up to max(1, max upper).  Under an outer node u2,
+    every inner panel wholly below upper(u2) keeps its own q Gauss nodes,
+    shared by all outer nodes, and only the panel that straddles upper(u2)
+    is mapped onto [edge, upper(u2)].  Each call of fn gets whole panels,
+    at most _BLOCK points, one contiguous column per coordinate.
     """
-    base, basew = axis_rule(nodes or DEFAULT_NODES[2])
-
-    def _panelize(cuts):
-        edges = [0.0, *sorted({float(c) for c in cuts if 0.0 < float(c) < 1.0}), 1.0]
-        ps, ws = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            ps.append(a + (b - a) * base)
-            ws.append((b - a) * basew)
-        return np.concatenate(ps), np.concatenate(ws)
-
-    pts2, wts2 = _panelize(outer_cuts)
-    icuts = np.array(sorted({float(c) for c in inner_cuts if 0.0 < float(c) < 1.0}))
-    up = np.asarray(upper_fn(pts2), dtype=float)
-    # the rows of every outer node first, then one integrand call on them all
-    rows, weights = [], []
-    for j in range(len(pts2)):
-        if up[j] <= 0.0:
-            continue
-        pts1, wts1 = _panelize(icuts[icuts < up[j]] / up[j]) if icuts.size else (base, basew)
-        u1 = pts1 * up[j]
-        rows.append(np.column_stack([u1, np.full_like(u1, pts2[j])]))
-        weights.append(wts2[j] * up[j] * wts1)
-    if not rows:
-        return 0.0
-    vals = np.asarray(fn(np.concatenate(rows)), dtype=float)
-    return float(np.dot(vals, np.concatenate(weights)))
+    unit, q = _axis_panels(nodes or DEFAULT_NODES[2])
+    xg, wg = leggauss(q)
+    t, wt = 0.5 * (xg + 1.0), 0.5 * wg
+    outer = _cell_edges(_cut_ends(outer_cuts, 0.0, 1.0), unit)
+    width = np.diff(outer)[:, None]
+    u2 = (outer[:-1, None] + width * t).ravel()
+    w2 = (width * wt).ravel()
+    up = np.asarray(upper_fn(u2), dtype=float)
+    inner = _cell_edges(_cut_ends(inner_cuts, 0.0, max(1.0, float(np.max(up)))), unit)
+    # under each outer node, the inner panels wholly below upper, then the
+    # one across it from its left edge; a NaN upper keeps that last panel,
+    # so the sum reads NaN
+    below = inner[1:] <= up[:, None]
+    node, panel = np.nonzero(below)
+    edge = inner[below.sum(axis=1)]
+    cut = np.flatnonzero(~(up <= edge))
+    node = np.concatenate([node, cut])
+    a = np.concatenate([inner[panel], edge[cut]])
+    h = np.concatenate([np.diff(inner)[panel], up[cut] - edge[cut]])
+    step = max(1, _BLOCK // q)
+    acc = 0.0
+    for start in range(0, len(node), step):
+        sl = slice(start, start + step)
+        pts = np.empty((2, len(node[sl]), q))
+        pts[0] = a[sl, None] + h[sl, None] * t
+        pts[1] = u2[node[sl], None]
+        w = ((w2[node[sl]] * h[sl])[:, None] * wt).reshape(-1)
+        acc = acc + w @ np.asarray(fn(pts.reshape(2, -1).T), dtype=float)
+    return float(acc)
 
 
 def mc_entropy(density_fn, samples) -> tuple[float, float]:

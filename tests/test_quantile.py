@@ -200,3 +200,43 @@ def test_composed_ppf_solves_g_inverse_once_per_iterate(u, monkeypatch):
     got = F.ppf(u)
     np.testing.assert_array_equal(got, expect)
     assert len(iterates) > 0 and len(solves) == len(iterates)
+
+
+def _exp3_components():
+    comps = [ExponentialCdf(r) for r in (3.0, 2.0, 1.0)]
+    G = AverageCdf(comps)
+    return [ComposedDeltaCdf(c, G) for c in comps]
+
+
+def test_composed_ppf_at_one_is_where_cdf_first_reads_one(monkeypatch):
+    # the first two components read 1 on a stretch below t = 1: a probe
+    # that lands on it again bisects, so the point ends where the cdf,
+    # rounded, first reaches 1, and does not creep down the stretch a few
+    # ulps per G^{-1} solve for all 100 iterations
+    solves = []
+    solve = AverageCdf._solve_levels
+    monkeypatch.setattr(AverageCdf, "_solve_levels",
+                        lambda self, v: (solves.append(1), solve(self, v))[1])
+    for F in _exp3_components():
+        solves.clear()
+        r = F.ppf(1.0)
+        assert len(solves) <= 64
+        assert F.cdf(r) == 1.0 and F.cdf(np.nextafter(r, 0.0)) < 1.0
+
+
+# F.ppf at 0.1, 0.5, 0.9 and 0.99 before flat stretches were bisected; each
+# of these solves settles through a probe that falls below the level
+_PROBE_BELOW_BITS = (
+    ("0x1.144341ff27d39p-4", "0x1.6f63eeb78bf7ap-2", "0x1.7af2a74b23d4ep-1",
+     "0x1.d19a488f6923fp-1"),
+    ("0x1.96306484107f6p-4", "0x1.eb4b6eed61988p-2", "0x1.b3911c794e18ap-1",
+     "0x1.ed0e560418938p-1"),
+    ("0x1.7ef9db22d0e57p-3", "0x1.6aaaaaaaaaaabp-1", "0x1.ed0e560418937p-1",
+     "0x1.fe46ae3a3a8e7p-1"),
+)
+
+
+def test_composed_ppf_keeps_bits_where_probe_falls_below():
+    u = np.array([0.1, 0.5, 0.9, 0.99])
+    for F, bits in zip(_exp3_components(), _PROBE_BELOW_BITS):
+        assert [x.hex() for x in F.ppf(u)] == list(bits)

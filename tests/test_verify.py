@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -226,7 +227,9 @@ def test_ordered_region_integral():
     assert kinked == pytest.approx(0.25, abs=1e-12)
 
 
-def test_ordered_region_integral_calls_integrand_once():
+def test_ordered_region_integral_calls_stay_within_a_block():
+    # no call per outer node: the points run in blocks of at most _BLOCK,
+    # every block full but the last
     calls = []
 
     def fn(U):
@@ -236,7 +239,130 @@ def test_ordered_region_integral_calls_integrand_once():
     area = ordered_region_integral_2d(fn, lambda t: t, outer_cuts=[0.5],
                                       inner_cuts=[0.25])
     assert area == pytest.approx(0.5, abs=1e-12)
+    assert max(calls) <= _BLOCK
+    assert len(calls) == math.ceil(sum(calls) / _BLOCK) > 1
+
+
+def _curved_reference(fn, upper, nodes, outer_cuts, inner_cuts):
+    # the rule point by point: under each outer node, every inner panel
+    # wholly below upper, then the one across it cut at upper
+    unit, q = _axis_panels(nodes)
+    xg, wg = leggauss(q)
+    t, wt = 0.5 * (xg + 1.0), 0.5 * wg
+
+    def panels(cuts, top):
+        ends = [0.0, *sorted(c for c in cuts if 0.0 < c < top), top]
+        return [(a + (b - a) * lo, a + (b - a) * hi) for a, b in zip(ends[:-1], ends[1:])
+                for lo, hi in zip(unit[:-1], unit[1:])]
+
+    outer = [(a + (b - a) * tk, (b - a) * wk) for a, b in panels(outer_cuts, 1.0)
+             for tk, wk in zip(t, wt)]
+    ups = [float(upper(np.array([u2]))[0]) for u2, _ in outer]
+    inner = panels(inner_cuts, max(1.0, *ups))
+    acc = 0.0
+    for (u2, w2), up in zip(outer, ups):
+        for a, b in inner:
+            if a >= up:
+                break
+            b = min(b, up)
+            u1 = a + (b - a) * t
+            vals = fn(np.column_stack([u1, np.full(q, u2)]))
+            acc += w2 * float(np.sum((b - a) * wt * vals))
+    return acc
+
+
+@pytest.mark.parametrize("upper, outer_cuts, inner_cuts", [
+    (lambda t: t, [], []),
+    (lambda t: 0.3 + 0.6 * t ** 2, [0.4], [0.2, 0.7]),
+    (lambda t: np.maximum(0.0, 2.0 * t - 1.0), [0.5], [0.3]),
+    (lambda t: 2.0 * t, [0.25], [0.5, 1.5]),
+])
+def test_ordered_region_integral_matches_pointwise_panels(upper, outer_cuts, inner_cuts):
+    # a kink off the cuts: the rule is off the integral far above 1e-13, so
+    # only the same points and weights match the reference
+    fn = lambda U: np.exp(-U[:, 0] * U[:, 1]) * (1.0 + np.sqrt(np.abs(U[:, 0] - 0.37)))
+    got = ordered_region_integral_2d(fn, upper, nodes=64, outer_cuts=outer_cuts,
+                                     inner_cuts=inner_cuts)
+    expect = _curved_reference(fn, upper, 64, outer_cuts, inner_cuts)
+    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("upper, outer_cuts, inner_cuts, exact", [
+    # area of {u1 <= 2 u2}: the inner axis runs past 1
+    (lambda t: 2.0 * t, [], [], 1.0),
+    (lambda t: 2.0 * t, [0.3], [0.5, 1.2], 1.0),
+    # zero on [0, 1/2]: those outer nodes add nothing
+    (lambda t: np.maximum(0.0, 2.0 * t - 1.0), [0.5], [0.25], 0.25),
+    (lambda t: t ** 2, [0.3, 0.7], [0.25, 0.6], 1.0 / 3.0),
+])
+def test_ordered_region_integral_exact_on_polynomials(upper, outer_cuts, inner_cuts, exact):
+    area = ordered_region_integral_2d(lambda U: np.ones(len(U)), upper,
+                                      outer_cuts=outer_cuts, inner_cuts=inner_cuts)
+    assert area == pytest.approx(exact, abs=1e-14)
+    # u1^3 u2^2 + u1 u2 integrates in u1 to a polynomial in upper(u2)
+    fn = lambda U: U[:, 0] ** 3 * U[:, 1] ** 2 + U[:, 0] * U[:, 1]
+    inner = lambda y: (lambda v: v ** 4 / 4 * y ** 2 + v ** 2 / 2 * y)(
+        float(upper(np.array([float(y)]))[0]))
+    expect = float(mpmath.quad(inner, [0.0, *sorted(outer_cuts), 1.0]))
+    got = ordered_region_integral_2d(fn, upper, outer_cuts=outer_cuts,
+                                     inner_cuts=inner_cuts)
+    assert got == pytest.approx(expect, abs=1e-14)
+
+
+def _shift_identity_cF_half(margins, monkeypatch):
+    """The entropy_shift_identity verdict, and the c_F half's integrand,
+    region and cuts as the check hands them to the curved rule."""
+    from maxentos import verify
+    calls = []
+    curved = verify.ordered_region_integral_2d
+
+    def recorded(fn, upper_fn, **kwargs):
+        calls.append((fn, upper_fn, kwargs))
+        return curved(fn, upper_fn, **kwargs)
+
+    monkeypatch.setattr(verify, "ordered_region_integral_2d", recorded)
+    checks = dict(verify._marginal_checks(margins, seed=0, n_samples=500, grid=256))
+    result = checks["entropy_shift_identity"]()
+    monkeypatch.undo()
     assert len(calls) == 1
+    return result, calls[0]
+
+
+SHIFT_SUBJECTS = {
+    "beta2": (BetaOneKCdf(2), BetaOneKCdf(1)),
+    "beta3_exp1": (BetaOneKCdf(3), ExponentialCdf(1.0)),
+}
+
+
+@pytest.mark.parametrize("subject", sorted(SHIFT_SUBJECTS))
+def test_shift_identity_cF_half_reads_few_levels(subject, monkeypatch):
+    # every outer node shares the inner panels' nodes, so c_F sees a few
+    # thousand u1 levels; a fresh inner rule per outer node sent 282,140
+    # (beta2) and 242,061 (beta3_exp1)
+    result, (fn, upper, kwargs) = _shift_identity_cF_half(
+        MarginalVector(SHIFT_SUBJECTS[subject]), monkeypatch)
+    assert result.passed and result.value < 1e-8
+    levels = []
+
+    def counted(U):
+        levels.append(U[:, 0].copy())
+        return fn(U)
+
+    ordered_region_integral_2d(counted, upper, **kwargs)
+    assert np.unique(np.concatenate(levels)).size <= 20_000
+
+
+def test_shift_identity_cF_half_peak_memory(beta2, monkeypatch):
+    # blocks of at most _BLOCK points; one call on every point peaked at
+    # 36.9 MB
+    _, (fn, upper, kwargs) = _shift_identity_cF_half(beta2, monkeypatch)
+    tracemalloc.start()
+    try:
+        ordered_region_integral_2d(fn, upper, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_quad_entropy_constant_density():
