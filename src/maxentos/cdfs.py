@@ -43,6 +43,144 @@ def _per_distinct(fn, x):
     return np.asarray(fn(levels), dtype=float)[inverse].reshape(x.shape)
 
 
+class _LevelBlock(np.ndarray):
+    """An (n, d) block of points that carries, per column j, the pair
+    levels[j] = (values, index) with column j equal to values[index].
+
+    A quadrature rule builds it (_level_block), knowing which few values
+    each column repeats.  Only that array carries the pairs: its slices,
+    copies and arithmetic results read levels as None, so code that
+    treats it as a plain array sees one.
+    """
+
+    levels = None
+
+
+def _level_block(levels) -> _LevelBlock:
+    """The (n, d) block whose column j is values[index] for the pair
+    levels[j] = (values, index), and which carries those pairs."""
+    return _Columns(None, tuple(levels)).block()
+
+
+class _Columns:
+    """The columns of a block of points, for the terms of a density that
+    each read one coordinate.
+
+    On a plain array a term reads the points of its column.  On a level
+    block it reads the column's values once each and gathers them by the
+    index: the same bits for an elementwise term, at a cost that follows
+    the values, not the points.  Work that reads several coordinates of a
+    point (masks, gaps, sums) reads column(j).  Every index is in range,
+    so the gathers take mode "clip", which spares them the copy of out
+    that mode "raise" buffers.
+    """
+
+    def __init__(self, points=None, levels=None):
+        # (d, n) columns; on a level block None until a column is asked for
+        self._points = points
+        self.levels = levels
+
+    @classmethod
+    def of(cls, x, rows=None):
+        """The columns of the rows of x that the mask rows selects (all
+        when None); x is an (n, d) array, a level block or columns."""
+        if isinstance(x, cls):
+            return x
+        levels = x.levels if isinstance(x, _LevelBlock) else None
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if levels is None:
+            return cls((x if rows is None else x[rows]).T)
+        return cls(x.T, levels) if rows is None else cls(levels=levels).rows(rows)
+
+    def __len__(self):
+        return len(self.levels) if self.levels is not None else len(self._points)
+
+    def rows(self, mask):
+        """The columns of the points that mask selects."""
+        if self.levels is None:
+            return _Columns(self._points[:, mask])
+        return _Columns(None, tuple((values, index[mask]) for values, index in self.levels))
+
+    def buffers(self, k):
+        """k arrays for reads to gather into on a level block, as long as
+        a column; Nones on a plain array, whose reads are new arrays."""
+        if self.levels is None:
+            return (None,) * k
+        return tuple(np.empty(len(self.levels[0][1])) for _ in range(k))
+
+    def _gathered(self):
+        """The (d, n) points; on a level block gathered on first use."""
+        if self._points is None:
+            self._points = np.empty((len(self.levels), len(self.levels[0][1])))
+            for row, (values, index) in zip(self._points, self.levels):
+                np.take(values, index, out=row, mode="clip")
+        return self._points
+
+    def column(self, j):
+        """Column j at every point."""
+        return self._gathered()[j]
+
+    def read(self, j, fn, out=None):
+        """fn at every point of column j, for an elementwise fn that
+        returns a new array, so the caller may write into the result.  On
+        a level block the values are gathered into out when it is given,
+        an array as long as the column."""
+        if self.levels is None:
+            return fn(self._points[j])
+        values, index = self.levels[j]
+        return np.take(fn(values), index, out=out, mode="clip")
+
+    def map(self, fn):
+        """The columns fn(x) for an elementwise fn, from one call on all
+        of them: G^{-1} solves the union of their levels once."""
+        if self.levels is None:
+            return _Columns(fn(self._points))
+        values = fn(np.concatenate([v for v, _ in self.levels]))
+        ends = np.cumsum([len(v) for v, _ in self.levels])[:-1]
+        return _Columns(None, tuple(zip(np.split(values, ends),
+                                        (index for _, index in self.levels))))
+
+    def map_each(self, fns):
+        """The columns fns[j](column j), for elementwise fns."""
+        if self.levels is None:
+            out = np.empty(self._points.shape)
+            for row, fn, col in zip(out, fns, self._points):
+                row[...] = fn(col)
+            return _Columns(out)
+        return _Columns(None, tuple((fn(values), index)
+                                    for fn, (values, index) in zip(fns, self.levels)))
+
+    def between(self, hz, i, out=None):
+        """hz.lambda_between(column i - 2, column i - 1), a new array or
+        out; on a level block theta reads each level of the two columns
+        once."""
+        s, t = self.column(i - 2), self.column(i - 1)
+        if self.levels is None:
+            return hz.lambda_between(s, t)
+        tt, ts = self.read(i - 1, hz.theta, out=out), self.read(i - 2, hz.theta)
+
+        def diff(sel):
+            rise = tt[sel]
+            rise -= ts[sel]
+            return rise
+        return hz._between(s, t, diff)
+
+    def block(self, like=None):
+        """The points as an (n, d) array: on a level block one that
+        carries the levels, else a plain one, laid out like the array
+        like when given."""
+        if self.levels is not None:
+            block = self._gathered().T.view(_LevelBlock)
+            block.levels = self.levels
+            return block
+        if like is None:
+            return self._points.T
+        out = np.empty_like(like)
+        for j, col in enumerate(self._points):
+            out[:, j] = col
+        return out
+
+
 def _panel_integral(fn, a, b):
     """int_{a[k]}^{b[k]} fn(t) dt for every panel k, in one tanh-sinh call.
 
@@ -83,8 +221,13 @@ def _panel_integral(fn, a, b):
 def xlogx(p):
     """p * log(p) with the 0 log 0 -> 0 convention (clip below 1e-300)."""
     p = np.asarray(p, dtype=float)
-    safe = np.where(p > _XLOGX_CLIP, p, 1.0)
-    return np.where(p > _XLOGX_CLIP, p * np.log(safe), 0.0)
+    live = p > _XLOGX_CLIP
+    # in place on one temporary: p log p where live, 0 elsewhere
+    out = np.where(live, p, 1.0)
+    np.log(out, out=out)
+    out *= p
+    out[~live] = 0.0
+    return out
 
 
 def _float_out(out, x):
@@ -359,10 +502,15 @@ def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
     its bracket ends.  A small step from above first probes just
     below the root, so a flat stretch at the level is not mistaken for its
     right end.  A probe below a point that read the level exactly, that
-    reads it too, shows such a stretch: from then on the point bisects
-    where it would probe, and ends at the stretch's left end to the ulp
-    instead of creeping down it a few ulps per evaluation.  A point still
-    moving after iters evaluations gets its bracket's hi.
+    reads it too, shows such a stretch.  Wherever one float step moves the
+    rounded function by less than an ulp of the level, it reads the level
+    over about 2 such ulps divided by the slope, so the point next probes
+    that far below.  From then on it bisects where it would probe and
+    settles only when its bracket closes, at hi: the stretch's left end to
+    the ulp, reached without creeping down the stretch a few ulps per
+    evaluation, and without bisecting from a far bracket end where the
+    stretch is only rounding.  A point still moving after iters
+    evaluations gets its bracket's hi.
     """
     targets = np.asarray(targets, dtype=float)
     shape = targets.shape
@@ -372,8 +520,9 @@ def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
     out = np.empty(t.size)
     idx = np.arange(t.size)
     x = 0.5 * (lo + hi)
-    probed = np.zeros(t.size, dtype=bool)
-    flat = np.zeros(t.size, dtype=bool)
+    # places, among the points still moving, of those probed below a point
+    # that read the level exactly, and of those on a flat stretch: few
+    probed = flat = np.empty(0, dtype=np.intp)
     for _ in range(iters):
         if idx.size == 0:
             break
@@ -391,26 +540,39 @@ def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
         small = np.abs(step) <= tol
         mid = 0.5 * (lo + hi)
         x = np.where((xn > lo) & (xn < hi), xn, mid)
+        # a probe that reads the level again shows a flat stretch: the
+        # point probes a plateau width below (bisecting where that leaves
+        # the bracket), and from then on keeps x (mid, or a Newton step
+        # inside the bracket) instead of probing, and settles only when
+        # its bracket closes, at hi: the stretch's left end
+        found = probed[~below[probed]] if probed.size else probed
+        if found.size:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                wide = hi[found] - 2.0 * np.spacing(np.abs(t[found])) / f[found]
+            inside = (wide > lo[found]) & (wide < hi[found])
+            x[found[inside]] = wide[inside]
+            flat = np.concatenate([flat, found])
+        if flat.size:
+            small[flat] = False
         settled = (small & below) | (mid <= lo) | (mid >= hi)
-        # a probe below a point that read the level exactly, reading it
-        # too, shows a flat stretch: from then on the point keeps x (mid,
-        # or a Newton step inside the bracket) instead of probing again
-        flat |= probed & ~below
         # integer indices: boolean masks gather far slower here
-        rise = np.flatnonzero(small & ~below & ~flat)
-        probed[:] = False
+        rise = np.flatnonzero(small & ~below)
+        probed = rise
         if rise.size:
             # a few ulps below the root estimate, well inside the tolerance
             probe = np.nextafter(xn[rise] - 0.25 * tol[rise], -math.inf)
             settled[rise] |= probe <= lo[rise]
             x[rise] = probe
-            probed[rise] = r[rise] == 0.0
+            probed = rise[r[rise] == 0.0]
         done = np.flatnonzero(settled)
         if done.size:
             out[idx[done]] = np.where(small[done], np.clip(xn[done], lo[done], hi[done]), hi[done])
-            keep = np.flatnonzero(~settled)
+            keep = ~settled
+            if probed.size or flat.size:
+                place = np.cumsum(keep) - 1
+                probed, flat = place[probed[keep[probed]]], place[flat[keep[flat]]]
+            keep = np.flatnonzero(keep)
             idx, t, lo, hi, x = idx[keep], t[keep], lo[keep], hi[keep], x[keep]
-            probed, flat = probed[keep], flat[keep]
     out[idx] = hi
     return out.reshape(shape)
 

@@ -32,6 +32,7 @@ import math
 
 import numpy as np
 
+from .cdfs import _Columns
 from .errors import InvalidMarginal, NotAbsolutelyContinuous, NotInF0, OutOfPsi
 from .hazards import PairHazard, TableHazard, _cdf_gap
 from .intervals import gap_inside_mask, inside_mask
@@ -131,23 +132,31 @@ class CopulaKernel:
                 head = np.log(self._hazards[i].ell(x)) - self._K_at(i, x)
             return head + self._K_at(i + 1, x) - np.log(self._avg.pdf(x))
 
-    def _log_density(self, v: np.ndarray) -> np.ndarray:
-        """log c at sorted rows v on the support.
+    def _log_density(self, v) -> np.ndarray:
+        """log c at sorted rows v on the support: an (n, d) array, a level
+        block or their cdfs._Columns.
 
         The joint log-density at x = G^{-1}(v), less log g(x_i) for every
         column and log d!.  One G^{-1} call takes all d columns, so each
-        distinct level among them is solved once.
+        distinct level among them is solved once; on a level block every
+        other term reads each level once too.
         """
-        xs = self._avg.ppf(v.T)
+        xs = _Columns.of(v).map(self._avg.ppf)
+        lg = math.lgamma(self.d + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logc = np.log(self._first.pdf(xs[0])) - math.lgamma(self.d + 1)
+            logc = xs.read(0, lambda x: np.log(self._first.pdf(x)) - lg)
+            work = xs.buffers(2)
             # log g is 0 for the identity G
             if not isinstance(self._avg, _Identity):
-                for x in xs:
-                    logc -= np.log(self._avg.pdf(x))
+                for j in range(self.d):
+                    logc -= xs.read(j, lambda x: np.log(self._avg.pdf(x)), out=work[0])
             for i, hz in self._hazards.items():
-                x, prev = xs[i - 1], xs[i - 2]
-                logc += np.log(hz.ell(x)) - (hz.theta(x) - hz.theta(prev))
+                # log ell_i(x) - (theta_i(x) - theta_i(prev)), in place
+                rise = xs.read(i - 1, hz.theta, out=work[0])
+                rise -= xs.read(i - 2, hz.theta, out=work[1])
+                term = xs.read(i - 1, lambda x: np.log(hz.ell(x)), out=work[1])
+                term -= rise
+                logc += term
         return logc
 
     # -- public, domain-checked evaluations --
@@ -239,11 +248,16 @@ def c_delta_density(kernel: CopulaKernel, u) -> np.ndarray:
     """Copula density at points of [0, 1]^d; zero outside the support.
 
     Requires an absolutely continuous multidiagonal (membership in the
-    zero-sigma class); otherwise no density exists.
+    zero-sigma class); otherwise no density exists.  On a quadrature block
+    of sorted rows that carries its columns' levels (cdfs._LevelBlock),
+    G^{-1} solves the union of the levels and every term of one
+    coordinate reads each level once; the support mask and the sums read
+    the points.
     """
     if not kernel.report.is_D0:
         raise NotAbsolutelyContinuous(
             "multidiagonal is not absolutely continuous with zero residual set")
+    block = u
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != kernel.d:
         raise ValueError(f"points must have {kernel.d} columns")
@@ -257,15 +271,16 @@ def c_delta_density(kernel: CopulaKernel, u) -> np.ndarray:
     for i in range(1, d + 1):
         valid &= (inside_mask(kernel.psis[i], v[:, i - 1])
                   & inside_mask(kernel.psis[i + 1], v[:, i - 1]))
-    out = np.zeros(u.shape[0])
     if not np.any(valid):
-        return out
-    # with every row on the support the density reads v itself
+        return np.zeros(u.shape[0])
+    # with every row on the support the density reads v itself; sorting
+    # moves values between columns, so only an unsorted block keeps its levels
     every = bool(np.all(valid))
-    logc = kernel._log_density(v if every else v[valid])
+    logc = kernel._log_density(_Columns.of(block if v is u else v, None if every else valid))
     if every:
-        return np.exp(logc)
-    out[valid] = np.exp(logc)
+        return np.exp(logc, out=logc)
+    out = np.zeros(u.shape[0])
+    out[valid] = np.exp(logc, out=logc)
     return out
 
 
@@ -311,28 +326,39 @@ def sample_copula(kernel: CopulaKernel, n: int, seed: int = 0) -> np.ndarray:
     return rng.permuted(kernel._avg.cdf(X), axis=1)
 
 
-def _delta_values_and_slopes(delta: Multidiagonal, v: np.ndarray):
-    """delta_(i)(v_i) and delta_(i)'(v_i) column-wise for sorted points v:
-    F_i(x_i) and f_i(x_i) / g(x_i) at x = G^{-1}(v), through the
-    multidiagonal's transport."""
+def _delta_columns(delta: Multidiagonal, v):
+    """The columns delta_(i)(v_i) and delta_(i)'(v_i) of sorted points v
+    (an array, a level block or their _Columns): F_i(x_i) and
+    f_i(x_i) / g(x_i) at x = G^{-1}(v), through the multidiagonal's
+    transport."""
     margins, G, _ = delta.transport
-    vals = np.empty_like(v)
-    slopes = np.empty_like(v)
-    xs = G.ppf(v.T)
-    for i, (m, x, g) in enumerate(zip(margins, xs, G.pdf(xs))):
-        vals[:, i] = m.cdf(x)
-        f = m.pdf(x)
-        slopes[:, i] = np.where((f > 0.0) & (g > 0.0), f / np.where(g > 0, g, 1.0), 0.0)
-    return vals, slopes
+
+    def slope(m):
+        def read(x):
+            f, g = m.pdf(x), G.pdf(x)
+            return np.where((f > 0.0) & (g > 0.0), f / np.where(g > 0, g, 1.0), 0.0)
+        return read
+
+    xs = _Columns.of(v).map(G.ppf)
+    return xs.map_each([m.cdf for m in margins]), xs.map_each([slope(m) for m in margins])
 
 
-def _log_product(slopes: np.ndarray) -> np.ndarray:
-    """sum_i log slopes[:, i], added column by column, left to right."""
-    cols = slopes.T
+def _delta_values_and_slopes(delta: Multidiagonal, v: np.ndarray):
+    """delta_(i)(v_i) and delta_(i)'(v_i) column-wise for sorted points v,
+    as arrays laid out like v (see _delta_columns)."""
+    vals, slopes = _delta_columns(delta, v)
+    return vals.block(like=v), slopes.block(like=v)
+
+
+def _log_product(slopes) -> np.ndarray:
+    """sum_i log slopes[:, i], added column by column, left to right;
+    slopes is an array or its _Columns."""
+    slopes = _Columns.of(slopes)
     with np.errstate(divide="ignore"):
-        acc = np.log(cols[0])
-        for c in cols[1:]:
-            acc = acc + np.log(c)
+        acc = slopes.read(0, np.log)
+        work, = slopes.buffers(1)
+        for j in range(1, len(slopes)):
+            acc += slopes.read(j, np.log, out=work)
     return acc
 
 
@@ -341,19 +367,28 @@ def symmetrize_density(delta: Multidiagonal, c_fn):
 
     s(u) = (1/d!) c(delta_(1)(u_(1)), ..., delta_(d)(u_(d)))
            * prod_i delta_(i)'(u_(i)).
+
+    On a quadrature block of sorted rows that carries its columns' levels
+    (cdfs._LevelBlock), G^{-1}, delta_(i) and the slopes read each level
+    once, and c reads the values delta_(i)(u_(i)) as a block that carries
+    them with the same index.
     """
     d = delta.d
     norm = math.lgamma(d + 1)
 
     def s(u):
+        block = u
         u = np.atleast_2d(np.asarray(u, dtype=float))
         v = u if _rows_sorted(u) else _sort_rows(u)
-        vals, slopes = _delta_values_and_slopes(delta, v)
-        cvals = np.asarray(c_fn(vals), dtype=float)
+        vals, slopes = _delta_columns(delta, block if v is u else v)
+        cvals = np.asarray(c_fn(vals.block(like=v)), dtype=float)
         logprod = _log_product(slopes)
-        out = np.zeros(u.shape[0])
         # a NaN fills its row; G^{-1} would read it as a number
         live = (cvals > 0.0) & np.isfinite(logprod) & ~np.isnan(v[:, 0])
+        if np.all(live):
+            logprod -= norm
+            return cvals * np.exp(logprod, out=logprod)
+        out = np.zeros(u.shape[0])
         out[live] = cvals[live] * np.exp(logprod[live] - norm)
         return out
 
@@ -397,6 +432,9 @@ def c_F_density(margins: MarginalVector, u, *, hazards=None) -> np.ndarray:
     at x_j = F_j^{-1}(u_j), supported where the back-mapped point is
     ordered, its gaps stay separated, and every marginal density is
     positive.  Requires an absolutely continuous, zero-residual vector.
+    On a quadrature block that carries its columns' levels
+    (cdfs._LevelBlock), the quantiles, densities, CDFs and theta read each
+    level once; the support masks, gaps and sums read the points.
     """
     for i, m in enumerate(margins.margins, start=1):
         if not m.is_absolutely_continuous:
@@ -404,6 +442,7 @@ def c_F_density(margins: MarginalVector, u, *, hazards=None) -> np.ndarray:
     if sigma_measure(margins) > EQ_TOL:
         raise NotInF0("residual separation set has positive measure")
     d = margins.d
+    block = u
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != d:
         raise ValueError(f"points must have {d} columns")
@@ -412,9 +451,10 @@ def c_F_density(margins: MarginalVector, u, *, hazards=None) -> np.ndarray:
     interior = np.ones(len(u), dtype=bool)
     for c in u.T:
         interior &= (c > 0.0) & (c < 1.0)
-    x = np.empty_like(u)
-    for j in range(d):
-        x[:, j] = margins.margins[j].ppf(np.clip(u[:, j], 1e-300, 1.0))
+    ms = margins.margins
+    xs = _Columns.of(block).map_each(
+        [lambda c, m=m: m.ppf(np.clip(c, 1e-300, 1.0)) for m in ms])
+    x = xs.block()
     # rows with a u on the cube edge map to infinite x; keep them out of
     # the support test, whose gap arithmetic reads inf - inf there
     if np.all(interior):
@@ -423,21 +463,27 @@ def c_F_density(margins: MarginalVector, u, *, hazards=None) -> np.ndarray:
         valid = interior.copy()
         if np.any(interior):
             valid[interior] = in_support_LF(margins, x[interior])
-    for j in range(d):
-        valid &= np.asarray(margins.margins[j].pdf(x[:, j]), dtype=float) > 0.0
-    out = np.zeros(u.shape[0])
+    for j, m in enumerate(ms):
+        valid &= xs.read(j, lambda t: np.asarray(m.pdf(t), dtype=float) > 0.0)
     if not np.any(valid):
-        return out
+        return np.zeros(u.shape[0])
     # with every row on the support the columns are read in place
     every = bool(np.all(valid))
-    xv, uv = (x.T, u.T) if every else (x[valid].T, u[valid].T)
-    logc = np.zeros(len(xv[0]))
+    xv, uv = (xs, u.T) if every else (xs.rows(valid), u[valid].T)
+    logc = np.zeros(len(uv[0]))
+    work = xv.buffers(2)
     for i in range(2, d + 1):
-        lam = hazards[i].lambda_between(xv[i - 2], xv[i - 1])
-        gap = np.asarray(margins.margins[i - 2].cdf(xv[i - 1]), dtype=float) - uv[i - 1]
+        # -Lambda_i - log(F_{i-1}(x_i) - u_i), in place
+        lam = xv.between(hazards[i], i, out=work[0])
+        gap = xv.read(i - 1, lambda t: np.asarray(ms[i - 2].cdf(t), dtype=float), out=work[1])
+        gap -= uv[i - 1]
         with np.errstate(divide="ignore"):
-            logc += -lam - np.log(np.maximum(gap, 5e-324))
+            np.log(np.maximum(gap, 5e-324, out=gap), out=gap)
+        np.negative(lam, out=lam)
+        lam -= gap
+        logc += lam
     if every:
-        return np.exp(logc)
-    out[valid] = np.exp(logc)
+        return np.exp(logc, out=logc)
+    out = np.zeros(u.shape[0])
+    out[valid] = np.exp(logc, out=logc)
     return out

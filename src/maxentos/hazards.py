@@ -88,15 +88,20 @@ class PairHazard:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s, t = np.broadcast_arrays(s, t)
+        return self._between(s, t, lambda sel: self.theta(t[sel]) - self.theta(s[sel]))
+
+    def _between(self, s, t, diff):
+        """lambda_between(s, t) for arrays of one shape, with diff(sel) the
+        theta(t) - theta(s) of the points sel selects."""
         same = np.zeros(s.shape, dtype=bool)
         for g, d in self.psi:
             same |= (g < s) & (s < t) & (t < d)
         # theta is elementwise: with every row live it reads s and t whole
         if np.all(same):
-            return self.theta(t) - self.theta(s)
+            return diff(slice(None))
         out = np.where(t <= s, 0.0, math.inf)
         if np.any(same):
-            out[same] = self.theta(t[same]) - self.theta(s[same])
+            out[same] = diff(same)
         return out
 
     def _tail_args(self, s, target):

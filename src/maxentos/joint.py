@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cdfs import _Columns
 from .errors import Degenerate, InvalidMarginal
 from .hazards import PairHazard, TableHazard
 from .intervals import IntervalSet, snap_inside
@@ -111,32 +112,42 @@ def hazard(model: MaxEntModel, i: int, t) -> np.ndarray:
 
 
 def f_F_density(model: MaxEntModel, x) -> np.ndarray:
-    """Joint density at rows of x, zero off the ordered support region."""
+    """Joint density at rows of x, zero off the ordered support region.
+
+    The log density is a sum of terms that each read one coordinate, and
+    the hazard integrals between consecutive ones.  On a quadrature block
+    that carries its columns' levels (cdfs._LevelBlock) f_1, ell and
+    theta read each level once and are gathered; the support mask and the
+    sums read the points.
+    """
     for i, m in enumerate(model.margins.margins, start=1):
         if not m.is_absolutely_continuous:
             raise Degenerate(f"margin {i} has a singular part, no joint density")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.d:
+    points = np.atleast_2d(np.asarray(x, dtype=float))
+    if points.shape[1] != model.d:
         raise ValueError(f"points must have {model.d} columns")
-    valid = in_support_LF(model.margins, x)
-    out = np.zeros(x.shape[0])
+    valid = in_support_LF(model.margins, points)
     if not np.any(valid):
-        return out
-    # the density is a sum of column terms in log: with every row on the
-    # support it reads the columns of x itself
+        return np.zeros(points.shape[0])
+    # with every row on the support the columns of x are read in place
     every = bool(np.all(valid))
-    cols = (x if every else x[valid]).T
+    cols = _Columns.of(x, None if every else valid)
+    first = model.margins.margins[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logf = np.log(np.asarray(model.margins.margins[0].pdf(cols[0]), dtype=float))
+        logf = cols.read(0, lambda t: np.log(np.asarray(first.pdf(t), dtype=float)))
+        work = cols.buffers(2)
         for i in range(2, model.d + 1):
-            ell = model.hazards[i].ell(cols[i - 1])
-            lam = model.hazards[i].lambda_between(cols[i - 2], cols[i - 1])
-            logf += np.log(ell) - lam
-        vals = np.exp(logf)
+            hz = model.hazards[i]
+            # log ell_i(x_i) - Lambda_i(x_{i-1}, x_i), in place
+            term = cols.read(i - 1, lambda t: np.log(hz.ell(t)), out=work[0])
+            term -= cols.between(hz, i, out=work[1])
+            logf += term
+        vals = np.exp(logf, out=logf)
     # exp is never negative, so fmax maps NaN alone to 0
-    vals = np.fmax(vals, 0.0)
+    vals = np.fmax(vals, 0.0, out=vals)
     if every:
         return vals
+    out = np.zeros(points.shape[0])
     out[valid] = vals
     return out
 

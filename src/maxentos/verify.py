@@ -22,10 +22,13 @@ keeps them ordered, with Jacobian (b - a) prod (x_{i+1} - a).  The
 assignments are grouped by their pattern of run lengths (2^(d-1) of
 them): each pattern's unit nodes and weights are built once, and each
 assignment only shifts and scales them.  A column's values are thus a few
-nodes per panel, shared by every point, so integrands that solve per
-distinct level (G^{-1} through cdfs._per_distinct) solve a few thousand
-levels per pass.  The points run in blocks of at most 2^15, whole
-assignments, one contiguous column per coordinate.
+nodes per panel, shared by every point.  The points run in blocks of at
+most 2^15, whole assignments, one contiguous column per coordinate, and
+each block carries its columns' levels (cdfs._LevelBlock): column j is
+values[index], where values are the block's panels' a + h y and the index
+comes from the panel and node ids by integer arithmetic.  The densities
+read every term of one coordinate once per level and gather it, so a pass
+solves G^{-1} on a few thousand levels and never sorts its points.
 
 The curved rule, int_0^1 du2 int_0^{upper(u2)} du1 as c_F's region
 {u1 <= F_1(F_2^{-1}(u2))} needs, maps the graded panels into the cells
@@ -33,7 +36,8 @@ between each axis's cuts as well.  Under an outer node u2 the inner panels
 wholly below upper(u2) keep their own Gauss nodes, shared by every outer
 node; only the one panel across upper(u2) is mapped onto [edge, upper(u2)].
 The u1 column thus holds the shared nodes and q more per outer node, and
-the points run in blocks of at most 2^15, whole panels.
+the points run in blocks of at most 2^15, whole panels, that carry their
+columns' levels too.
 
 run_full_verification executes an independent battery of consistency
 checks on a marginal vector or a multidiagonal, each with its own fixed
@@ -62,7 +66,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .cdfs import _panel_integral, xlogx
+from .cdfs import _level_block, _panel_integral, xlogx
 from .copula import (GAP_TOL, CopulaKernel, c_delta_density, c_F_density,
                      copula_entropy_closed, sample_copula, symmetrize_density)
 from .errors import DimensionTooLarge
@@ -170,26 +174,48 @@ def cube_integral(fn, d: int, nodes: int | None = None) -> float:
 
 
 def _run_rule(runs, q: int):
-    """Nodes (q^d, d) and weights of the rule on the unit cube for one run
-    pattern: runs lists the lengths of the runs of consecutive coordinates
-    that share a panel, lowest first.
+    """Weights (q^d) of the rule on the unit cube for one run pattern, and
+    its nodes y by coordinate: runs lists the lengths of the runs of
+    consecutive coordinates that share a panel, lowest first.
 
     Each run spans its own unit panel.  Its top coordinate is a plain
     Gauss-Legendre node w_top, and below it the ordered substitution
-    y_i = y_{i+1} w_i, with Jacobian y_{i+1}, keeps the run sorted."""
+    y_i = y_{i+1} w_i, with Jacobian y_{i+1}, keeps the run sorted.  So
+    y_i depends only on the Gauss nodes of coordinates i up to its run's
+    top; read as digits in base q they number its values.  Node k has
+    y_i = units[i][ids[k, i]].
+    """
     d = sum(runs)
     xg, wg = leggauss(q)
     idx = np.indices((q,) * d).reshape(d, -1).T
     W, w = 0.5 * (xg[idx] + 1.0), np.prod(0.5 * wg[idx], axis=1)
     tops = {int(k) for k in np.cumsum(runs) - 1}
     Y = np.empty_like(W)
+    ids = np.empty_like(idx)
+    count = np.empty(d, dtype=int)
     for i in reversed(range(d)):
         if i in tops:
             Y[:, i] = W[:, i]
+            ids[:, i], count[i] = idx[:, i], q
         else:
             Y[:, i] = Y[:, i + 1] * W[:, i]
             w = w * Y[:, i + 1]
-    return Y, w
+            ids[:, i], count[i] = idx[:, i] * count[i + 1] + ids[:, i + 1], q * count[i + 1]
+    units = [np.empty(c) for c in count]
+    for i, unit in enumerate(units):
+        unit[ids[:, i]] = Y[:, i]
+    return w, ids, units
+
+
+def _levels(table, rows, nodes):
+    """(values, index) of a block column whose point (r, k) reads
+    table[rows[r], nodes[k]], or nodes[r, k] for an (R, K) nodes: the
+    table rows the block reads, in order, and each point's place in them."""
+    used = np.zeros(len(table), dtype=bool)
+    used[rows] = True
+    slot = np.cumsum(used) - 1
+    index = (slot[rows] * table.shape[1])[:, None] + nodes
+    return table[used].ravel(), index.ravel()
 
 
 def _run_pattern_sum(fn, runs, choice, starts, widths, q: int):
@@ -199,18 +225,20 @@ def _run_pattern_sum(fn, runs, choice, starts, widths, q: int):
     assignment, one per run; a run of m coordinates in the panel [a, a + h]
     reads x = a + h y at the pattern's unit nodes y, with weight factor
     h^m.  Each call of fn gets whole assignments, at most _BLOCK points or
-    one assignment, one contiguous column per coordinate."""
-    Y, wy = _run_rule(runs, q)
+    one assignment, one contiguous column per coordinate, as a level block
+    whose column i reads the values a + h y of the block's panels."""
+    wy, ids, units = _run_rule(runs, q)
     run_of = np.repeat(np.arange(len(runs)), runs)
     d, step = len(run_of), max(1, _BLOCK // len(wy))
-    cols = Y.T[:, None, :]
+    # every value coordinate i takes: a + h y over the panels and its units
+    tables = [starts[:, None] + widths[:, None] * unit for unit in units]
     acc = 0.0
     for start in range(0, len(choice), step):
         panels = choice[start:start + step][:, run_of]
-        a, h = starts[panels].T[:, :, None], widths[panels].T[:, :, None]
-        pts = a + h * cols
-        w = (np.prod(h[:, :, 0], axis=0)[:, None] * wy).reshape(-1)
-        acc = acc + w @ np.asarray(fn(pts.reshape(d, -1).T), dtype=float)
+        vals = np.asarray(fn(_level_block(
+            [_levels(tables[i], panels[:, i], ids[:, i]) for i in range(d)])), dtype=float)
+        w = (np.prod(widths[panels].T, axis=0)[:, None] * wy).reshape(-1)
+        acc = acc + w @ vals
     return acc
 
 
@@ -261,7 +289,8 @@ def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
     every inner panel wholly below upper(u2) keeps its own q Gauss nodes,
     shared by all outer nodes, and only the panel that straddles upper(u2)
     is mapped onto [edge, upper(u2)].  Each call of fn gets whole panels,
-    at most _BLOCK points, one contiguous column per coordinate.
+    at most _BLOCK points, one contiguous column per coordinate, as a level
+    block: u1 reads the nodes of the block's panels, u2 its outer nodes.
     """
     unit, q = _axis_panels(nodes or DEFAULT_NODES[2])
     xg, wg = leggauss(q)
@@ -280,17 +309,21 @@ def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
     edge = inner[below.sum(axis=1)]
     cut = np.flatnonzero(~(up <= edge))
     node = np.concatenate([node, cut])
-    a = np.concatenate([inner[panel], edge[cut]])
-    h = np.concatenate([np.diff(inner)[panel], up[cut] - edge[cut]])
+    # the u1 values: the shared panels' nodes, then each cut panel's
+    a = np.concatenate([inner[:-1], edge[cut]])
+    width = np.concatenate([np.diff(inner), up[cut] - edge[cut]])
+    u1 = a[:, None] + width[:, None] * t
+    row = np.concatenate([panel, len(inner) - 1 + np.arange(len(cut))])
+    h = width[row]
+    k, zero = np.arange(q), np.zeros(q, dtype=np.intp)
     step = max(1, _BLOCK // q)
     acc = 0.0
     for start in range(0, len(node), step):
         sl = slice(start, start + step)
-        pts = np.empty((2, len(node[sl]), q))
-        pts[0] = a[sl, None] + h[sl, None] * t
-        pts[1] = u2[node[sl], None]
+        vals = np.asarray(fn(_level_block(
+            [_levels(u1, row[sl], k), _levels(u2[:, None], node[sl], zero)])), dtype=float)
         w = ((w2[node[sl]] * h[sl])[:, None] * wt).reshape(-1)
-        acc = acc + w @ np.asarray(fn(pts.reshape(2, -1).T), dtype=float)
+        acc = acc + w @ vals
     return float(acc)
 
 
@@ -473,7 +506,10 @@ def _mass_and_entropy(density, d: int, lo: float, hi: float, cuts, scale=1.0):
     the checks that read it execute on different threads."""
     def columns(X):
         f = density(X)
-        return np.column_stack([f, -xlogx(f)])
+        out = np.empty((len(f), 2))
+        out[:, 0] = f
+        np.negative(xlogx(f), out=out[:, 1])
+        return out
 
     def run():
         mass, ent = simplex_integral(columns, d, lo, hi,
