@@ -15,6 +15,7 @@ arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,6 +182,29 @@ class _Columns:
         return out
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_gauss(q: int):
+    """The q-point Gauss-Legendre rule on [0, 1]: nodes 0.5 (x + 1) and
+    weights 0.5 w of the rule on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _gauss_panels(a, h, q: int):
+    """Nodes a + h t of the unit rule on the panels [a, a + h], one row per
+    panel, and the unit weights; a panel's integral is h times its row's
+    weighted sum."""
+    t, w = _unit_gauss(q)
+    return a[:, None] + h[:, None] * t, w
+
+
+def _cut_ends(cuts, lo: float, hi: float):
+    """lo, the cuts strictly inside (lo, hi) in order, and hi."""
+    return [lo, *sorted({float(c) for c in cuts if lo < float(c) < hi}), hi]
+
+
 def _panel_integral(fn, a, b):
     """int_{a[k]}^{b[k]} fn(t) dt for every panel k, in one tanh-sinh call.
 
@@ -293,7 +317,7 @@ class MarginalCdf:
         if not self.is_absolutely_continuous:
             return -math.inf
         lo, hi = self.support
-        edges = [lo, *sorted({k for k in self.knots() if lo < k < hi}), hi]
+        edges = _cut_ends(self.knots(), lo, hi)
         return float(np.sum(_panel_integral(lambda t: -xlogx(self.pdf(t)),
                                             edges[:-1], edges[1:])))
 
@@ -721,7 +745,6 @@ class ComposedDeltaCdf(MarginalCdf):
         if not self.is_absolutely_continuous:
             return -math.inf
         lo, hi = self.base.support
-        pts = sorted({k for k in set(self.base.knots()) | set(self.avg.knots()) if lo < k < hi})
 
         def integrand(s):
             f = np.asarray(self.base.pdf(s), dtype=float)
@@ -730,7 +753,7 @@ class ComposedDeltaCdf(MarginalCdf):
             ratio = np.where(live, f, 1.0) / np.where(live, g, 1.0)
             return np.where(live, -f * np.log(ratio), 0.0)
 
-        edges = [lo, *pts, hi]
+        edges = _cut_ends(self.base.knots() + self.avg.knots(), lo, hi)
         return float(np.sum(_panel_integral(integrand, edges[:-1], edges[1:])))
 
 
@@ -778,8 +801,10 @@ def generalized_inverse(J, t, lo=None, hi=None):
 
     CDF objects are delegated to their ``ppf``.  Raw callables are handled
     numerically: the bracket [lo, hi] is expanded geometrically until it
-    straddles the level (default start [-1, 1]), then bisected.  Returns
-    -inf when every s satisfies J(s) >= t and +inf when none does.
+    straddles the level (default start [-1, 1]), then bisected by
+    _newton_level on a NaN slope, J read at one float at a time, until no
+    float lies between the bracket's ends or after 200 reads.  Returns -inf
+    when every s satisfies J(s) >= t and +inf when none does.
     """
     if isinstance(J, MarginalCdf):
         return J.ppf(t)
@@ -804,13 +829,8 @@ def generalized_inverse(J, t, lo=None, hi=None):
                 return -math.inf
             lo = -1e300
             break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if J(mid) >= t:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(_newton_level(lambda x: [J(float(v)) for v in x],
+                               lambda x: np.full(x.shape, math.nan), t, lo, hi, iters=200))
 
 
 _FAMILIES = {

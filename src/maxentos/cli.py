@@ -226,9 +226,6 @@ def cmd_entropy(subject, args, digest) -> int:
 
 
 def cmd_sample(subject, args, digest) -> int:
-    if args.n < 1:
-        print("--n must be at least 1", file=sys.stderr)
-        return 2
     if isinstance(subject, Multidiagonal):
         kernel = CopulaKernel(subject)
         U = sample_copula(kernel, args.n, seed=args.seed)
@@ -321,6 +318,9 @@ def main(argv=None) -> int:
         return 2
     if _resolve_grid(args) < 2:
         print("--grid must be at least 2", file=sys.stderr)
+        return 2
+    if args.n < 1:
+        print("--n must be at least 1", file=sys.stderr)
         return 2
     _echo_config(args)
     try:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .cdfs import MarginalCdf, OrderStatUniformCdf, _newton_level, _per_distinct
+from .cdfs import (MarginalCdf, OrderStatUniformCdf, _cut_ends, _gauss_panels,
+                   _newton_level, _per_distinct)
 from .errors import RootBracketFailure
 from .intervals import IntervalSet, interval_arrays
 
@@ -266,8 +266,7 @@ class PiecewisePairHazard(PairHazard):
         super().__init__(fp, fc, psi)
         parts, self._ranges = [], []
         for g, d in psi:
-            ks = sorted({float(k) for m in (fp, fc) for k in m.knots() if g < k < d})
-            edges = np.array([g, *ks, d])
+            edges = np.array(_cut_ends(fp.knots() + fc.knots(), g, d))
             mids = 0.5 * (edges[:-1] + edges[1:])
             f = np.asarray(fc.pdf(mids), dtype=float)
             alpha = np.asarray(fp.pdf(mids), dtype=float) - f
@@ -319,9 +318,6 @@ class PiecewisePairHazard(PairHazard):
         return np.where(target > 0.0, t, s)
 
 
-_GL_X, _GL_W = leggauss(32)
-
-
 def _graded_nodes(g: float, d: float, knots=(), per_side: int = 40, mid: int = 33):
     """Strictly interior nodes of (g, d), geometrically packed at both ends."""
     w = d - g
@@ -348,11 +344,10 @@ class CumulativeTable:
     def __init__(self, integrand, nodes: np.ndarray):
         self.h = integrand
         self.nodes = nodes
-        a, b = nodes[:-1], nodes[1:]
-        half = 0.5 * (b - a)
-        pts = a[:, None] + half[:, None] * (_GL_X[None, :] + 1.0)
+        h = np.diff(nodes)
+        pts, w = _gauss_panels(nodes[:-1], h, 32)
         vals = np.asarray(integrand(pts.ravel()), dtype=float).reshape(pts.shape)
-        incr = (vals @ _GL_W) * half
+        incr = (vals @ w) * h
         cum = np.concatenate([[0.0], np.cumsum(incr)])
         self.cum = cum - cum[len(cum) // 2]
 
@@ -364,10 +359,10 @@ class CumulativeTable:
         place in the batch), so a panel's value depends only on its t.
         """
         x0 = self.nodes[k]
-        half = 0.5 * (t - x0)
-        pts = x0[:, None] + half[:, None] * (_GL_X[None, :] + 1.0)
+        h = t - x0
+        pts, w = _gauss_panels(x0, h, 32)
         vals = np.asarray(self.h(pts.ravel()), dtype=float).reshape(pts.shape)
-        return np.sum(vals * _GL_W, axis=1) * half
+        return np.sum(vals * w, axis=1) * h
 
     def value(self, t):
         return _per_distinct(self._value, np.atleast_1d(t))

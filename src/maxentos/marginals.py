@@ -38,7 +38,7 @@ from scipy import special
 
 from .cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf, MarginalCdf,
                    OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf,
-                   _newton_level, _panel_integral, marginal_from_dict)
+                   _cut_ends, _newton_level, _panel_integral, marginal_from_dict)
 from .errors import InvalidMarginal
 from .hazards import (BetaPairHazard, ExpPairHazard, OrderStatPairHazard,
                       PiecewisePairHazard, TableHazard, _cdf_gap, _cdf_gap_terms)
@@ -471,7 +471,7 @@ def _pair_j_quad(density_and_gap, psi: IntervalSet, knots) -> float:
 
     lo, hi = [], []
     for g, d in psi:
-        edges = [g, *sorted({k for k in knots if g < k < d}), d]
+        edges = _cut_ends(knots, g, d)
         lo += edges[:-1]
         hi += edges[1:]
     vals = _panel_integral(integrand, lo, hi)

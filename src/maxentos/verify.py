@@ -1,14 +1,12 @@
 """Numerical verification: quadratures, sampling diagnostics, check battery.
 
-The quadrature engine integrates over [0, 1]^d or over the ordered region
-{lo <= x_1 <= ... <= x_d <= hi}.  Both use composite Gauss-Legendre panels
-graded geometrically toward the ends of [0, 1], because the integrands
-routinely have integrable endpoint structure that a plain product rule
-resolves too slowly for the tolerances used here.
-
-The cube rule is the tensor product of the panel nodes on every axis.  It
-runs in blocks of about 2^15 points, whole slabs of the leading axis, so
-that one integrand call's arrays stay in cache.
+The quadrature engine integrates over the ordered region
+{lo <= x_1 <= ... <= x_d <= hi} and over c_F's curved region.  Both use
+composite Gauss-Legendre panels graded geometrically toward the ends of
+[0, 1], because the integrands routinely have integrable endpoint
+structure that a plain product rule resolves too slowly for the
+tolerances used here.  Every panel reads the one unit rule of
+cdfs._unit_gauss, as the hazard tables do.
 
 The ordered rule maps the graded panels into each cell between the cuts
 and takes every nondecreasing assignment of x_1..x_d to those panels.  An
@@ -64,9 +62,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .cdfs import _level_block, _panel_integral, xlogx
+from .cdfs import (_cut_ends, _gauss_panels, _level_block, _panel_integral,
+                   _unit_gauss, xlogx)
 from .copula import (GAP_TOL, CopulaKernel, c_delta_density, c_F_density,
                      copula_entropy_closed, sample_copula, symmetrize_density)
 from .errors import DimensionTooLarge
@@ -79,8 +77,8 @@ from .multidiag import (Multidiagonal, delta_inverse, j_functional_delta,
 
 MAX_QUAD_DIM = 3
 DEFAULT_NODES = {1: 512, 2: 512, 3: 160}
-# points per integrand call of the product rule: a block of a few arrays
-# of this length stays in a core's L2 cache
+# points per integrand call of the ordered and curved rules: a block of a
+# few arrays of this length stays in a core's L2 cache
 _BLOCK = 1 << 15
 KS_FACTOR = 1.63
 
@@ -104,54 +102,6 @@ def _axis_panels(n: int):
     return np.unique(np.concatenate([[0.0], g, 1.0 - g[::-1], [1.0]])), q
 
 
-def axis_rule(n: int):
-    """~n graded composite Gauss-Legendre nodes and weights on [0, 1]."""
-    edges, q = _axis_panels(n)
-    xg, wg = leggauss(q)
-    a, b = edges[:-1], edges[1:]
-    halfw = 0.5 * (b - a)
-    pts = (a[:, None] + halfw[:, None] * (xg[None, :] + 1.0)).ravel()
-    wts = (halfw[:, None] * wg[None, :]).ravel()
-    return pts, wts
-
-
-def _product_sum(fn, axes_pts, axes_wts, chunk: int = _BLOCK):
-    """Product-rule sum of fn; a float, or one sum per column when fn
-    returns an (n, k) array.
-
-    Points run in C order over the axes.  Each call of fn gets whole
-    slabs of the leading axis, about chunk points, or one slab when a
-    slab alone holds more, so that a call's arrays stay in cache.  The
-    tail nodes (axes 1..d-1, one row per point of a slab) are laid out
-    once.
-    """
-    tail = np.empty((1, 0))
-    tail_w = np.ones(1)
-    for p, wk in zip(axes_pts[1:], axes_wts[1:]):
-        tail = np.column_stack([np.repeat(tail, len(p), axis=0),
-                                np.tile(p, len(tail))])
-        tail_w = (tail_w[:, None] * wk).reshape(-1)
-    d = len(axes_pts)
-    step = max(1, chunk // len(tail))
-    tail_cols = tail.T[:, None, :]
-    acc = 0.0
-    for start in range(0, len(axes_pts[0]), step):
-        lead = axes_pts[0][start:start + step, None]
-        # one contiguous column per coordinate, as the integrand's column
-        # passes read them; fn gets the (n, d) view of it
-        pts = np.empty((d, len(lead), len(tail)))
-        pts[0] = lead
-        pts[1:] = tail_cols
-        w = (axes_wts[0][start:start + step, None] * tail_w).reshape(-1)
-        acc = acc + w @ np.asarray(fn(pts.reshape(d, -1).T), dtype=float)
-    return float(acc) if np.ndim(acc) == 0 else acc
-
-
-def _cut_ends(cuts, lo: float, hi: float):
-    """lo, the cuts strictly inside (lo, hi) in order, and hi."""
-    return [lo, *sorted({float(c) for c in cuts if lo < float(c) < hi}), hi]
-
-
 def _cell_edges(ends, unit):
     """The graded panel edges unit of [0, 1] mapped into each cell between
     consecutive ends."""
@@ -164,13 +114,6 @@ def _check_dim(d: int):
         raise DimensionTooLarge(
             f"deterministic quadrature supports d <= {MAX_QUAD_DIM}, got {d}; "
             "use Monte Carlo estimates instead")
-
-
-def cube_integral(fn, d: int, nodes: int | None = None) -> float:
-    """Integral of a vectorized density-like fn over [0, 1]^d."""
-    _check_dim(d)
-    pts, wts = axis_rule(nodes or DEFAULT_NODES[d])
-    return _product_sum(fn, [pts] * d, [wts] * d)
 
 
 def _run_rule(runs, q: int):
@@ -186,9 +129,9 @@ def _run_rule(runs, q: int):
     y_i = units[i][ids[k, i]].
     """
     d = sum(runs)
-    xg, wg = leggauss(q)
+    t, wt = _unit_gauss(q)
     idx = np.indices((q,) * d).reshape(d, -1).T
-    W, w = 0.5 * (xg[idx] + 1.0), np.prod(0.5 * wg[idx], axis=1)
+    W, w = t[idx], np.prod(wt[idx], axis=1)
     tops = {int(k) for k in np.cumsum(runs) - 1}
     Y = np.empty_like(W)
     ids = np.empty_like(idx)
@@ -293,12 +236,10 @@ def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
     block: u1 reads the nodes of the block's panels, u2 its outer nodes.
     """
     unit, q = _axis_panels(nodes or DEFAULT_NODES[2])
-    xg, wg = leggauss(q)
-    t, wt = 0.5 * (xg + 1.0), 0.5 * wg
     outer = _cell_edges(_cut_ends(outer_cuts, 0.0, 1.0), unit)
-    width = np.diff(outer)[:, None]
-    u2 = (outer[:-1, None] + width * t).ravel()
-    w2 = (width * wt).ravel()
+    width = np.diff(outer)
+    u2, wt = _gauss_panels(outer[:-1], width, q)
+    u2, w2 = u2.ravel(), (width[:, None] * wt).ravel()
     up = np.asarray(upper_fn(u2), dtype=float)
     inner = _cell_edges(_cut_ends(inner_cuts, 0.0, max(1.0, float(np.max(up)))), unit)
     # under each outer node, the inner panels wholly below upper, then the
@@ -312,7 +253,7 @@ def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
     # the u1 values: the shared panels' nodes, then each cut panel's
     a = np.concatenate([inner[:-1], edge[cut]])
     width = np.concatenate([np.diff(inner), up[cut] - edge[cut]])
-    u1 = a[:, None] + width[:, None] * t
+    u1 = _gauss_panels(a, width, q)[0]
     row = np.concatenate([panel, len(inner) - 1 + np.arange(len(cut))])
     h = width[row]
     k, zero = np.arange(q), np.zeros(q, dtype=np.intp)
@@ -649,7 +590,7 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                     x = kernel._avg.ppf(s)
                     return kernel._kprime_at(i, x) * np.exp(-kernel._K_at(i, x))
                 # the panels split at the kinks, as the other quadratures do
-                edges = [t0, *[k for k in kink_cuts if t0 < k < hi], hi]
+                edges = _cut_ends(kink_cuts, t0, hi)
                 val = float(np.sum(_panel_integral(integrand, edges[:-1], edges[1:])))
                 b0, b1 = kernel.B(i, np.array([t0, hi]))
                 expect = float(b0) - float(b1)

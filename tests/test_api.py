@@ -83,3 +83,11 @@ def test_cdf_conventions_live_in_the_base_class():
             for name in sorted(public)}
     assert sigs == {"cdf": "(self, x)", "pdf": "(self, x)", "ppf": "(self, u)",
                     "sf": "(self, x)"}
+
+
+def test_one_gauss_legendre_unit_rule():
+    # the hazard tables and the battery's rules read cdfs._unit_gauss; no
+    # module builds a Gauss-Legendre rule of its own
+    src = Path(maxentos.__file__).parent
+    named = {path.name: path.read_text().count("leggauss") for path in src.glob("*.py")}
+    assert {name: k for name, k in named.items() if k} == {"cdfs.py": 1}

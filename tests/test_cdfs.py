@@ -81,12 +81,46 @@ def test_piecewise_singular_marker():
     assert F.entropy() == -math.inf
 
 
+_PLATEAU = PiecewiseLinearCdf(((0.0, 0.0), (0.4, 0.5), (0.6, 0.5), (1.0, 1.0)))
+
+
 def test_generalized_inverse_plateau_takes_infimum():
     F = PiecewiseLinearCdf(((0.0, 0.0), (0.4, 0.5), (0.6, 0.5), (1.0, 1.0)))
     assert generalized_inverse(F.cdf, 0.5, 0.0, 1.0) == pytest.approx(0.4, abs=1e-9)
     assert generalized_inverse(F.cdf, 0.5 + 1e-6, 0.0, 1.0) > 0.6 - 1e-6
     # CDF objects route through their own quantile function
     assert generalized_inverse(F, 0.5) == pytest.approx(0.4, abs=1e-9)
+
+
+_expcdf = lambda x: -math.expm1(-x) if x > 0 else 0.0
+
+
+@pytest.mark.parametrize("J, t, lo, hi, expect", [
+    # a plateau at the level, and just above it
+    (_PLATEAU.cdf, 0.5, 0.0, 1.0, "0x1.999999999999ap-2"),
+    (_PLATEAU.cdf, 0.5 + 1e-6, 0.0, 1.0, "0x1.33334e0b25cdfp-1"),
+    (_expcdf, 0.3, -1.0, 1.0, "0x1.6d3c324e13f4ep-2"),
+    (lambda x: 1.0 / (1.0 + math.exp(-x)), 0.8, -1.0, 3.0, "0x1.62e42fefa39edp+0"),
+    (lambda x: x ** 3, 5.0, -1.0, 2.0, "0x1.b5c0fbcfec4d4p+0"),
+    (math.tanh, -0.5, -1.0, 1.0, "-0x1.193ea7aad030ap-1"),
+    (lambda x: 1.0 if x >= 0.25 else 0.0, 1.0, -1.0, 1.0, "0x1.0000000000000p-2"),
+    (lambda x: x, 7.5, -1.0, 8.0, "0x1.e000000000000p+2"),
+    # tiny levels: 200 bisections from [-1, 1] stop far above the root
+    (_expcdf, 1e-300, -1.0, 1.0, "0x1.0000000000000p-199"),
+    (lambda x: x, 1e-300, -1.0, 1.0, "0x1.0000000000000p-199"),
+])
+def test_generalized_inverse_bisects_on_floats(J, t, lo, hi, expect):
+    # J reads one Python float at a time: two reads check the bracket's
+    # ends, at most 200 bisect it
+    seen = []
+
+    def counted(x):
+        seen.append(type(x))
+        return J(x)
+
+    assert generalized_inverse(counted, t, lo, hi).hex() == expect
+    assert set(seen) == {float}
+    assert len(seen) <= 202
 
 
 def test_order_stat_uniform_polynomials():

@@ -275,6 +275,20 @@ def test_grid_below_two_is_a_usage_error(tmp_path, capsys, command, flags, grid)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("sample", []), ("sample", ["--multidiagonal"]),
+    ("verify", []), ("verify", ["--multidiagonal"]),
+])
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_n_below_one_is_a_usage_error(tmp_path, capsys, command, flags, n):
+    # one check in main: verify does not run its battery on no samples
+    spec = write_spec(tmp_path, TENT)
+    assert cli.main([command, "--input", spec, "--n", n, *flags]) == 2
+    captured = capsys.readouterr()
+    assert "--n must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_config_echo_goes_to_stderr(tmp_path, capsys):
     cli.main(["validate", "--input", write_spec(tmp_path, EXP3)])
     captured = capsys.readouterr()

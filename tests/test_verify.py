@@ -14,25 +14,24 @@ from numpy.polynomial.legendre import leggauss
 from maxentos import (MarginalVector, Multidiagonal, marginals,
                       multidiagonal_of_iid_uniform, run_full_verification)
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
-                           PiecewiseLinearCdf)
+                           PiecewiseLinearCdf, UniformCdf)
 from maxentos.copula import CopulaKernel, c_delta_density, copula_entropy_closed
 from maxentos.errors import DimensionTooLarge
+from maxentos.hazards import TableHazard, pair_hazard
 from maxentos.verify import (_BLOCK, DEFAULT_NODES, _axis_panels,
-                             _product_sum, _run_pattern_sum, axis_rule,
-                             cube_integral, ks_distance, mc_entropy,
+                             _run_pattern_sum, ks_distance, mc_entropy,
                              ordered_region_integral_2d, quad_entropy,
                              simplex_integral)
 
 
 def test_axis_rule_integrates_polynomials():
-    pts, wts = axis_rule(128)
+    # at d = 1 the ordered rule is the graded composite rule on [0, 1]
     for k in range(0, 12):
-        assert np.dot(pts ** k, wts) == pytest.approx(1.0 / (k + 1), abs=1e-13)
+        val = simplex_integral(lambda X: X[:, 0] ** k, 1, 0.0, 1.0, nodes=128)
+        assert val == pytest.approx(1.0 / (k + 1), abs=1e-13)
 
 
 def test_cube_and_simplex_integrals():
-    assert cube_integral(lambda X: X[:, 0] * X[:, 1] ** 2, 2) == pytest.approx(
-        1.0 / 6.0, abs=1e-12)
     assert simplex_integral(lambda X: np.ones(len(X)), 3, 0.0, 1.0) == \
         pytest.approx(1.0 / 6.0, abs=1e-10)
     assert simplex_integral(lambda X: np.ones(len(X)), 2, 0.0, 2.0) == \
@@ -48,46 +47,6 @@ def test_simplex_cuts_restore_accuracy_on_kinks():
     exact = 0.5 * (1.0 / 4.0) ** 2  # exchangeable product, ordered half
     split = simplex_integral(fn, 2, 0.0, 1.0, nodes=64, cuts=[0.5])
     assert abs(split - exact) < 1e-12
-
-
-def _unravel_product_sum(fn, axes_pts, axes_wts, chunk):
-    # the rule point by point: flat C-order indices, unraveled per axis
-    sizes = [len(p) for p in axes_pts]
-    total = math.prod(sizes)
-    acc = 0.0
-    for start in range(0, total, chunk):
-        multi = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
-        pts = np.column_stack([p[m] for p, m in zip(axes_pts, multi)])
-        w = axes_wts[0][multi[0]].copy()
-        for k in range(1, len(sizes)):
-            w *= axes_wts[k][multi[k]]
-        acc = acc + w @ np.asarray(fn(pts), dtype=float)
-    return acc
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("columns", [False, True])
-@pytest.mark.parametrize("chunk", [1 << 20, 5, 1000])
-def test_product_sum_matches_pointwise_rule(d, columns, chunk):
-    # chunk 5 is smaller than one slab of the leading axis, and 1000 is no
-    # multiple of a slab, so the last call gets a short slab run
-    sizes = [13, 7, 11][:d]
-    rng = np.random.default_rng(d)
-    axes_pts = [np.sort(rng.random(n)) for n in sizes]
-    axes_wts = [rng.random(n) + 0.5 for n in sizes]
-    seen = []
-
-    def fn(X):
-        seen.append(X.copy())
-        f = np.exp(-X.sum(axis=1)) * (1.0 + X[:, 0])
-        return np.column_stack([f, X[:, -1] ** 2]) if columns else f
-
-    got = _product_sum(fn, axes_pts, axes_wts, chunk=chunk)
-    expect = _unravel_product_sum(fn, axes_pts, axes_wts, chunk=1 << 20)
-    assert np.shape(got) == np.shape(expect)
-    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
-    # every point once, in C order
-    np.testing.assert_array_equal(np.concatenate(seen[:-1]), seen[-1])
 
 
 def test_simplex_integral_peak_memory():
@@ -177,45 +136,42 @@ def test_simplex_integral_sums_every_panel_assignment(d):
     np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
 
 
+def _graded_rule(nodes):
+    # the graded composite Gauss-Legendre rule on [0, 1], point by point
+    unit, q = _axis_panels(nodes)
+    t, wt = _unit_gauss(q)
+    a, h = unit[:-1, None], np.diff(unit)[:, None]
+    return (a + h * t).ravel(), (h * wt).ravel()
+
+
 def test_simplex_cuts_match_pointwise_substitution():
     # three cells from two cuts: the integral is the sum over every
     # nondecreasing assignment of coordinates to cells
     lo, hi, cuts = -0.5, 1.5, [0.25, 0.75]
     cells = list(zip([lo, *cuts], [*cuts, hi]))
-    expect = sum(_substitution_reference(_positive_columns, cells, assign, *axis_rule(16))
+    expect = sum(_substitution_reference(_positive_columns, cells, assign, *_graded_rule(16))
                  for assign in itertools.combinations_with_replacement(range(3), 3))
     got = simplex_integral(_positive_columns, 3, lo, hi, nodes=16, cuts=cuts)
     np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("d, nodes, cube", [(1, None, False), (2, None, False),
-                                            (2, None, True), (3, 128, False),
-                                            (3, 512, True)])
-def test_integrand_calls_stay_within_a_block(d, nodes, cube):
-    # the cube rule hands each call whole slabs of the leading axis, at most
-    # _BLOCK points, or one slab when a slab alone holds more; the ordered
-    # rule hands it whole panel assignments of q^d points, at most _BLOCK
+@pytest.mark.parametrize("d, nodes", [(1, None), (2, None), (3, 128)])
+def test_integrand_calls_stay_within_a_block(d, nodes):
+    # the ordered rule hands each call whole panel assignments of q^d
+    # points, at most _BLOCK
     sizes = []
 
     def fn(X):
         sizes.append(len(X))
         return np.ones(len(X))
 
-    if cube:
-        n = len(axis_rule(nodes or DEFAULT_NODES[d])[0])
-        slab = n ** (d - 1)
-        assert cube_integral(fn, d, nodes) == pytest.approx(1.0, rel=1e-12)
-        assert max(sizes) <= max(_BLOCK, slab)
-        assert all(size % slab == 0 for size in sizes)
-        assert sum(sizes) == n ** d
-    else:
-        unit, q = _axis_panels(nodes or DEFAULT_NODES[d])
-        panels = 2 * (len(unit) - 1)  # the graded panels of both cells
-        assert simplex_integral(fn, d, 0.0, 1.0, nodes, cuts=[0.5]) == \
-            pytest.approx(1.0 / math.factorial(d), rel=1e-12)
-        assert max(sizes) <= _BLOCK
-        assert all(size % q ** d == 0 for size in sizes)
-        assert sum(sizes) == q ** d * math.comb(panels + d - 1, d)
+    unit, q = _axis_panels(nodes or DEFAULT_NODES[d])
+    panels = 2 * (len(unit) - 1)  # the graded panels of both cells
+    assert simplex_integral(fn, d, 0.0, 1.0, nodes, cuts=[0.5]) == \
+        pytest.approx(1.0 / math.factorial(d), rel=1e-12)
+    assert max(sizes) <= _BLOCK
+    assert all(size % q ** d == 0 for size in sizes)
+    assert sum(sizes) == q ** d * math.comb(panels + d - 1, d)
 
 
 def test_ordered_region_integral():
@@ -285,6 +241,53 @@ def test_ordered_region_integral_matches_pointwise_panels(upper, outer_cuts, inn
                                      inner_cuts=inner_cuts)
     expect = _curved_reference(fn, upper, 64, outer_cuts, inner_cuts)
     np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+# (t, theta(t)) of the quadrature tables: six table nodes, then four
+# points inside panels, where theta adds a fresh panel
+_TABLE_THETA = {
+    "beta3_exp1": (BetaOneKCdf(3), ExponentialCdf(1.0), [
+        ("0x1.1adee3998d630p-34", "-0x1.b217f17e94954p+4"),
+        ("0x1.14becbe75c0bfp-25", "-0x1.805cb08e400f5p+4"),
+        ("0x1.028625be317c3p+3", "-0x1.01449139f0d34p+3"),
+        ("0x1.01e55b7c11278p+4", "0x0.0p+0"),
+        ("0x1.01e553060be02p+5", "0x1.01e54a9006990p+4"),
+        ("0x1.01e55b7c0ef1cp+5", "0x1.01e55b7c0cbc4p+4"),
+        ("0x1.a59019291e665p-32", "-0x1.a3cfb3fe191ddp+4"),
+        ("0x1.8ac404d9cc792p-5", "-0x1.0e844fe891c0ap+4"),
+        ("0x1.26299c5983911p+4", "0x1.222206eb934c8p+1"),
+        ("0x1.01e55b7a70b00p+5", "0x1.01e55b78d038cp+4")]),
+    "unif_exp1": (UniformCdf(0.0, 1.0), ExponentialCdf(1.0), [
+        ("0x1.1adee3998d630p-34", "-0x1.cf5d1a5ebe5fep+34"),
+        ("0x1.14becbe75c0bfp-25", "-0x1.d99e99e386400p+25"),
+        ("0x1.028625be317c3p+3", "-0x1.0144400000000p+3"),
+        ("0x1.01e55b7c11278p+4", "0x0.0p+0"),
+        ("0x1.01e553060be02p+5", "0x1.01e5200000000p+4"),
+        ("0x1.01e55b7c0ef1cp+5", "0x1.01e5300000000p+4"),
+        ("0x1.a59019291e665p-32", "-0x1.36eb50d306e08p+32"),
+        ("0x1.8ac404d9cc792p-5", "-0x1.975be3975bf74p+5"),
+        ("0x1.26299c5983911p+4", "0x1.2221ab6f82250p+1"),
+        ("0x1.01e55b7a70b00p+5", "0x1.01e5300114be6p+4")]),
+}
+
+
+def test_gauss_rules_keep_their_bits():
+    # the hazard tables and both battery rules read one unit Gauss-Legendre
+    # rule; the values below were taken with a copy of it per caller
+    for fp, fc, pins in _TABLE_THETA.values():
+        hz = pair_hazard(fp, fc)
+        assert isinstance(hz, TableHazard)
+        t = np.array([float.fromhex(a) for a, _ in pins])
+        assert [float(v).hex() for v in hz.theta(t)] == [b for _, b in pins]
+    fn = lambda X: np.exp(-X.sum(axis=1)) * (1.0 + X[:, 0] * X[:, -1])
+    for d, pin in [(1, "0x1.de699d1e5d7e1p+0"), (2, "0x1.0d3a9b69390b8p+0"),
+                   (3, "0x1.b7b511ed4830ap-2")]:
+        got = simplex_integral(fn, d, -0.5, 1.5, nodes=64, cuts=[0.25, 0.8])
+        assert got.hex() == pin
+    g = lambda U: np.exp(-U[:, 0] * U[:, 1]) * (1.0 + np.sqrt(np.abs(U[:, 0] - 0.37)))
+    got = ordered_region_integral_2d(g, lambda t: 0.3 + 0.6 * t ** 2, nodes=64,
+                                     outer_cuts=[0.4], inner_cuts=[0.2, 0.7])
+    assert got.hex() == "0x1.2dd3381e2aa1bp-1"
 
 
 @pytest.mark.parametrize("upper, outer_cuts, inner_cuts, exact", [
