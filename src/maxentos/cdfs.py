@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import InvalidMarginal
 
@@ -29,6 +29,10 @@ _XLOGX_CLIP = 1e-300
 #: its absolute tolerance only lets a panel that reads zero throughout settle
 _PANEL_RTOL = 1e-14
 _PANEL_ATOL = 5e-324
+#: the tanh-sinh rule's levels: the first holds every abscissa up to
+#: _TS_MINLEVEL, each later one halves the step, up to _TS_MAXLEVEL; level
+#: 0 has _TS_BASE_STEPS steps on each side
+_TS_MINLEVEL, _TS_MAXLEVEL, _TS_BASE_STEPS = 2, 10, 8
 
 
 def _per_distinct(fn, x):
@@ -205,14 +209,180 @@ def _cut_ends(cuts, lo: float, hi: float):
     return [lo, *sorted({float(c) for c in cuts if lo < float(c) < hi}), hi]
 
 
-def _panel_integral(fn, a, b):
-    """int_{a[k]}^{b[k]} fn(t) dt for every panel k, in one tanh-sinh call.
+@functools.lru_cache(maxsize=None)
+def _tanh_sinh_levels():
+    """The levels of the tanh-sinh rule on [-1, 1], read-only: per level
+    its step h, and the complements 1 - x_j and weights w_j of its new
+    abscissae x_j = tanh(pi/2 sinh(j h)) in [0, 1), each read at -x_j
+    too.  The first level holds every abscissa of levels 0 to
+    _TS_MINLEVEL in level order (x_0 = 0 at half weight, since both sides
+    read it), each later level its odd j.  Also the counts of level 0's
+    abscissae and of levels 0 and 1's, which the first error estimate
+    sums over.
 
-    fn is elementwise and takes a 1-D array of nodes.  The rule resolves
-    log endpoint singularities and infinite ends; it may read fn at a
-    panel end or, for an infinite end, at +-inf, with zero weight there.  A
-    panel with finite ends and a finite value on which the rule did not
-    converge is integrated again, once, as its two halves.  On a panel at most
+    Level 0 takes _TS_BASE_STEPS steps up to the j h at which 1 - x_j
+    falls to 4 times the smallest normal float; each level halves h.
+    """
+    fmin = 4.0 * np.finfo(float).smallest_normal
+    h0 = np.float64(math.asinh(math.log(2.0 / fmin - 1.0) / math.pi) / _TS_BASE_STEPS)
+    pairs = []
+    for k in range(_TS_MAXLEVEL + 1):
+        h = h0 / 2**k
+        top = _TS_BASE_STEPS * 2**k
+        jh = (np.arange(top + 1) if k == 0 else np.arange(1, top + 1, 2)) * h
+        u1, u2 = math.pi / 2 * np.cosh(jh), math.pi / 2 * np.sinh(jh)
+        with np.errstate(over="ignore"):
+            w = u1 / np.cosh(u2)**2
+            xc = 1 / (np.exp(u2) * np.cosh(u2))
+        if k == 0:
+            w[0] = w[0] / 2
+        pairs.append((h, xc, w))
+    head = pairs[:_TS_MINLEVEL + 1]
+    first = (head[-1][0], np.concatenate([p[1] for p in head]),
+             np.concatenate([p[2] for p in head]))
+    levels = (first, *pairs[_TS_MINLEVEL + 1:])
+    for _, xc, w in levels:
+        xc.flags.writeable = w.flags.writeable = False
+    return levels, pairs[0][1].size, pairs[0][1].size + pairs[1][1].size
+
+
+def _ts_nearest_end(rec, x, f, w, bad, far, pick, beyond):
+    """Update rec, rows (x, f, w) of the node nearest one end, over all
+    levels so far, at which fn is finite and the weight nonzero, from one
+    level's nodes on that side (one row per panel); pick finds the node
+    nearest the end and beyond(x, x0) says it is nearer than x0."""
+    x = np.where(bad, far, x)
+    at = (np.arange(x.shape[0]), pick(x, axis=1))
+    cand = np.array([x[at], f[at], w[at]])
+    new = beyond(cand[0], rec[0])
+    rec[:, new] = cand[:, new]
+
+
+def _tanh_sinh(fn, a, b):
+    """(integrals, converged) of fn over the panels [a[k], b[k]] by
+    tanh-sinh quadrature, for 1-D float arrays a and b.
+
+    This is the algorithm of scipy.integrate.tanhsinh (scipy 1.17) on a
+    real integrand at minlevel _TS_MINLEVEL, maxlevel _TS_MAXLEVEL, atol
+    _PANEL_ATOL and rtol _PANEL_RTOL, bit for bit: fn is read once at
+    every panel's midpoint (next to its finite end on a half-line, at 0
+    on the line), where NaN fails the panel, and then once per level on
+    the nodes of all panels still open, in one (panels, nodes) array.
+    Limits that are equal give 0; reversed ones the negated integral; an
+    infinite end is mapped onto a finite one, by x = 1/t - 1 + a on a
+    half-line and x = t / (1 - t^2) on the line.  Nodes that round onto
+    an end weigh 0.  Each level's Euler-Maclaurin sum replaces the
+    non-finite values of fn with its value at the valid node nearest that
+    end, and Bailey's error estimate stops a panel on rtol, on atol or on
+    a non-finite integral.  A panel still open after the last level
+    returns its last estimate, unconverged.
+    """
+    a, b = a.copy(), b.copy()
+    levels, n0, n01 = _tanh_sinh_levels()
+    eps = np.finfo(float).eps
+    val, ok = np.zeros(a.size), np.zeros(a.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = (a + b) / 2
+        left, right = np.isinf(a), np.isinf(b)
+        c[left] = b[left] - 1.0
+        c[right] = a[right] + 1.0
+        c[left & right] = 0.0
+        fc = np.asarray(fn(c), dtype=float)
+        # onto finite lo <= hi: equal ends read 0 (NaN at a NaN midpoint);
+        # a reversed panel is negated at the end
+        same = a == b
+        a[same] = b[same] = 1.0
+        flip = b < a
+        a[flip], b[flip] = b[flip], a[flip]
+        both = np.isinf(a) & np.isinf(b)
+        a[both], b[both] = -1.0, 1.0
+        left = np.isinf(a)
+        a[left], b[left] = -b[left], -a[left]
+        right = np.isinf(b)
+        a0 = a.copy()
+        a[right], b[right] = 0.0, 1.0
+        nan = np.isnan(a) | np.isnan(b) | np.isnan(fc)
+        val[nan] = math.nan
+        ok[same] = True
+        idx = np.flatnonzero(~same & ~nan)
+        lo, hi, a0 = a[idx, None], b[idx, None], a0[idx, None]
+        both, right, left = both[idx], right[idx], left[idx]
+        # (x, f, w) at the valid node nearest each end, over all levels
+        near_hi = np.array([[-math.inf], [math.nan], [0.0]]).repeat(idx.size, axis=1)
+        near_lo = np.array([[math.inf], [math.nan], [0.0]]).repeat(idx.size, axis=1)
+        prev = prev2 = None
+        for h, xc, w in levels:
+            if idx.size == 0:
+                break
+            half = (hi - lo) / 2
+            xj = np.concatenate((-half * xc + hi, half * xc + lo), axis=-1)
+            wj = w * half
+            wj = np.concatenate((wj, wj), axis=-1)
+            wj[(xj <= lo) | (xj >= hi)] = 0
+            x = xj.copy()
+            infinite = both.any() or right.any()
+            if infinite:
+                x[both] = x[both] / (1 - x[both]**2)
+                x[right] = 1 / x[right] - 1 + a0[right]
+                x[left] *= -1
+            f = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+            if infinite:
+                f[both] *= (1 + xj[both]**2) / (1 - xj[both]**2)**2
+                f[right] *= xj[right]**-2.
+            # Euler-Maclaurin sum: the first half of each row runs toward hi
+            m = xc.size
+            bad = ~np.isfinite(f) | (wj == 0)
+            _ts_nearest_end(near_hi, xj[:, :m], f[:, :m], wj[:, :m], bad[:, :m],
+                            -math.inf, np.argmax, np.greater)
+            _ts_nearest_end(near_lo, xj[:, m:], f[:, m:], wj[:, m:], bad[:, m:],
+                            math.inf, np.argmin, np.less)
+            d4 = np.maximum(np.abs(near_lo[1] * near_lo[2]), np.abs(near_hi[1] * near_hi[2]))
+            np.copyto(f[:, :m], near_hi[1][:, None], where=bad[:, :m])
+            np.copyto(f[:, m:], near_lo[1][:, None], where=bad[:, m:])
+            fw = f * wj
+            est = np.sum(fw, axis=-1) * h
+            if prev is None:
+                # the first level holds levels 0 and 1: their estimates
+                sides = fw.reshape(idx.size, 2, -1)
+                prev = np.sum(sides[:, :, :n01].reshape(idx.size, -1), axis=-1) * (2 * h)
+                prev2 = np.sum(sides[:, :, :n0].reshape(idx.size, -1), axis=-1) * (4 * h)
+            else:
+                est = prev / 2 + est
+            # Bailey's error estimate
+            d1 = np.abs(est - prev)
+            d2 = np.abs(est - prev2)
+            d3 = eps * np.max(np.abs(fw), axis=-1)
+            d5 = eps * np.abs(est)
+            temp = np.where(d1 > 0, d1**(np.log(d1) / np.log(d2)), 0)
+            aerr = np.maximum(np.maximum(np.maximum(temp, d1**2), d3), d4)
+            aerr = np.minimum(np.maximum(aerr, d5), d1)
+            conv = (aerr / np.abs(est) < _PANEL_RTOL) | (aerr < _PANEL_ATOL)
+            stop = conv | ~np.isfinite(est)
+            if stop.any():
+                val[idx[stop]] = est[stop]
+                ok[idx[stop]] = conv[stop]
+                keep = ~stop
+                idx, lo, hi, a0, both, right, left, est, prev = (
+                    v[keep] for v in (idx, lo, hi, a0, both, right, left, est, prev))
+                near_hi, near_lo = near_hi[:, keep], near_lo[:, keep]
+            prev2, prev = prev, est
+        if idx.size:
+            val[idx] = est
+    val[flip] *= -1
+    return val, ok
+
+
+def _panel_integral(fn, a, b):
+    """int_{a[k]}^{b[k]} fn(t) dt for every panel k, by one tanh-sinh rule
+    (_tanh_sinh) over all panels.
+
+    fn is elementwise and takes a 1-D array of nodes: one call at the
+    panels' midpoints, then one per level on the nodes of every panel
+    still open.  The rule resolves log endpoint singularities and infinite
+    ends; it may read fn at a panel end or, for an infinite end, at +-inf,
+    with zero weight there.  A panel with finite ends and a finite value
+    on which the rule did not converge is integrated again, once, as its
+    two halves, by one more rule over all such halves.  On a panel at most
     4 ulps wide the rule's nodes round onto a few floats, those on an end
     weighted 0, and it returns NaN or a value far off: such a panel takes
     the midpoint rule instead.
@@ -220,19 +390,12 @@ def _panel_integral(fn, a, b):
     a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
     if a.size == 0:
         return np.zeros(0)
-
-    def rule(lo, hi):
-        return integrate.tanhsinh(
-            lambda t: np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape),
-            lo, hi, atol=_PANEL_ATOL, rtol=_PANEL_RTOL)
-
-    res = rule(a, b)
-    val = np.array(res.integral, dtype=float, ndmin=1)
-    redo = ~np.atleast_1d(res.success) & np.isfinite(val) & np.isfinite(a) & np.isfinite(b)
+    val, ok = _tanh_sinh(fn, a, b)
+    redo = ~ok & np.isfinite(val) & np.isfinite(a) & np.isfinite(b)
     if np.any(redo):
         lo, hi = a[redo], b[redo]
         mid = 0.5 * (lo + hi)
-        halves = np.atleast_1d(rule(np.concatenate([lo, mid]), np.concatenate([mid, hi])).integral)
+        halves = _tanh_sinh(fn, np.concatenate([lo, mid]), np.concatenate([mid, hi]))[0]
         val[redo] = halves[:mid.size] + halves[mid.size:]
     narrow = np.isfinite(a) & np.isfinite(b) & (
         b - a <= 4.0 * np.spacing(np.fmax(np.abs(a), np.abs(b))))

@@ -92,11 +92,12 @@ class CopulaKernel:
         self._hazard_psis = {i: p.psi for i, p in pairs.items()}
         self._hazards = {i: TableHazard(p) if mode == "quadrature"
                          else p.hazard for i, p in pairs.items()}
-        # K_i is zero at the midpoint of each interval of Psi_i
-        self._anchors = {}
-        for i, hz in self._hazards.items():
-            mids = np.array([0.5 * (g + dd) for g, dd in self.psis[i]])
-            self._anchors[i] = hz.theta(self._avg.ppf(mids))
+        # K_i is zero at the midpoint of each interval of Psi_i; one G^{-1}
+        # call solves the midpoints of every hazard
+        mids = [[0.5 * (g + dd) for g, dd in self.psis[i]] for i in self._hazards]
+        xs = np.split(self._avg.ppf(np.array(sum(mids, []))),
+                      np.cumsum([len(m) for m in mids])[:-1])
+        self._anchors = {i: hz.theta(x) for (i, hz), x in zip(self._hazards.items(), xs)}
 
     # -- raw evaluations, assuming points already inside the right sets --
 

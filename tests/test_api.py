@@ -91,3 +91,12 @@ def test_one_gauss_legendre_unit_rule():
     src = Path(maxentos.__file__).parent
     named = {path.name: path.read_text().count("leggauss") for path in src.glob("*.py")}
     assert {name: k for name, k in named.items() if k} == {"cdfs.py": 1}
+
+
+def test_no_module_imports_scipy_integrate():
+    # every 1-D quadrature runs cdfs' own tanh-sinh rule; scipy.integrate
+    # is only the tests' oracle
+    src = Path(maxentos.__file__).parent
+    pattern = re.compile(r"^\s*(from\s+scipy\s+import\s+.*\bintegrate\b|"
+                         r"from\s+scipy\.integrate\b|import\s+scipy\.integrate\b)", re.M)
+    assert [path.name for path in src.glob("*.py") if pattern.search(path.read_text())] == []

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
-from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ComposedDeltaCdf,
-                           ExponentialCdf, MarginalCdf, OrderStatUniformCdf,
-                           PiecewiseLinearCdf, UniformCdf, _panel_integral,
-                           generalized_inverse, marginal_from_dict)
+import maxentos
+from maxentos import verify
+from maxentos.cdfs import (_PANEL_ATOL, _PANEL_RTOL, AverageCdf, BetaOneKCdf,
+                           ComposedDeltaCdf, ExponentialCdf, MarginalCdf,
+                           OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf,
+                           _panel_integral, _tanh_sinh, generalized_inverse,
+                           marginal_from_dict)
 from maxentos.errors import InvalidMarginal
 
 
@@ -142,6 +148,133 @@ def test_panel_rule_splits_an_unconverged_panel_once():
     val = _panel_integral(fn, [0.0, 0.0], [1.0, 0.5])
     assert val == pytest.approx([2 * 0.5 ** 1.5 / 1.5, 0.5 ** 1.5 / 1.5], rel=1e-13)
     assert _panel_integral(fn, [], []).size == 0
+
+
+#: integrands for the oracle test: smooth, log-singular at 0, with an
+#: infinite slope at 0.3, NaN at 0.5 (the midpoint of the panels drawn
+#: around it), NaN throughout, and 1/t
+_ORACLE_INTEGRANDS = {
+    "polynomial": lambda t: 1.0 + t * (0.5 - 0.25 * t),
+    "log_end": lambda t: np.log(np.abs(t)),
+    "sqrt_kink": lambda t: np.sqrt(np.abs(t - 0.3)),
+    "nan_mid": lambda t: np.where(t == 0.5, math.nan, np.exp(-np.abs(t))),
+    "all_nan": lambda t: np.full(t.shape, math.nan),
+    "inverse": lambda t: 1.0 / t,
+}
+_LIMITS = st.one_of(st.sampled_from([-math.inf, math.inf, 0.0, 0.3, 0.5, 1.0]),
+                    st.floats(-8.0, 8.0))
+
+
+@st.composite
+def _panels(draw):
+    """Limits a, b: finite, reversed, equal, semi-infinite or doubly
+    infinite, and panels centred on 0.5."""
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["any", "equal", "around_half"]))
+        lo = draw(_LIMITS)
+        if kind == "equal":
+            hi = lo
+        elif kind == "around_half":
+            r = draw(st.floats(1e-3, 4.0))
+            lo, hi = (0.5 - r, 0.5 + r) if draw(st.booleans()) else (0.5 + r, 0.5 - r)
+        else:
+            hi = draw(_LIMITS)
+        a.append(lo)
+        b.append(hi)
+    return np.array(a), np.array(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_ORACLE_INTEGRANDS)), ab=_panels())
+def test_tanh_sinh_matches_scipy(name, ab):
+    # the package's rule runs scipy.integrate.tanhsinh's algorithm at the
+    # panel rule's settings: the same success flags, integrals within 2
+    # ulps (and bit for bit on the scipy this was written against)
+    fn, (a, b) = _ORACLE_INTEGRANDS[name], ab
+    with np.errstate(all="ignore"):
+        ref = integrate.tanhsinh(
+            lambda t: np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape),
+            a, b, atol=_PANEL_ATOL, rtol=_PANEL_RTOL)
+        val, ok = _tanh_sinh(fn, a.copy(), b.copy())
+    want = np.atleast_1d(ref.integral)
+    assert np.array_equal(ok, np.atleast_1d(ref.success))
+    close = (val == want) | (np.isnan(val) & np.isnan(want)) | (
+        np.abs(val - want) <= 2.0 * np.spacing(np.fmax(np.abs(val), np.abs(want))))
+    assert close.all(), (a[~close], b[~close], val[~close], want[~close])
+
+
+def test_panel_rule_reads_the_integrand_once_per_level():
+    # one call at the midpoints, then one per level on every open panel's
+    # nodes: 66 at the first level (levels 0 to 2), then 64, 128, ...
+    sizes = []
+
+    def counted(fn):
+        return lambda t: (sizes.append(t.size), fn(t))[1]
+
+    val = _panel_integral(counted(lambda t: np.exp(-t) * np.sqrt(t)),
+                          [1.0, 0.0, 0.0], [2.0, 1.0, math.inf])
+    assert sizes == [3, 3 * 66, 3 * 64, 1 * 128]
+    assert val[2] == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-14)
+    # a panel that runs to the last level, then its halves in one more rule
+    sizes.clear()
+    _panel_integral(counted(lambda t: np.sqrt(np.abs(t - 0.5))), [0.0, 0.0], [1.0, 0.5])
+    assert sizes == [2, 2 * 66, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 2, 2 * 66, 64]
+
+
+def _tent():
+    return (PiecewiseLinearCdf([[0, 0], [0.5, 0.75], [1, 1]]),
+            PiecewiseLinearCdf([[0, 0], [0.5, 0.25], [1, 1]]))
+
+
+def _degenerate(margins):
+    r = maxentos.detect_degenerate(maxentos.MarginalVector(margins))
+    return [r.j_value, r.entropy]
+
+
+def _kernel_tail(delta):
+    return verify._delta_checks(delta, seed=0, n_samples=1000, grid=256)
+
+
+_BETA2 = (BetaOneKCdf(2), BetaOneKCdf(1))
+#: the package's quadrature outputs, as hex, pinned before the panel rule
+#: left scipy.integrate.tanhsinh
+_QUADRATURE_PINS = {
+    "tent": (lambda: _degenerate(_tent()),
+             ["0x1.b17217f7d1cf2p+0", "-0x1.e8d7c710ccf26p-1"]),
+    "beta3_exp1": (lambda: _degenerate((BetaOneKCdf(3), ExponentialCdf(1.0))),
+                   ["0x1.7eacdafe82705p+0", "0x1.2bf28015809b0p-4"]),
+    "uniform_exp1": (lambda: _degenerate((UniformCdf(0.0, 1.0), ExponentialCdf(1.0))),
+                     ["0x1.6ce98342cfdcbp+1", "-0x1.b3a60d0b3f72cp-1"]),
+    "j_exp3": (lambda: [maxentos.j_functional(maxentos.MarginalVector(
+        tuple(ExponentialCdf(r) for r in (3.0, 2.0, 1.0))), method="quadrature")],
+        ["0x1.1fffffffffff4p+2"]),
+    "j_beta5": (lambda: [maxentos.j_functional(maxentos.MarginalVector(
+        tuple(BetaOneKCdf(k) for k in (5, 4, 3, 2, 1))), method="quadrature")],
+        ["0x1.4d55555555555p+3"]),
+    "piecewise_entropy": (lambda: [MarginalCdf.entropy(_tent()[0])],
+                          ["-0x1.0be72e4252a82p-3"]),
+    "beta2_delta_entropy": (
+        lambda: [c.entropy() for c in maxentos.multidiagonal_from_marginals(
+            maxentos.MarginalVector(_BETA2)).components],
+        ["-0x1.fea645f0ef4e9p-5", "-0x1.72838ef330cf0p-5"]),
+    "beta2_kernel_tail": (
+        lambda: [dict(_kernel_tail(maxentos.multidiagonal_from_marginals(
+            maxentos.MarginalVector(_BETA2))))["kernel_tail_integral"]().value],
+        ["0x1.0000000000000p-50"]),
+    "iid3_kernel_tail": (
+        lambda: [dict(_kernel_tail(maxentos.multidiagonal_of_iid_uniform(3)))[
+            "kernel_tail_integral"]().value],
+        ["0x1.0000000000000p-50"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUADRATURE_PINS))
+def test_quadrature_outputs_keep_their_bits(name):
+    # J and entropy of detect_degenerate, J by quadrature, 1-D entropies by
+    # the panel rule and the battery's kernel tail check, bit for bit
+    fn, expect = _QUADRATURE_PINS[name]
+    assert [float(v).hex() for v in fn()] == expect
 
 
 def test_panel_rule_reads_a_panel_a_few_ulps_wide():

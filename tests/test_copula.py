@@ -177,6 +177,27 @@ def test_transported_table_hazard_solves_g_inverse_once_per_call(beta2_delta, mo
     assert np.count_nonzero(got) > 19000
 
 
+@pytest.mark.parametrize("margins, anchors", [
+    ([ExponentialCdf(r) for r in (3.0, 2.0, 1.0)],
+     {2: ["-0x1.9d0cc7016bd73p+0"], 3: ["-0x1.9d0cc7016bd73p-1"]}),
+    ([BetaOneKCdf(k) for k in (5, 4, 3, 2, 1)],
+     {2: ["-0x1.4002b88701746p+2"], 3: ["-0x1.e00414ca822e8p+1"],
+      4: ["-0x1.4002b88701746p+1"], 5: ["-0x1.4002b88701746p+0"]}),
+])
+def test_kernel_anchors_solve_g_inverse_once(margins, anchors, monkeypatch):
+    # one G^{-1} call solves the midpoints of every hazard's Psi intervals
+    # (the other is validate_multidiagonal's grid); the anchors keep the
+    # bits of one call per hazard
+    delta = multidiagonal_from_marginals(MarginalVector(tuple(margins)))
+    calls = []
+    quantile = AverageCdf._quantile
+    monkeypatch.setattr(AverageCdf, "_quantile",
+                        lambda self, u: (calls.append(1), quantile(self, u))[1])
+    kernel = CopulaKernel(delta)
+    assert len(calls) <= 2
+    assert {i: [float(v).hex() for v in a] for i, a in kernel._anchors.items()} == anchors
+
+
 def test_comonotone_multidiagonal_has_no_density():
     comonotone = Multidiagonal((UniformCdf(0.0, 1.0), UniformCdf(0.0, 1.0)))
     kernel = CopulaKernel(comonotone)
