@@ -384,8 +384,9 @@ def _panel_integral(fn, a, b):
     on which the rule did not converge is integrated again, once, as its
     two halves, by one more rule over all such halves.  On a panel at most
     4 ulps wide the rule's nodes round onto a few floats, those on an end
-    weighted 0, and it returns NaN or a value far off: such a panel takes
-    the midpoint rule instead.
+    weighted 0, and it returns NaN or a value far off: such a panel, in
+    either direction, takes the midpoint rule instead.  A panel with equal
+    ends keeps the rule's exact 0, with no further read of fn.
     """
     a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
     if a.size == 0:
@@ -397,8 +398,9 @@ def _panel_integral(fn, a, b):
         mid = 0.5 * (lo + hi)
         halves = _tanh_sinh(fn, np.concatenate([lo, mid]), np.concatenate([mid, hi]))[0]
         val[redo] = halves[:mid.size] + halves[mid.size:]
-    narrow = np.isfinite(a) & np.isfinite(b) & (
-        b - a <= 4.0 * np.spacing(np.fmax(np.abs(a), np.abs(b))))
+    width = np.abs(b - a)
+    narrow = np.isfinite(a) & np.isfinite(b) & (width > 0.0) & (
+        width <= 4.0 * np.spacing(np.fmax(np.abs(a), np.abs(b))))
     if np.any(narrow):
         lo, hi = a[narrow], b[narrow]
         val[narrow] = (hi - lo) * np.asarray(fn(0.5 * (lo + hi)), dtype=float)
@@ -674,30 +676,32 @@ class PiecewiseLinearCdf(MarginalCdf):
         return d
 
 
-def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
-    """inf{s in [lo, hi] : cdf_vec(s) >= target} by bracketed Newton.
+def _newton_level(read, targets, lo, hi, iters=100):
+    """inf{s in [lo, hi] : F(s) >= target} by bracketed Newton.
 
-    cdf_vec is nondecreasing with derivative pdf_vec, and the level lies in
-    [lo, hi].  Each evaluation shrinks the bracket.  A Newton step strictly
-    inside the bracket is taken; where the derivative is zero, infinite or
-    NaN, or the step reaches or leaves a bracket end, the point bisects.
-    On a function resolved only to a few ulps, Newton could otherwise step
-    from one end onto the other and back for ever.  Only points still
-    moving are evaluated.  A point settles when its raw Newton step falls
-    below 1e-15 relative (roots near 0, down to subnormals, keep their
-    leading digits) from below the level, or when no float lies between
-    its bracket ends.  A small step from above first probes just
-    below the root, so a flat stretch at the level is not mistaken for its
-    right end.  A probe below a point that read the level exactly, that
-    reads it too, shows such a stretch.  Wherever one float step moves the
-    rounded function by less than an ulp of the level, it reads the level
-    over about 2 such ulps divided by the slope, so the point next probes
-    that far below.  From then on it bisects where it would probe and
-    settles only when its bracket closes, at hi: the stretch's left end to
-    the ulp, reached without creeping down the stretch a few ulps per
-    evaluation, and without bisecting from a far bracket end where the
-    stretch is only rounding.  A point still moving after iters
-    evaluations gets its bracket's hi.
+    F is nondecreasing and the level lies in [lo, hi].  Each iterate makes
+    one call read(x) on the 1-D array x of the points still moving, which
+    returns the value F(x) and the slope F'(x) together: a caller that gets
+    both from one piece of work (one G^{-1} solve, one panel) keeps no
+    state between iterates.  Each evaluation shrinks the bracket.  A Newton
+    step strictly inside the bracket is taken; where the slope is zero,
+    infinite or NaN, or the step reaches or leaves a bracket end, the point
+    bisects.  On a function resolved only to a few ulps, Newton could
+    otherwise step from one end onto the other and back for ever.  A point
+    settles when its raw Newton step falls below 1e-15 relative (roots
+    near 0, down to subnormals, keep their leading digits) from below the
+    level, or when no float lies between its bracket ends.  A small step
+    from above first probes just below the root, so a flat stretch at the
+    level is not mistaken for its right end.  A probe below a point that
+    read the level exactly, that reads it too, shows such a stretch.
+    Wherever one float step moves the rounded function by less than an ulp
+    of the level, it reads the level over about 2 such ulps divided by the
+    slope, so the point next probes that far below.  From then on it
+    bisects where it would probe and settles only when its bracket closes,
+    at hi: the stretch's left end to the ulp, reached without creeping down
+    the stretch a few ulps per evaluation, and without bisecting from a far
+    bracket end where the stretch is only rounding.  A point still moving
+    after iters evaluations gets its bracket's hi.
     """
     targets = np.asarray(targets, dtype=float)
     shape = targets.shape
@@ -713,8 +717,9 @@ def _newton_level(cdf_vec, pdf_vec, targets, lo, hi, iters=100):
     for _ in range(iters):
         if idx.size == 0:
             break
-        r = np.asarray(cdf_vec(x), dtype=float) - t
-        f = np.asarray(pdf_vec(x), dtype=float)
+        value, f = read(x)
+        r = np.asarray(value, dtype=float) - t
+        f = np.asarray(f, dtype=float)
         below = r < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
@@ -808,16 +813,17 @@ class AverageCdf(MarginalCdf):
         """G^{-1} at a 1-D array of levels in (0, 1]."""
         out = np.full_like(u, math.nan)
         # G(s) = 1 exactly when every component has reached 1.
-        top = max(c.ppf(1.0) for c in self.components)
-        out[u == 1.0] = top
+        if np.any(u == 1.0):
+            out[u == 1.0] = max(c.ppf(1.0) for c in self.components)
         # the level lies between the component quantiles; above 1/2 the
         # survival function carries it, since 1 - u is exact there while
         # cdf values that close to 1 keep only absolute accuracy
-        for part, level, fn in (((u > 0.0) & (u <= 0.5), u, self.cdf),
-                                ((u > 0.5) & (u < 1.0), -(1.0 - u), lambda x: -self.sf(x))):
+        for part, level, read in (
+                ((u > 0.0) & (u <= 0.5), u, lambda x: (self._cdf(x), self._pdf(x))),
+                ((u > 0.5) & (u < 1.0), -(1.0 - u), lambda x: (-self._sf(x), self._pdf(x)))):
             if np.any(part):
                 qs = np.array([c.ppf(u[part]) for c in self.components])
-                out[part] = _newton_level(fn, self.pdf, level[part], qs.min(axis=0), qs.max(axis=0))
+                out[part] = _newton_level(read, level[part], qs.min(axis=0), qs.max(axis=0))
         return out
 
     def knots(self):
@@ -876,21 +882,10 @@ class ComposedDeltaCdf(MarginalCdf):
         # Honest generalized inverse of this object's own cdf; the closed
         # composition through the source marginals lives in the multidiagonal
         # layer and the two are compared in tests.  Each Newton iterate reads
-        # the cdf and then the pdf at one x: the cdf read keeps the pdf of
-        # the same G^{-1} solve, and the pdf read returns it.
-        last = {}
-
-        def cdf(x):
-            value, last["pdf"] = self._read(
-                np.asarray(x, dtype=float), (self.base.cdf, 0.0, 1.0, math.nan),
-                (self.pdf_at_base, 0.0, 0.0, 0.0))
-            last["x"] = x
-            return value
-
-        def pdf(x):
-            return last["pdf"] if x is last.get("x") else self.pdf(x)
-
-        return _newton_level(cdf, pdf, u, 0.0, 1.0)
+        # the cdf and the pdf at one x from one G^{-1} solve.
+        return _newton_level(lambda x: self._read(x, (self.base.cdf, 0.0, 1.0, math.nan),
+                                                  (self.pdf_at_base, 0.0, 0.0, 0.0)),
+                             u, 0.0, 1.0)
 
     def knots(self):
         ks = {0.0, 1.0}
@@ -992,8 +987,8 @@ def generalized_inverse(J, t, lo=None, hi=None):
                 return -math.inf
             lo = -1e300
             break
-    return float(_newton_level(lambda x: [J(float(v)) for v in x],
-                               lambda x: np.full(x.shape, math.nan), t, lo, hi, iters=200))
+    return float(_newton_level(lambda x: ([J(float(v)) for v in x], np.full(x.shape, math.nan)),
+                               t, lo, hi, iters=200))
 
 
 _FAMILIES = {

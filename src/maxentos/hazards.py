@@ -390,10 +390,11 @@ class CumulativeTable:
             k = k[inside]
 
             def rise(x):
-                # Newton only evaluates x in (node k, node k + 1]
-                return self._panel(np.maximum(np.searchsorted(self.nodes, x) - 1, 0), x)
+                # Newton only evaluates x in (node k, node k + 1]; the slope is h
+                j = np.maximum(np.searchsorted(self.nodes, x) - 1, 0)
+                return self._panel(j, x), self.h(x)
 
-            out[inside] = _newton_level(rise, self.h, level[inside] - self.cum[k],
+            out[inside] = _newton_level(rise, level[inside] - self.cum[k],
                                         np.maximum(self.nodes[k], s[inside]), self.nodes[k + 1])
         return np.where(target > 0.0, out, s)
 

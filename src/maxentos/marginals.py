@@ -201,8 +201,8 @@ class _Pair:
             # times the excess rises through 0 in each
             if j.size == 0:
                 return []
-            return list(_newton_level(lambda x: sign * _excess(*_cdf_gap_terms(fp, fc, x)),
-                                      lambda x: sign * (fp.pdf(x) - fc.pdf(x)),
+            return list(_newton_level(lambda x: (sign * _excess(*_cdf_gap_terms(fp, fc, x)),
+                                                 sign * (fp.pdf(x) - fc.pdf(x))),
                                       np.zeros(j.size), probes[j], probes[j + 1]))
 
         starts = crossings(np.flatnonzero(turn > 0), 1.0)

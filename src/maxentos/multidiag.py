@@ -155,14 +155,9 @@ class _TransportedPair(_Pair):
 
     def density_and_gap(self, t):
         # the components read 0 density and constant values outside (0, 1);
-        # inside, one G^{-1} solve serves every node
-        f, gap = np.zeros_like(t), np.zeros_like(t)
-        inside = (t > 0.0) & (t < 1.0)
-        if np.any(inside):
-            x = self.G.ppf(t[inside])
-            f[inside] = self.fc.pdf_at_base(x)
-            gap[inside] = _cdf_gap(self.fp.base, self.fc.base, x)
-        return f, gap
+        # inside, one G^{-1} solve serves both reads
+        return self.fc._read(t, (self.fc.pdf_at_base, 0.0, 0.0, 0.0),
+                             (lambda x: _cdf_gap(self.fp.base, self.fc.base, x), 0.0, 0.0, 0.0))
 
 
 def multidiagonal_from_marginals(F: MarginalVector) -> Multidiagonal:

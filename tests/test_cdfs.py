@@ -284,6 +284,25 @@ def test_panel_rule_reads_a_panel_a_few_ulps_wide():
     widths = np.arange(1, 5) * ulp
     val = _panel_integral(lambda t: 2.0 + 0.0 * t, np.ones(4), 1.0 + widths)
     assert np.array_equal(val, 2.0 * widths)
+    # and the same way round from the other end
+    val = _panel_integral(lambda t: 2.0 + 0.0 * t, 1.0 + widths, np.ones(4))
+    assert np.array_equal(val, -2.0 * widths)
+
+
+@pytest.mark.parametrize("fn", [lambda t: 1.0 / t, lambda t: -1.0 - 0.0 * t])
+def test_panel_rule_gives_zero_on_equal_ends(fn):
+    # the rule's exact +0.0, with only its call at the midpoint: no
+    # midpoint rule writes 0 * fn(mid) (NaN at 1/0, -0.0 below 0) over it
+    sizes = []
+    val = _panel_integral(lambda t: (sizes.append(t.size), fn(t))[1], [0.0], [0.0])
+    assert val.tobytes() == np.zeros(1).tobytes()
+    assert sizes == [1]
+
+
+def test_panel_rule_integrates_a_reversed_panel():
+    # a reversed panel is no narrow one: the rule gives minus its integral
+    val = _panel_integral(lambda t: t * t, [1.0, 2.0], [0.0, -1.0])
+    assert val == pytest.approx([-1.0 / 3.0, -3.0], rel=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

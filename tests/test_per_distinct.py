@@ -93,9 +93,9 @@ def test_copula_density_solves_each_level_once(monkeypatch):
     monkeypatch.setattr(AverageCdf, "ppf",
                         lambda self, u: (ppf_calls.append(np.size(u)), ppf(self, u))[1])
 
-    def counted(cdf_vec, pdf_vec, level, lo, hi, *args, **kwargs):
+    def counted(read, level, lo, hi, *args, **kwargs):
         targets.append(np.size(level))
-        return newton(cdf_vec, pdf_vec, level, lo, hi, *args, **kwargs)
+        return newton(read, level, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(cdfs, "_newton_level", counted)
     c = c_delta_density(kernel, midpoint_grid(24, 3))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxentos import cdfs
+from maxentos import MarginalVector, average_cdf, cdfs, multidiagonal_from_marginals
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ComposedDeltaCdf,
                            ExponentialCdf, PiecewiseLinearCdf)
+from maxentos.hazards import TableHazard
 
 TENT = (((0.0, 0.0), (0.5, 0.75), (1.0, 1.0)),
         ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))
@@ -167,10 +168,9 @@ def test_newton_level_cap_returns_bracket_hi():
     # one evaluation at the midpoint 0.5 lands above the level 0.3 and
     # leaves the bracket (0, 0.5]; a point cut off there gets its hi
     from maxentos.cdfs import _newton_level
-    ident = lambda x: x
-    one = lambda x: np.ones_like(x)
-    assert _newton_level(ident, one, np.array([0.3]), 0.0, 1.0, iters=1)[0] == 0.5
-    assert _newton_level(ident, one, np.array([0.3]), 0.0, 1.0)[0] == 0.3
+    ident = lambda x: (x, np.ones_like(x))
+    assert _newton_level(ident, np.array([0.3]), 0.0, 1.0, iters=1)[0] == 0.5
+    assert _newton_level(ident, np.array([0.3]), 0.0, 1.0)[0] == 0.3
 
 
 @pytest.mark.parametrize("u", [np.linspace(0.01, 0.99, 99), np.array([1.0])])
@@ -179,20 +179,19 @@ def test_composed_ppf_solves_g_inverse_once_per_iterate(u, monkeypatch):
     # G^{-1} solve, and lands where separate reads of the two land
     comps = [ExponentialCdf(r) for r in (3.0, 2.0, 1.0)]
     F = ComposedDeltaCdf(comps[0], AverageCdf(comps))
-    expect = cdfs._newton_level(F.cdf, F.pdf, u, 0.0, 1.0)
+    expect = cdfs._newton_level(lambda x: (F.cdf(x), F.pdf(x)), u, 0.0, 1.0)
     solves, iterates, outer = [], [], []
     solve, newton = AverageCdf._solve_levels, cdfs._newton_level
     monkeypatch.setattr(AverageCdf, "_solve_levels",
                         lambda self, v: (solves.append(1), solve(self, v))[1])
 
-    def counted(cdf_vec, pdf_vec, *args, **kwargs):
+    def counted(read, *args, **kwargs):
         # the iterates of the outer solve only: G^{-1} runs a Newton too
         if outer:
-            return newton(cdf_vec, pdf_vec, *args, **kwargs)
+            return newton(read, *args, **kwargs)
         outer.append(1)
         try:
-            return newton(lambda x: (iterates.append(1), cdf_vec(x))[1], pdf_vec,
-                          *args, **kwargs)
+            return newton(lambda x: (iterates.append(1), read(x))[1], *args, **kwargs)
         finally:
             outer.pop()
 
@@ -282,3 +281,116 @@ def test_newton_level_iterations_on_rounding_stretches(name, monkeypatch):
     x = G.ppf(u)
     assert np.all(np.isfinite(x))
     assert len(evaluations) == 2 and max(evaluations) <= 12, evaluations
+
+
+# -- bits of every root solve ------------------------------------------------
+
+_PIN_VECTORS = {
+    "exp3": tuple(ExponentialCdf(r) for r in (3.0, 2.0, 1.0)),
+    "beta2": (BetaOneKCdf(2), BetaOneKCdf(1)),
+    "tent": tuple(PiecewiseLinearCdf(k) for k in TENT),
+    "beta3_exp1": (BetaOneKCdf(3), ExponentialCdf(1.0)),
+}
+_PIN_LEVELS = (1e-300, 1e-100, 1e-16, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99,
+               1.0 - 1e-16, 1.0)
+# per vector, G^{-1} and then each component delta_i's ppf at _PIN_LEVELS; at
+# 1e-300 and 1e-100 every delta_i's solve stops at its evaluation cap, above
+# the root, and these pin where it stops
+_ROOT_BITS = {
+    "exp3": (
+        ("0x1.56e1fc2f8f359p-998", "0x1.bff2ee48e0530p-334", "0x1.cd2b297d889bcp-55",
+         "0x1.499b0e8417041p-8", "0x1.b369b1bc1859bp-5", "0x1.2dfeb7a952cfbp-3",
+         "0x1.79df78456dfaap-2", "0x1.95f55026a4bcdp-1", "0x1.74e0bf4da5497p+0",
+         "0x1.c49eaf95181b0p+1", "0x1.1d1b02751cfe2p+5", "inf"),
+        ("0x1.0000000000000p-100", "0x1.0000000000000p-100", "0x1.33721ba905bd2p-54",
+         "0x1.b56501f5f6144p-8", "0x1.144341ff27d39p-4", "0x1.603a2d4eae6b1p-3",
+         "0x1.6f63eeb78bf7ap-2", "0x1.2617491469cc8p-1", "0x1.7af2a74b23d4ep-1",
+         "0x1.d19a488f6923fp-1", "0x1.ffffc276b3b7dp-1", "0x1.ffffd5554aaabp-1"),
+        ("0x1.8d58000000000p-166", "0x1.8d58000000000p-166", "0x1.cd2b297d889bcp-54",
+         "0x1.47682ce55a582p-7", "0x1.96306484107f6p-4", "0x1.f56368c874d1dp-3",
+         "0x1.eb4b6eed61988p-2", "0x1.6aaaaaaaaaaabp-1", "0x1.b3911c794e18ap-1",
+         "0x1.ed0e560418938p-1", "0x1.ffffffdb0cb17p-1", "0x1.ffffffeaaaaabp-1"),
+        ("0x1.0000000000000p-220", "0x1.0000000000000p-220", "0x1.cd2b297d889bbp-53",
+         "0x1.45803cd141a6ap-6", "0x1.7ef9db22d0e57p-3", "0x1.b000000000001p-2",
+         "0x1.6aaaaaaaaaaabp-1", "0x1.c800000000000p-1", "0x1.ed0e560418937p-1",
+         "0x1.fe46ae3a3a8e7p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ),
+    "beta2": (
+        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cap-333", "0x1.33721ba905bd3p-54",
+         "0x1.b5e1c4d43464bp-8", "0x1.176ba565326dcp-4", "0x1.6ac02b16838b2p-3",
+         "0x1.8722191a02d61p-2", "0x1.4498517a7b355p-1", "0x1.a88a3abb00d9dp-1",
+         "0x1.f5f4fdafe3866p-1", "0x1.ffffffffffffep-1", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p-100", "0x1.0000000000000p-100", "0x1.59e05f1e2674dp-54",
+         "0x1.ebee8153feb42p-8", "0x1.35e587f1b1674p-4", "0x1.8930a2f4f66acp-3",
+         "0x1.95f619980c433p-2", "0x1.4000000000000p-1", "0x1.957218dd45423p-1",
+         "0x1.e3d70a3d70a3ep-1", "0x1.ffffffc8930a2p-1", "0x1.ffffffe000000p-1"),
+        ("0x1.5800000000000p-187", "0x1.5800000000000p-187", "0x1.59e05f1e2674cp-53",
+         "0x1.e9e1b089a0275p-7", "0x1.28f5c28f5c290p-3", "0x1.6000000000000p-2",
+         "0x1.4000000000000p-1", "0x1.b000000000000p-1", "0x1.e3d70a3d70a3ep-1",
+         "0x1.fd6a161e4f766p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ),
+    "tent": (
+        ("0x1.56e1fc2f8f359p-997", "0x1.bff2ee48e0530p-333", "0x1.cd2b297d889bcp-54",
+         "0x1.47ae147ae147bp-7", "0x1.999999999999ap-4", "0x1.0000000000000p-2",
+         "0x1.0000000000000p-1", "0x1.8000000000000p-1", "0x1.ccccccccccccdp-1",
+         "0x1.fae147ae147aep-1", "0x1.fffffffffffffp-1", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p-100", "0x1.0000000000000p-100", "0x1.33721ba905bd2p-54",
+         "0x1.b4e81b4e81b4fp-8", "0x1.1111111111111p-4", "0x1.5555555555556p-3",
+         "0x1.5555555555555p-2", "0x1.0000000000000p-1", "0x1.9999999999999p-1",
+         "0x1.f5c28f5c28f5cp-1", "0x1.ffffffffffffdp-1", "0x1.0000000000000p+0"),
+        ("0x1.5555555555556p-100", "0x1.5555555555556p-100", "0x1.cd2b297d889bcp-53",
+         "0x1.47ae147ae147bp-6", "0x1.999999999999ap-3", "0x1.0000000000000p-1",
+         "0x1.5555555555555p-1", "0x1.aaaaaaaaaaaabp-1", "0x1.ddddddddddddep-1",
+         "0x1.fc962fc962fc9p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ),
+    "beta3_exp1": (
+        ("0x1.56e1fc2f8f359p-998", "0x1.bff2ee48e0530p-334", "0x1.cd2b297d889bcp-55",
+         "0x1.491fb40825c6fp-8", "0x1.ace82931831b6p-5", "0x1.2251179dbca1fp-3",
+         "0x1.5bc9b85ea0bf7p-2", "0x1.76ed69f9d5c75p-1", "0x1.9c041f7ed8d35p+0",
+         "0x1.f4bd2b7ac1badp+1", "0x1.205966f2b4f12p+5", "inf"),
+        ("0x1.0000000000000p-152", "0x1.0000000000000p-152", "0x1.33721ba905bd2p-54",
+         "0x1.b516f87c55c9ep-8", "0x1.1245a740163fap-4", "0x1.597b1a05785b6p-3",
+         "0x1.5f71361b4e181p-2", "0x1.0f2dd26347818p-1", "0x1.50983f77cdd62p-1",
+         "0x1.889f1eb7da62cp-1", "0x1.a1d2853259a1fp-1", "0x1.a1d28f9bf31b9p-1"),
+        ("0x1.b000000000000p-185", "0x1.b000000000000p-185", "0x1.cd2b297d889bbp-53",
+         "0x1.46716647a98f3p-6", "0x1.8929d3df6bb8fp-3", "0x1.c6f2ed81460ddp-2",
+         "0x1.789a7a72620dfp-1", "0x1.c000000000000p-1", "0x1.e666666666666p-1",
+         "0x1.fd70a3d70a3d7p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROOT_BITS))
+def test_root_solves_keep_their_bits(name):
+    F = MarginalVector(_PIN_VECTORS[name])
+    u = np.array(_PIN_LEVELS)
+    g_bits, *delta_bits = _ROOT_BITS[name]
+    assert [x.hex() for x in average_cdf(F).ppf(u)] == list(g_bits)
+    for c, bits in zip(multidiagonal_from_marginals(F).components, delta_bits, strict=True):
+        assert [x.hex() for x in c.ppf(u)] == list(bits)
+
+
+def test_table_tail_and_separation_crossings_keep_their_bits():
+    hz = MarginalVector(_PIN_VECTORS["beta3_exp1"]).pairs[0].hazard
+    assert isinstance(hz, TableHazard)
+    s = np.array([1e-9, 0.1, 0.5, 1.0, 2.0, 5.0])
+    assert [x.hex() for x in hz.solve_tail(s, 0.7)] == [
+        "0x1.16abd50baf699p-28", "0x1.793f480ab1562p-2", "0x1.2ad8ad5405284p+0",
+        "0x1.b33333333332cp+0", "0x1.5999999999997p+1", "0x1.6ccccccccccccp+2"]
+    # the knot-touch pair's two solved crossings, either side of the knot 1/2
+    (_, d0), (g1, _) = MarginalVector((BetaOneKCdf(2), PiecewiseLinearCdf(TENT[0]))).pairs[0].psi
+    assert (d0.hex(), g1.hex()) == ("0x1.fffffffffffddp-2", "0x1.0000000000010p-1")
+
+
+def test_g_inverse_reads_no_top_below_one(monkeypatch):
+    # G(s) = 1 only where every component reaches 1: that end is read only
+    # when some level is 1
+    tops = []
+    ppf = ExponentialCdf.ppf
+    monkeypatch.setattr(ExponentialCdf, "ppf", lambda self, u: (
+        tops.extend(np.atleast_1d(u)[np.atleast_1d(u) == 1.0]), ppf(self, u))[1])
+    G = AverageCdf([ExponentialCdf(r) for r in (3.0, 2.0, 1.0)])
+    G.ppf(np.array([0.1, 0.5, 0.9, 1.0 - 1e-16]))
+    assert tops == []
+    assert G.ppf(np.array([0.5, 1.0]))[1] == np.inf
+    assert len(tops) == 3
