@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -961,8 +962,9 @@ def generalized_inverse(J, t, lo=None, hi=None):
     numerically: the bracket [lo, hi] is expanded geometrically until it
     straddles the level (default start [-1, 1]), then bisected by
     _newton_level on a NaN slope, J read at one float at a time, until no
-    float lies between the bracket's ends or after 200 reads.  Returns -inf
-    when every s satisfies J(s) >= t and +inf when none does.
+    float lies between the bracket's ends, which the read cap always
+    allows.  Returns -inf when every s satisfies J(s) >= t and +inf when
+    none does.
     """
     if isinstance(J, MarginalCdf):
         return J.ppf(t)
@@ -987,8 +989,10 @@ def generalized_inverse(J, t, lo=None, hi=None):
                 return -math.inf
             lo = -1e300
             break
+    # halvings from the widest finite bracket, under 2^1025, to 2^-1074
+    cap = sys.float_info.max_exp + 1 - sys.float_info.min_exp + sys.float_info.mant_dig
     return float(_newton_level(lambda x: ([J(float(v)) for v in x], np.full(x.shape, math.nan)),
-                               t, lo, hi, iters=200))
+                               t, lo, hi, iters=cap))
 
 
 _FAMILIES = {

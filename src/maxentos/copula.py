@@ -86,10 +86,8 @@ class CopulaKernel:
         else:
             self._margins, self._avg, pairs = delta.components, _Identity(), delta.pairs
         self._first = self._margins[0]
-        # separation sets and hazards on the scale of x, keyed like the
-        # joint model's
+        # hazards on the scale of x, keyed like the joint model's
         pairs = dict(enumerate(pairs, start=2))
-        self._hazard_psis = {i: p.psi for i, p in pairs.items()}
         self._hazards = {i: TableHazard(p) if mode == "quadrature"
                          else p.hazard for i, p in pairs.items()}
         # K_i is zero at the midpoint of each interval of Psi_i; one G^{-1}
@@ -323,7 +321,7 @@ def sample_copula(kernel: CopulaKernel, n: int, seed: int = 0) -> np.ndarray:
         raise NotAbsolutelyContinuous(
             "multidiagonal is not absolutely continuous with zero residual set")
     rng = np.random.default_rng(seed)
-    X = _draw_sorted(kernel._first, kernel._hazard_psis, kernel._hazards, n, rng)
+    X = _draw_sorted(kernel._first, kernel._hazards, n, rng)
     return rng.permuted(kernel._avg.cdf(X), axis=1)
 
 

@@ -105,9 +105,31 @@ class PairHazard:
         return out
 
     def _tail_args(self, s, target):
-        """s as an array, target broadcast to it, and the interval of each s."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
+        """s as an array, target broadcast to it, and the interval of each s.
+
+        This places the conditioning points.  An s on no interval moves
+        1e-12 of the width into the nearest interval (a closed end is at
+        distance 0; on an unbounded interval, 1e-12 of the slack's scale)
+        when within slack of it: 1e-9 times the widest finite interval, or
+        1e-9 if none is finite, worked out only when some s strays.  Any
+        other s raises RootBracketFailure.
+        """
+        s = np.array(s, dtype=float, ndmin=1)  # a contiguous copy to snap in
         idx = self.interval_index(s)
+        off = idx < 0
+        if np.any(off) and len(self.psi):
+            g, d = self._starts, self._ends
+            width = d - g
+            scale = max(width[np.isfinite(width)], default=1.0)
+            t = s[off][:, None]
+            with np.errstate(invalid="ignore"):  # inf - inf: an infinite s stays off
+                dist = np.minimum(np.abs(g - t), np.abs(d - t))
+            dist[(t >= g) & (t <= d)] = 0.0
+            k = np.argmin(dist, axis=1)
+            nudge = 1e-12 * np.where(np.isfinite(width[k]), width[k], scale)
+            moved = np.minimum(np.maximum(t[:, 0], g[k] + nudge), d[k] - nudge)
+            s[off] = np.where(dist.min(axis=1) <= 1e-9 * scale, moved, t[:, 0])
+            idx = self.interval_index(s)
         if np.any(idx < 0):
             raise RootBracketFailure(
                 f"conditioning point(s) outside every separation interval, e.g. {s[idx < 0][0]!r}")

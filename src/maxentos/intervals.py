@@ -129,24 +129,3 @@ def gap_inside_mask(iset: "IntervalSet", a, b, tol: float) -> np.ndarray:
         contained |= ~(lo < g) & (b <= d + tol)
     return contained
 
-
-def snap_inside(iset: "IntervalSet", t, slack: float = 1e-9) -> np.ndarray:
-    """Nudge points within slack of an interval into its interior.
-
-    Points farther than slack from every interval are left alone; the
-    caller decides whether that is an error.
-    """
-    t = np.asarray(t, dtype=float).copy()
-    inside = inside_mask(iset, t)
-    if np.all(inside) or len(iset) == 0:
-        return t
-    starts, ends = interval_arrays(iset)
-    for j in np.nonzero(~inside)[0]:
-        dist = np.minimum(np.abs(starts - t[j]), np.abs(ends - t[j]))
-        within = (t[j] >= starts) & (t[j] <= ends)
-        dist[within] = 0.0
-        k = int(np.argmin(dist))
-        if dist[k] <= slack:
-            width = ends[k] - starts[k]
-            t[j] = min(max(t[j], starts[k] + 1e-12 * width), ends[k] - 1e-12 * width)
-    return t

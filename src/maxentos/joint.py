@@ -24,7 +24,7 @@ import numpy as np
 from .cdfs import _Columns
 from .errors import Degenerate, InvalidMarginal
 from .hazards import PairHazard, TableHazard
-from .intervals import IntervalSet, snap_inside
+from .intervals import IntervalSet
 from .marginals import (EQ_TOL, MarginalVector, check_stochastic_order,
                         in_support_LF, j_functional, sigma_measure)
 
@@ -176,28 +176,21 @@ def sample(model: MaxEntModel, n: int, seed: int = 0,
         if not forced:
             raise Degenerate(f"cannot sample: {rep}")
     rng = np.random.default_rng(seed)
-    return _draw_sorted(model.margins.margins[0], model.psis, model.hazards, n, rng)
+    return _draw_sorted(model.margins.margins[0], model.hazards, n, rng)
 
 
-def _draw_sorted(first, psis: dict, hazards: dict, n: int,
-                 rng: np.random.Generator) -> np.ndarray:
+def _draw_sorted(first, hazards: dict, n: int, rng: np.random.Generator) -> np.ndarray:
     """n sorted rows from first, then the hazards[i] for i = 2..d.
 
     Column 1 inverts first; column i solves theta_i(t) - theta_i(s) =
-    -log(1 - V) from s = x_{i-1}, inside its interval of psis[i].  The
-    generator gives n uniforms per column, in column order.
+    -log(1 - V) from s = x_{i-1}, which hazards[i].solve_tail places in
+    its separation interval.  The generator gives n uniforms per column,
+    in column order.
     """
     X = np.empty((n, len(hazards) + 1))
     u0 = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
     X[:, 0] = first.ppf(u0)
     for i in range(2, X.shape[1] + 1):
         targets = -np.log1p(-rng.random(n))
-        scale = _psi_scale(psis[i])
-        s = snap_inside(psis[i], X[:, i - 2], slack=1e-9 * scale)
-        X[:, i - 1] = hazards[i].solve_tail(s, targets)
+        X[:, i - 1] = hazards[i].solve_tail(X[:, i - 2], targets)
     return X
-
-
-def _psi_scale(psi: IntervalSet) -> float:
-    widths = [d - g for g, d in psi if math.isfinite(d - g)]
-    return max(widths) if widths else 1.0

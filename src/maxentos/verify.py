@@ -161,28 +161,38 @@ def _levels(table, rows, nodes):
     return table[used].ravel(), index.ravel()
 
 
+def _block_sum(fn, columns, item_w, node_w):
+    """sum over items r and nodes k of item_w[r] node_w[k] fn at point
+    (r, k), whose coordinate i reads table[rows[r], nodes[k]] for the
+    (table, rows, nodes) of columns[i].
+
+    Each call of fn gets whole items, at most _BLOCK points or one item,
+    one contiguous column per coordinate, as a level block (see _levels).
+    """
+    step = max(1, _BLOCK // len(node_w))
+    acc = 0.0
+    for start in range(0, len(item_w), step):
+        sl = slice(start, start + step)
+        vals = np.asarray(fn(_level_block(
+            [_levels(table, rows[sl], nodes) for table, rows, nodes in columns])), dtype=float)
+        acc = acc + (item_w[sl][:, None] * node_w).reshape(-1) @ vals
+    return acc
+
+
 def _run_pattern_sum(fn, runs, choice, starts, widths, q: int):
     """The rule's sum of fn over every panel assignment of one run pattern.
 
     choice holds one row of strictly increasing panel indices per
     assignment, one per run; a run of m coordinates in the panel [a, a + h]
     reads x = a + h y at the pattern's unit nodes y, with weight factor
-    h^m.  Each call of fn gets whole assignments, at most _BLOCK points or
-    one assignment, one contiguous column per coordinate, as a level block
-    whose column i reads the values a + h y of the block's panels."""
+    h^m.  The items of _block_sum are the assignments: column i reads the
+    values a + h y of their panels."""
     wy, ids, units = _run_rule(runs, q)
-    run_of = np.repeat(np.arange(len(runs)), runs)
-    d, step = len(run_of), max(1, _BLOCK // len(wy))
+    panels = choice[:, np.repeat(np.arange(len(runs)), runs)]
     # every value coordinate i takes: a + h y over the panels and its units
     tables = [starts[:, None] + widths[:, None] * unit for unit in units]
-    acc = 0.0
-    for start in range(0, len(choice), step):
-        panels = choice[start:start + step][:, run_of]
-        vals = np.asarray(fn(_level_block(
-            [_levels(tables[i], panels[:, i], ids[:, i]) for i in range(d)])), dtype=float)
-        w = (np.prod(widths[panels].T, axis=0)[:, None] * wy).reshape(-1)
-        acc = acc + w @ vals
-    return acc
+    return _block_sum(fn, [(tables[i], panels[:, i], ids[:, i]) for i in range(len(units))],
+                      np.prod(widths[panels].T, axis=0), wy)
 
 
 def simplex_integral(fn, d: int, lo: float, hi: float,
@@ -231,9 +241,9 @@ def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
     cuts, the inner one up to max(1, max upper).  Under an outer node u2,
     every inner panel wholly below upper(u2) keeps its own q Gauss nodes,
     shared by all outer nodes, and only the panel that straddles upper(u2)
-    is mapped onto [edge, upper(u2)].  Each call of fn gets whole panels,
-    at most _BLOCK points, one contiguous column per coordinate, as a level
-    block: u1 reads the nodes of the block's panels, u2 its outer nodes.
+    is mapped onto [edge, upper(u2)].  The items of _block_sum are the
+    (outer node, inner panel) pairs: u1 reads the panel's nodes, u2 the
+    outer node.
     """
     unit, q = _axis_panels(nodes or DEFAULT_NODES[2])
     outer = _cell_edges(_cut_ends(outer_cuts, 0.0, 1.0), unit)
@@ -255,17 +265,8 @@ def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
     width = np.concatenate([np.diff(inner), up[cut] - edge[cut]])
     u1 = _gauss_panels(a, width, q)[0]
     row = np.concatenate([panel, len(inner) - 1 + np.arange(len(cut))])
-    h = width[row]
-    k, zero = np.arange(q), np.zeros(q, dtype=np.intp)
-    step = max(1, _BLOCK // q)
-    acc = 0.0
-    for start in range(0, len(node), step):
-        sl = slice(start, start + step)
-        vals = np.asarray(fn(_level_block(
-            [_levels(u1, row[sl], k), _levels(u2[:, None], node[sl], zero)])), dtype=float)
-        w = ((w2[node[sl]] * h[sl])[:, None] * wt).reshape(-1)
-        acc = acc + w @ vals
-    return float(acc)
+    columns = [(u1, row, np.arange(q)), (u2[:, None], node, np.zeros(q, dtype=np.intp))]
+    return float(_block_sum(fn, columns, w2[node] * width[row], wt))
 
 
 def mc_entropy(density_fn, samples) -> tuple[float, float]:

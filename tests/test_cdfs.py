@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +102,18 @@ def test_generalized_inverse_plateau_takes_infimum():
 _expcdf = lambda x: -math.expm1(-x) if x > 0 else 0.0
 
 
+def _counted_inverse(J, t, lo, hi):
+    """generalized_inverse(J, t, lo, hi) as a hex string, and the type of
+    every value J read."""
+    seen = []
+
+    def counted(x):
+        seen.append(type(x))
+        return J(x)
+
+    return generalized_inverse(counted, t, lo, hi).hex(), seen
+
+
 @pytest.mark.parametrize("J, t, lo, hi, expect", [
     # a plateau at the level, and just above it
     (_PLATEAU.cdf, 0.5, 0.0, 1.0, "0x1.999999999999ap-2"),
@@ -111,22 +124,48 @@ _expcdf = lambda x: -math.expm1(-x) if x > 0 else 0.0
     (math.tanh, -0.5, -1.0, 1.0, "-0x1.193ea7aad030ap-1"),
     (lambda x: 1.0 if x >= 0.25 else 0.0, 1.0, -1.0, 1.0, "0x1.0000000000000p-2"),
     (lambda x: x, 7.5, -1.0, 8.0, "0x1.e000000000000p+2"),
-    # tiny levels: 200 bisections from [-1, 1] stop far above the root
-    (_expcdf, 1e-300, -1.0, 1.0, "0x1.0000000000000p-199"),
-    (lambda x: x, 1e-300, -1.0, 1.0, "0x1.0000000000000p-199"),
 ])
 def test_generalized_inverse_bisects_on_floats(J, t, lo, hi, expect):
     # J reads one Python float at a time: two reads check the bracket's
     # ends, at most 200 bisect it
-    seen = []
-
-    def counted(x):
-        seen.append(type(x))
-        return J(x)
-
-    assert generalized_inverse(counted, t, lo, hi).hex() == expect
+    value, seen = _counted_inverse(J, t, lo, hi)
+    assert value == expect
     assert set(seen) == {float}
     assert len(seen) <= 202
+
+
+#: the bisection's read cap, the halvings from the widest finite bracket
+#: (under 2^1025) to one subnormal spacing (2^-1074), and the two reads
+#: that check the bracket's ends
+_CAP_READS = (sys.float_info.max_exp + 1 + sys.float_info.mant_dig
+              - sys.float_info.min_exp) + 2
+
+
+@pytest.mark.parametrize("J, t, lo, hi, expect", [
+    # bisection halves the bracket down to the root's binade, about 1,000
+    # reads from [-1, 1] to 1e-300, before it settles the root's digits
+    (_expcdf, 1e-300, -1.0, 1.0, "0x1.56e1fc2f8f359p-997"),
+    (lambda x: x, 1e-300, -1.0, 1.0, "0x1.56e1fc2f8f359p-997"),
+    (lambda x: x, 0.3, -1e300, 1e300, "0x1.3333333333333p-2"),
+    # the smallest level on the widest bracket tried: about 2,070 reads
+    (lambda x: x, 5e-324, -1e300, 1e300, "0x0.0000000000001p-1022"),
+])
+def test_generalized_inverse_bisects_to_tiny_and_far_roots(J, t, lo, hi, expect):
+    value, seen = _counted_inverse(J, t, lo, hi)
+    assert value == expect
+    assert set(seen) == {float}
+    assert len(seen) <= _CAP_READS
+
+
+@pytest.mark.parametrize("J, t, expect", [
+    # the default bracket [-1, 1] grows until it straddles the level
+    (lambda x: x, 1e6, 1e6),
+    # no s reaches the level, or every s does
+    (math.tanh, 2.0, math.inf),
+    (math.tanh, -2.0, -math.inf),
+])
+def test_generalized_inverse_expands_its_bracket(J, t, expect):
+    assert generalized_inverse(J, t) == expect
 
 
 def test_order_stat_uniform_polynomials():

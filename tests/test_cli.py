@@ -118,6 +118,22 @@ def test_validate_identical_margins_reports_infinite_entropy(tmp_path, capsys):
     assert "verdict: j_infinite" in out
 
 
+@pytest.mark.parametrize("spec, rc, verdict, klass", [
+    # the tent's components are a multidiagonal with zero residual set
+    (TENT, 0, "ok", "is_D=True is_D0=True"),
+    # two identical uniforms are never separated: sigma = 1
+    (UU, 1, "degenerate", "is_D=True is_D0=False"),
+    # beta2's margins read as components do not sum to the identity
+    (BETA2, 1, "degenerate", "is_D=False"),
+])
+def test_validate_multidiagonal(tmp_path, capsys, spec, rc, verdict, klass):
+    assert cli.main(["validate", "--multidiagonal", "--input", write_spec(tmp_path, spec)]) == rc
+    out = capsys.readouterr().out
+    assert f"multidiagonal_class: {klass}" in out
+    assert f"verdict: {verdict}" in out
+    assert ("J_delta: +inf" in out) == (rc == 1)
+
+
 def test_validate_malformed_input(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -7,6 +7,7 @@ import pytest
 from maxentos import MarginalVector, build_model, f_F_density
 from maxentos.cdfs import (BetaOneKCdf, ExponentialCdf, OrderStatUniformCdf,
                            PiecewiseLinearCdf)
+from maxentos.errors import RootBracketFailure
 from maxentos.hazards import (ExpPairHazard, PiecewisePairHazard, TableHazard,
                               pair_hazard)
 from maxentos.verify import simplex_integral
@@ -236,3 +237,57 @@ def test_pair_hazard_picks_closed_forms():
         == "ExpPairHazard"
     assert type(pair_hazard(BetaOneKCdf(2), BetaOneKCdf(1))).__name__ \
         == "BetaPairHazard"
+
+
+# -- where the tail solve places its conditioning point --
+
+
+def test_tail_solve_moves_a_closed_end_inside():
+    # s = 1 is where a beta_1_k inverse rounds to 1: it lands 1e-12 of
+    # (0, 1) inside, and solves as from there
+    hz = pair_hazard(BetaOneKCdf(3), BetaOneKCdf(2))
+    assert hz.solve_tail(1.0, 0.5)[0] == hz.solve_tail(1.0 - 1e-12, 0.5)[0] < 1.0
+
+
+def test_tail_solve_from_the_start_of_an_unbounded_interval():
+    # (0, inf) has no finite width: s = 0 moves 1e-12 of the slack's scale
+    # 1 inside, not 1e-12 * inf
+    hz = pair_hazard(ExponentialCdf(3.0), ExponentialCdf(2.0))
+    t = hz.solve_tail(0.0, 0.5)[0]
+    assert math.isfinite(t) and t > 0.0
+    assert t == hz.solve_tail(1e-12, 0.5)[0]
+
+
+def test_tail_solve_snaps_points_between_two_intervals():
+    # the knot-touch pair: Psi = (0, d0) and (g1, 1), d0 and g1 within 2e-15
+    # of the knot 1/2, slack 1e-9 times the wider interval.  A point in
+    # [d0, g1], or just past 1 or 0, lands in the nearest interval, 1e-12 of
+    # its width inside; these are the values the sampler's separate snap
+    # step (now in the hazard) gave
+    hz = MarginalVector((BetaOneKCdf(2), PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.75),
+                                                              (1.0, 1.0))))).pairs[0].hazard
+    (_, d0), (g1, _) = hz.psi
+    s = np.array([d0, np.nextafter(d0, 1.0), 0.5, np.nextafter(g1, 0.0), g1,
+                  1.0, 1.0 + 1e-10, 0.0, -4e-10])
+    left, right = "0x1.fffffffffdcaep-2", "0x1.00000000011a8p-1"
+    top, bottom = "0x1.fffffffffee68p-1", "0x1.19799812de9fep-41"
+    # a zero target solves to the placed point itself
+    assert [x.hex() for x in hz.solve_tail(s, 0.0)] == \
+        [left, left, right, right, right, top, top, bottom, bottom]
+    placed = np.array([float.fromhex(x) for x in (left, right, top, bottom)])
+    assert np.array_equal(hz.solve_tail(s, 0.7)[[0, 2, 5, 7]], hz.solve_tail(placed, 0.7))
+
+
+@pytest.mark.parametrize("s", [1.0 + 1e-8, -1e-3, 1.5, math.inf, math.nan])
+def test_tail_solve_refuses_a_point_beyond_the_slack(s):
+    hz = pair_hazard(BetaOneKCdf(3), BetaOneKCdf(2))
+    with pytest.raises(RootBracketFailure):
+        hz.solve_tail([0.3, s], 0.7)
+
+
+def test_tail_solve_on_an_empty_separation_set_raises():
+    # equal rates: the pair is separated nowhere
+    hz = pair_hazard(ExponentialCdf(2.0), ExponentialCdf(2.0))
+    assert hz.psi.is_empty
+    with pytest.raises(RootBracketFailure):
+        hz.solve_tail([0.5], 0.7)

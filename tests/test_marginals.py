@@ -10,6 +10,7 @@ from maxentos import (IntervalSet, MarginalVector, average_cdf,
 from maxentos.cdfs import (BetaOneKCdf, ExponentialCdf, PiecewiseLinearCdf,
                            UniformCdf)
 from maxentos.errors import InvalidMarginal
+from maxentos.joint import detect_degenerate
 
 
 def test_stochastic_order_detects_violation(exp3):
@@ -20,6 +21,25 @@ def test_stochastic_order_detects_violation(exp3):
     assert rep.violations
     i, s, fp, fc = rep.violations[0]
     assert i == 2 and fp < fc
+
+
+@pytest.mark.parametrize("pair, witness, tol", [
+    # general route: the witness is sharpened on 257 points between the
+    # probes around the worst one, toward the argmin of F_prev - F_cur,
+    # the root of exp(-t) = 2 (1 - t)
+    ((ExponentialCdf(1.0), BetaOneKCdf(2)), 0.7680390470134656, 1e-4),
+    # piecewise route: the gap is linear between knots, worst at the knot
+    ((UniformCdf(0.5, 1.5), UniformCdf(0.0, 1.0)), 0.5, 0.0),
+])
+def test_stochastic_order_violation_names_its_witness(pair, witness, tol):
+    F = MarginalVector(pair)
+    rep = check_stochastic_order(F)
+    assert not rep.ordered and len(rep.violations) == 1
+    i, s, fp, fc = rep.violations[0]
+    assert i == 2 and abs(s - witness) <= tol
+    assert (fp, fc) == (float(pair[0].cdf(s)), float(pair[1].cdf(s))) and fp < fc
+    with pytest.raises(InvalidMarginal, match=f"margins 1 and 2 .* at t={s!r}:"):
+        detect_degenerate(F)
 
 
 def test_average_cdf_closed_value(beta2):
