@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -687,8 +686,11 @@ def _newton_level(read, targets, lo, hi, iters=100):
     state between iterates.  Each evaluation shrinks the bracket.  A Newton
     step strictly inside the bracket is taken; where the slope is zero,
     infinite or NaN, or the step reaches or leaves a bracket end, the point
-    bisects.  On a function resolved only to a few ulps, Newton could
-    otherwise step from one end onto the other and back for ever.  A point
+    bisects, on the float ordering where its bracket spans more than a
+    factor of 1024 on one side of 0, so from [0, 1] it reaches a root near
+    1e-300 in about 70 evaluations.  On a function resolved only to a few
+    ulps, Newton could otherwise step from one end onto the other and back
+    for ever.  A point
     settles when its raw Newton step falls below 1e-15 relative (roots
     near 0, down to subnormals, keep their leading digits) from below the
     level, or when no float lies between its bracket ends.  A small step
@@ -732,6 +734,13 @@ def _newton_level(read, targets, lo, hi, iters=100):
         tol = 1e-15 * np.abs(x) + 5e-324
         small = np.abs(step) <= tol
         mid = 0.5 * (lo + hi)
+        # on one side of 0 and over a factor of 1024: the int64 views' midpoint
+        a, b = np.abs(lo), np.abs(hi)
+        far = np.flatnonzero(((lo >= 0.0) | (hi <= 0.0))
+                             & (np.maximum(a, b) / 1024.0 > np.minimum(a, b)))
+        if far.size:
+            ia, ib = a[far].view(np.int64), b[far].view(np.int64)
+            mid[far] = np.copysign((ia + (ib - ia) // 2).view(np.float64), lo[far] + hi[far])
         x = np.where((xn > lo) & (xn < hi), xn, mid)
         # a probe that reads the level again shows a flat stretch: the
         # point probes a plateau width below (bisecting where that leaves
@@ -962,8 +971,8 @@ def generalized_inverse(J, t, lo=None, hi=None):
     numerically: the bracket [lo, hi] is expanded geometrically until it
     straddles the level (default start [-1, 1]), then bisected by
     _newton_level on a NaN slope, J read at one float at a time, until no
-    float lies between the bracket's ends, which the read cap always
-    allows.  Returns -inf when every s satisfies J(s) >= t and +inf when
+    float lies between the bracket's ends: bisecting on the float ordering,
+    it closes any finite bracket within its 100 reads.  Returns -inf when every s satisfies J(s) >= t and +inf when
     none does.
     """
     if isinstance(J, MarginalCdf):
@@ -989,10 +998,8 @@ def generalized_inverse(J, t, lo=None, hi=None):
                 return -math.inf
             lo = -1e300
             break
-    # halvings from the widest finite bracket, under 2^1025, to 2^-1074
-    cap = sys.float_info.max_exp + 1 - sys.float_info.min_exp + sys.float_info.mant_dig
     return float(_newton_level(lambda x: ([J(float(v)) for v in x], np.full(x.shape, math.nan)),
-                               t, lo, hi, iters=cap))
+                               t, lo, hi))
 
 
 _FAMILIES = {

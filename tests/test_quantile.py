@@ -226,7 +226,7 @@ def test_composed_ppf_at_one_is_where_cdf_first_reads_one(monkeypatch):
 # F.ppf at 0.1, 0.5, 0.9 and 0.99 before flat stretches were bisected; each
 # of these solves settles through a probe that falls below the level
 _PROBE_BELOW_BITS = (
-    ("0x1.144341ff27d39p-4", "0x1.6f63eeb78bf7ap-2", "0x1.7af2a74b23d4ep-1",
+    ("0x1.144341ff27d38p-4", "0x1.6f63eeb78bf7ap-2", "0x1.7af2a74b23d4ep-1",
      "0x1.d19a488f6923fp-1"),
     ("0x1.96306484107f6p-4", "0x1.eb4b6eed61988p-2", "0x1.b3911c794e18ap-1",
      "0x1.ed0e560418938p-1"),
@@ -293,24 +293,24 @@ _PIN_VECTORS = {
 }
 _PIN_LEVELS = (1e-300, 1e-100, 1e-16, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99,
                1.0 - 1e-16, 1.0)
-# per vector, G^{-1} and then each component delta_i's ppf at _PIN_LEVELS; at
-# 1e-300 and 1e-100 every delta_i's solve stops at its evaluation cap, above
-# the root, and these pin where it stops
+# per vector, G^{-1} and then each component delta_i's ppf at _PIN_LEVELS;
+# at 1e-300 and 1e-100 each delta_i's bracket [0, 1] spans hundreds of
+# binades, which bisection on the float ordering crosses in a few dozen reads
 _ROOT_BITS = {
     "exp3": (
         ("0x1.56e1fc2f8f359p-998", "0x1.bff2ee48e0530p-334", "0x1.cd2b297d889bcp-55",
          "0x1.499b0e8417041p-8", "0x1.b369b1bc1859bp-5", "0x1.2dfeb7a952cfbp-3",
          "0x1.79df78456dfaap-2", "0x1.95f55026a4bcdp-1", "0x1.74e0bf4da5497p+0",
          "0x1.c49eaf95181b0p+1", "0x1.1d1b02751cfe2p+5", "inf"),
-        ("0x1.0000000000000p-100", "0x1.0000000000000p-100", "0x1.33721ba905bd2p-54",
-         "0x1.b56501f5f6144p-8", "0x1.144341ff27d39p-4", "0x1.603a2d4eae6b1p-3",
+        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cap-333", "0x1.33721ba905bd2p-54",
+         "0x1.b56501f5f6144p-8", "0x1.144341ff27d38p-4", "0x1.603a2d4eae6b1p-3",
          "0x1.6f63eeb78bf7ap-2", "0x1.2617491469cc8p-1", "0x1.7af2a74b23d4ep-1",
          "0x1.d19a488f6923fp-1", "0x1.ffffc276b3b7dp-1", "0x1.ffffd5554aaabp-1"),
-        ("0x1.8d58000000000p-166", "0x1.8d58000000000p-166", "0x1.cd2b297d889bcp-54",
+        ("0x1.56e1fc2f8f358p-997", "0x1.bff2ee48e0530p-333", "0x1.cd2b297d889bcp-54",
          "0x1.47682ce55a582p-7", "0x1.96306484107f6p-4", "0x1.f56368c874d1dp-3",
          "0x1.eb4b6eed61988p-2", "0x1.6aaaaaaaaaaabp-1", "0x1.b3911c794e18ap-1",
          "0x1.ed0e560418938p-1", "0x1.ffffffdb0cb17p-1", "0x1.ffffffeaaaaabp-1"),
-        ("0x1.0000000000000p-220", "0x1.0000000000000p-220", "0x1.cd2b297d889bbp-53",
+        ("0x1.56e1fc2f8f358p-996", "0x1.bff2ee48e0530p-332", "0x1.cd2b297d889bbp-53",
          "0x1.45803cd141a6ap-6", "0x1.7ef9db22d0e57p-3", "0x1.b000000000001p-2",
          "0x1.6aaaaaaaaaaabp-1", "0x1.c800000000000p-1", "0x1.ed0e560418937p-1",
          "0x1.fe46ae3a3a8e7p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
@@ -320,11 +320,11 @@ _ROOT_BITS = {
          "0x1.b5e1c4d43464bp-8", "0x1.176ba565326dcp-4", "0x1.6ac02b16838b2p-3",
          "0x1.8722191a02d61p-2", "0x1.4498517a7b355p-1", "0x1.a88a3abb00d9dp-1",
          "0x1.f5f4fdafe3866p-1", "0x1.ffffffffffffep-1", "0x1.0000000000000p+0"),
-        ("0x1.0000000000000p-100", "0x1.0000000000000p-100", "0x1.59e05f1e2674dp-54",
-         "0x1.ebee8153feb42p-8", "0x1.35e587f1b1674p-4", "0x1.8930a2f4f66acp-3",
+        ("0x1.01297d23ab683p-997", "0x1.4ff632b6a83e4p-333", "0x1.59e05f1e2674dp-54",
+         "0x1.ebee8153feb41p-8", "0x1.35e587f1b1674p-4", "0x1.8930a2f4f66acp-3",
          "0x1.95f619980c433p-2", "0x1.4000000000000p-1", "0x1.957218dd45423p-1",
          "0x1.e3d70a3d70a3ep-1", "0x1.ffffffc8930a2p-1", "0x1.ffffffe000000p-1"),
-        ("0x1.5800000000000p-187", "0x1.5800000000000p-187", "0x1.59e05f1e2674cp-53",
+        ("0x1.01297d23ab682p-996", "0x1.4ff632b6a83e4p-332", "0x1.59e05f1e2674cp-53",
          "0x1.e9e1b089a0275p-7", "0x1.28f5c28f5c290p-3", "0x1.6000000000000p-2",
          "0x1.4000000000000p-1", "0x1.b000000000000p-1", "0x1.e3d70a3d70a3ep-1",
          "0x1.fd6a161e4f766p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
@@ -334,11 +334,11 @@ _ROOT_BITS = {
          "0x1.47ae147ae147bp-7", "0x1.999999999999ap-4", "0x1.0000000000000p-2",
          "0x1.0000000000000p-1", "0x1.8000000000000p-1", "0x1.ccccccccccccdp-1",
          "0x1.fae147ae147aep-1", "0x1.fffffffffffffp-1", "0x1.0000000000000p+0"),
-        ("0x1.0000000000000p-100", "0x1.0000000000000p-100", "0x1.33721ba905bd2p-54",
-         "0x1.b4e81b4e81b4fp-8", "0x1.1111111111111p-4", "0x1.5555555555556p-3",
+        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cap-333", "0x1.33721ba905bd2p-54",
+         "0x1.b4e81b4e81b4fp-8", "0x1.1111111111111p-4", "0x1.5555555555555p-3",
          "0x1.5555555555555p-2", "0x1.0000000000000p-1", "0x1.9999999999999p-1",
          "0x1.f5c28f5c28f5cp-1", "0x1.ffffffffffffdp-1", "0x1.0000000000000p+0"),
-        ("0x1.5555555555556p-100", "0x1.5555555555556p-100", "0x1.cd2b297d889bcp-53",
+        ("0x1.56e1fc2f8f359p-996", "0x1.bff2ee48e0530p-332", "0x1.cd2b297d889bcp-53",
          "0x1.47ae147ae147bp-6", "0x1.999999999999ap-3", "0x1.0000000000000p-1",
          "0x1.5555555555555p-1", "0x1.aaaaaaaaaaaabp-1", "0x1.ddddddddddddep-1",
          "0x1.fc962fc962fc9p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
@@ -348,11 +348,11 @@ _ROOT_BITS = {
          "0x1.491fb40825c6fp-8", "0x1.ace82931831b6p-5", "0x1.2251179dbca1fp-3",
          "0x1.5bc9b85ea0bf7p-2", "0x1.76ed69f9d5c75p-1", "0x1.9c041f7ed8d35p+0",
          "0x1.f4bd2b7ac1badp+1", "0x1.205966f2b4f12p+5", "inf"),
-        ("0x1.0000000000000p-152", "0x1.0000000000000p-152", "0x1.33721ba905bd2p-54",
+        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cap-333", "0x1.33721ba905bd2p-54",
          "0x1.b516f87c55c9ep-8", "0x1.1245a740163fap-4", "0x1.597b1a05785b6p-3",
          "0x1.5f71361b4e181p-2", "0x1.0f2dd26347818p-1", "0x1.50983f77cdd62p-1",
          "0x1.889f1eb7da62cp-1", "0x1.a1d2853259a1fp-1", "0x1.a1d28f9bf31b9p-1"),
-        ("0x1.b000000000000p-185", "0x1.b000000000000p-185", "0x1.cd2b297d889bbp-53",
+        ("0x1.56e1fc2f8f359p-996", "0x1.bff2ee48e0530p-332", "0x1.cd2b297d889bbp-53",
          "0x1.46716647a98f3p-6", "0x1.8929d3df6bb8fp-3", "0x1.c6f2ed81460ddp-2",
          "0x1.789a7a72620dfp-1", "0x1.c000000000000p-1", "0x1.e666666666666p-1",
          "0x1.fd70a3d70a3d7p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
@@ -368,6 +368,28 @@ def test_root_solves_keep_their_bits(name):
     assert [x.hex() for x in average_cdf(F).ppf(u)] == list(g_bits)
     for c, bits in zip(multidiagonal_from_marginals(F).components, delta_bits, strict=True):
         assert [x.hex() for x in c.ppf(u)] == list(bits)
+
+
+# (vector, component, level) of the three pinned delta_i roots that are
+# the left end inf{x : F(x) >= u} one float below where the arithmetic
+# midpoint's bisection stopped
+_LEFT_ENDS = (("exp3", 0, 0.1), ("beta2", 0, 0.01), ("tent", 0, 0.25))
+
+
+@pytest.mark.parametrize("name", sorted(_ROOT_BITS))
+def test_tiny_roots_lie_within_a_float_of_their_level(name):
+    # the pinned delta_i roots at 1e-300 and 1e-100: one float each side
+    # brackets the level, where the old solves read F 1e-67 to 1e-30
+    comps = multidiagonal_from_marginals(MarginalVector(_PIN_VECTORS[name])).components
+    u = np.array(_PIN_LEVELS[:2])
+    for c in comps:
+        x = c.ppf(u)
+        assert np.all(c.cdf(np.nextafter(x, -np.inf)) < u)
+        assert np.all(u <= c.cdf(np.nextafter(x, np.inf)))
+    for vec, i, level in _LEFT_ENDS:
+        if vec == name:
+            x = comps[i].ppf(np.array([level]))
+            assert comps[i].cdf(x)[0] >= level > comps[i].cdf(np.nextafter(x, -np.inf))[0]
 
 
 def test_table_tail_and_separation_crossings_keep_their_bits():
