@@ -196,6 +196,21 @@ def _unit_gauss(q: int):
     return t, w
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_rise_matrix(q: int):
+    """(q, q + 1) matrix, read-only, from a function's values at the nodes of
+    the unit rule to the Legendre coefficients, in z = 2 v - 1, of the
+    integral from 0 to v of its interpolant, whose own are the rule's sums
+    (2 j + 1) sum_i w_i P_j(z_i) f_i."""
+    t, w = _unit_gauss(q)
+    P = np.polynomial.legendre.legvander(2.0 * t - 1.0, q - 1)
+    to_series = P * w[:, None] * (2.0 * np.arange(q) + 1.0)
+    # d/dv = 2 d/dz: the z-antiderivative from -1, halved
+    m = 0.5 * np.polynomial.legendre.legint(to_series, lbnd=-1.0, axis=1)
+    m.flags.writeable = False
+    return m
+
+
 def _gauss_panels(a, h, q: int):
     """Nodes a + h t of the unit rule on the panels [a, a + h], one row per
     panel, and the unit weights; a panel's integral is h times its row's
@@ -682,7 +697,7 @@ def _newton_level(read, targets, lo, hi, iters=100):
     F is nondecreasing and the level lies in [lo, hi].  Each iterate makes
     one call read(x) on the 1-D array x of the points still moving, which
     returns the value F(x) and the slope F'(x) together: a caller that gets
-    both from one piece of work (one G^{-1} solve, one panel) keeps no
+    both from one piece of work (one G^{-1} solve, one series) keeps no
     state between iterates.  Each evaluation shrinks the bracket.  A Newton
     step strictly inside the bracket is taken; where the slope is zero,
     infinite or NaN, or the step reaches or leaves a bracket end, the point
@@ -972,8 +987,8 @@ def generalized_inverse(J, t, lo=None, hi=None):
     straddles the level (default start [-1, 1]), then bisected by
     _newton_level on a NaN slope, J read at one float at a time, until no
     float lies between the bracket's ends: bisecting on the float ordering,
-    it closes any finite bracket within its 100 reads.  Returns -inf when every s satisfies J(s) >= t and +inf when
-    none does.
+    it closes any finite bracket within its 100 reads.  Returns -inf when
+    every s satisfies J(s) >= t and +inf when none does.
     """
     if isinstance(J, MarginalCdf):
         return J.ppf(t)

@@ -10,6 +10,7 @@ consecutive coordinates, the copula kernels are the same integrals on the
 antiderivative ``theta`` of l, valid separately on every separation
 interval (an additive constant per interval is arbitrary), the difference
 ``lambda_between``, and the tail solver used by conditional sampling.
+The piecewise and table routes share one segment layout (SegmentHazard).
 
 theta diverges to +inf at the right end of each interval and possibly to
 -inf at the left end, so evaluation stays strictly interior.
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .cdfs import (MarginalCdf, OrderStatUniformCdf, _cut_ends, _gauss_panels,
-                   _newton_level, _per_distinct)
+                   _newton_level, _unit_rise_matrix)
 from .errors import RootBracketFailure
 from .intervals import IntervalSet, interval_arrays
 
@@ -135,15 +136,6 @@ class PairHazard:
                 f"conditioning point(s) outside every separation interval, e.g. {s[idx < 0][0]!r}")
         return s, np.broadcast_to(np.asarray(target, dtype=float), s.shape), idx
 
-    def _per_interval(self, fn, idx, *arrays):
-        """fn(j, *arrays restricted to interval j), gathered; NaN outside."""
-        out = np.full(idx.shape, np.nan)
-        for j in range(len(self.psi)):
-            sel = idx == j
-            if np.any(sel):
-                out[sel] = fn(j, *(a[sel] for a in arrays))
-        return out
-
     def solve_tail(self, s, target):
         """inf{t >= s : theta(t) - theta(s) >= target}, within s's interval."""
         raise NotImplementedError
@@ -243,6 +235,57 @@ class OrderStatPairHazard(PairHazard):
         return -np.expm1(np.log1p(-s) - target / self.c)
 
 
+class SegmentHazard(PairHazard):
+    """theta laid out in segments over the separation intervals.
+
+    Flat arrays over all intervals hold each segment's start _x0, theta at
+    its start and end (_C, _top), and each interval's first and last
+    segment.  A route supplies the rise into segment k, _rise(k, t), and
+    its inverse _reach(k, w), the t where that rise reaches w; the tail
+    solve finds the first segment whose end value reaches the level.
+    """
+
+    def _lay_out(self, parts, n: int):
+        """Lay out per-interval (starts, start values, end values, *own) flat."""
+        sizes = np.array([len(p[0]) for p in parts], dtype=int)
+        self._last = np.cumsum(sizes) - 1
+        self._first = self._last + 1 - sizes
+        self._x0, self._C, self._top, *own = (
+            [np.concatenate(col) for col in zip(*parts)] or [np.empty(0)] * n)
+        return own
+
+    def _segment(self, t, idx):
+        """Segment of each t on interval idx (the interval's first below it)."""
+        k = np.searchsorted(self._x0, t, side="right") - 1
+        return np.clip(k, self._first[idx], self._last[idx])
+
+    def theta(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not len(self._x0):
+            return np.full(t.shape, np.nan)
+        idx = self.interval_index(t)
+        k = self._segment(t, idx)
+        return np.where(idx >= 0, self._C[k] + self._rise(k, t), np.nan)
+
+    def solve_tail(self, s, target):
+        """inf{t >= s : theta(t) - theta(s) >= target}, up to just below the
+        right end of s's interval."""
+        s, target, idx = self._tail_args(s, target)
+        y = self.theta(s) + target
+        # the first segment, from s's on, whose end value reaches y
+        k = self._segment(s, idx)
+        for j, (a, last) in enumerate(zip(self._first, self._last)):
+            sel = np.flatnonzero(idx == j)
+            if sel.size:
+                k[sel] = np.maximum(k[sel], a + np.searchsorted(self._top[a:last], y[sel]))
+        with np.errstate(invalid="ignore"):  # inf - inf: no cap on an unbounded interval
+            cap = self._ends[idx] - 1e-15 * (self._ends[idx] - s)
+        # fmin also maps NaN, from theta(s) = +inf at a gap closed by
+        # rounding, to the cap: no root lies below it
+        t = np.fmin(np.maximum(self._reach(k, y - self._C[k]), s), cap)
+        return np.where(target > 0.0, t, s)
+
+
 def _segment_rise(u, f, alpha, g0):
     """Increase of theta over a length u >= 0 into a knot segment.
 
@@ -263,30 +306,18 @@ def _segment_rise(u, f, alpha, g0):
     return np.where(f > 0.0, rise, 0.0)
 
 
-def _segment_reach(w, f, alpha, g0):
-    """Length u into a segment with f > 0 at which _segment_rise reaches w:
-    (g0 w / f) E(w alpha / f) with E(v) = expm1(v) / v and E(0) = 1, or
-    exp(w alpha / f) / alpha from a closed gap."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = w * alpha / f
-        rel = g0 * w / f * np.where(v == 0.0, 1.0, np.expm1(v) / v)
-        return np.where(g0 > 0.0, rel, np.exp(v) / alpha)
-
-
-class PiecewisePairHazard(PairHazard):
+class PiecewisePairHazard(SegmentHazard):
     """Exact per-segment antiderivative for piecewise-linear margins.
 
     On a knot segment the current density f is constant and the gap is
     linear, so theta is the segment's start value C plus _segment_rise.
     The start values chain the segment rises across interior breakpoints
-    and are anchored mid-interval.  theta at the segment ends is kept, so
-    the tail equation finds its segment by one search and inverts there
-    in closed form.
+    and are anchored mid-interval.  The rise inverts in closed form.
     """
 
     def __init__(self, fp, fc, psi: IntervalSet):
         super().__init__(fp, fc, psi)
-        parts, self._ranges = [], []
+        parts = []
         for g, d in psi:
             edges = np.array(_cut_ends(fp.knots() + fc.knots(), g, d))
             mids = 0.5 * (edges[:-1] + edges[1:])
@@ -299,45 +330,21 @@ class PiecewisePairHazard(PairHazard):
             C = np.concatenate([[0.0], np.cumsum(rise[:-1])])
             m = len(mids) // 2
             C -= C[m] + _segment_rise(mids[m] - edges[m], f[m], alpha[m], g0[m])
-            start = self._ranges[-1][1] if self._ranges else 0
-            self._ranges.append((start, start + len(mids)))
-            parts.append((edges[:-1], f, alpha, g0, C, C + rise))
-        # flat over all intervals; top is theta at each segment's right end
-        self._x0, self._f, self._alpha, self._g0, self._C, self._top = (
-            [np.concatenate(col) for col in zip(*parts)] or [np.empty(0)] * 6)
+            parts.append((edges[:-1], C, C + rise, f, alpha, g0))
+        self._f, self._alpha, self._g0 = self._lay_out(parts, 6)
 
-    def _segment(self, t):
-        # intervals are disjoint and sorted, so the last segment starting
-        # at or before a point of an interval lies in that interval
-        return np.clip(np.searchsorted(self._x0, t, side="right") - 1, 0, len(self._x0) - 1)
+    def _rise(self, k, t):
+        return _segment_rise(t - self._x0[k], self._f[k], self._alpha[k], self._g0[k])
 
-    def theta(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if not len(self._x0):
-            return np.full(t.shape, np.nan)
-        k = self._segment(t)
-        out = self._C[k] + _segment_rise(t - self._x0[k], self._f[k], self._alpha[k], self._g0[k])
-        return np.where(self.interval_index(t) >= 0, out, np.nan)
-
-    def solve_tail(self, s, target):
-        """inf{t >= s : theta(t) - theta(s) >= target}, up to just below the
-        right end of s's interval."""
-        s, target, idx = self._tail_args(s, target)
-        y = self.theta(s) + target
-        # the first segment, from s's on, whose end value reaches y
-        k = self._segment(s)
-        for j, (a, b) in enumerate(self._ranges):
-            sel = np.flatnonzero(idx == j)
-            if sel.size:
-                k[sel] = np.maximum(k[sel], a + np.searchsorted(self._top[a:b - 1], y[sel]))
-        # f = 0 only on s's own segment at target 0: the root is s
-        t = self._x0[k] + np.where(self._f[k] > 0.0, _segment_reach(
-            y - self._C[k], self._f[k], self._alpha[k], self._g0[k]), 0.0)
-        hi = self._ends[idx]
-        # fmin also maps NaN, from theta(s) = +inf at a gap closed by
-        # rounding, to the cap: no root lies below it
-        t = np.fmin(np.maximum(t, s), hi - 1e-15 * (hi - s))
-        return np.where(target > 0.0, t, s)
+    def _reach(self, k, w):
+        """x0 + (g0 w / f) E(w alpha / f), E(v) = expm1(v) / v and E(0) = 1,
+        or x0 + exp(w alpha / f) / alpha from a closed gap; x0 where f = 0."""
+        f, alpha, g0 = self._f[k], self._alpha[k], self._g0[k]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = w * alpha / f
+            rel = g0 * w / f * np.where(v == 0.0, 1.0, np.expm1(v) / v)
+            u = np.where(g0 > 0.0, rel, np.exp(v) / alpha)
+        return self._x0[k] + np.where(f > 0.0, u, 0.0)
 
 
 def _graded_nodes(g: float, d: float, knots=(), per_side: int = 40, mid: int = 33):
@@ -347,115 +354,84 @@ def _graded_nodes(g: float, d: float, knots=(), per_side: int = 40, mid: int = 3
     left = g + w * fr
     right = d - w * fr[::-1]
     middle = g + w * np.linspace(0.25, 0.75, mid)
-    inner = [float(k) for k in knots if g < k < d]
-    nodes = np.unique(np.concatenate([left, middle, right, np.asarray(inner, dtype=float)]))
+    nodes = np.unique(np.concatenate([left, middle, right, [float(k) for k in knots if g < k < d]]))
     return nodes[(nodes > g) & (nodes < d)]
 
 
-class CumulativeTable:
-    """Cumulative integral of a vectorized integrand over graded nodes.
-
-    Node-to-node increments are 32-point Gauss-Legendre panels, computed
-    once; value(t) adds a fresh panel from the preceding node to each
-    distinct t, so accuracy is panel accuracy, not interpolation accuracy,
-    and a grid pays one panel per abscissa it holds.  Values are anchored
-    to 0 at the middle node, and queries outside the node range clamp to
-    the edge values.
-    """
-
-    def __init__(self, integrand, nodes: np.ndarray):
-        self.h = integrand
-        self.nodes = nodes
-        h = np.diff(nodes)
-        pts, w = _gauss_panels(nodes[:-1], h, 32)
-        vals = np.asarray(integrand(pts.ravel()), dtype=float).reshape(pts.shape)
-        incr = (vals @ w) * h
-        cum = np.concatenate([[0.0], np.cumsum(incr)])
-        self.cum = cum - cum[len(cum) // 2]
-
-    def _panel(self, k, t):
-        """Integral from node k to t, by one fresh panel.
-
-        Each panel's weighted sum runs in one fixed order (a row
-        reduction, not a BLAS product, whose rounding depends on a row's
-        place in the batch), so a panel's value depends only on its t.
-        """
-        x0 = self.nodes[k]
-        h = t - x0
-        pts, w = _gauss_panels(x0, h, 32)
-        vals = np.asarray(self.h(pts.ravel()), dtype=float).reshape(pts.shape)
-        return np.sum(vals * w, axis=1) * h
-
-    def value(self, t):
-        return _per_distinct(self._value, np.atleast_1d(t))
-
-    def _value(self, t):
-        tc = np.clip(t, self.nodes[0], self.nodes[-1])
-        k = np.clip(np.searchsorted(self.nodes, tc, side="right") - 1, 0, len(self.nodes) - 2)
-        return self.cum[k] + self._panel(k, tc)
-
-    def solve(self, s, target):
-        """inf{t >= s : value(t) - value(s) >= target}, or the last node.
-
-        The cumulative values give the node bracket; inside that one panel
-        bracketed Newton solves with the integrand as derivative.  It
-        solves for the increase from the panel's left node, which rounds
-        far finer than the table's values do.
-        """
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        target = np.broadcast_to(np.asarray(target, dtype=float), s.shape)
-        level = self.value(s) + target
-        k = np.maximum(np.searchsorted(self.cum, level) - 1, 0)
-        out = np.full(s.shape, self.nodes[-1])
-        inside = np.flatnonzero((k < len(self.nodes) - 1) & (target > 0.0))
-        if inside.size:
-            k = k[inside]
-
-            def rise(x):
-                # Newton only evaluates x in (node k, node k + 1]; the slope is h
-                j = np.maximum(np.searchsorted(self.nodes, x) - 1, 0)
-                return self._panel(j, x), self.h(x)
-
-            out[inside] = _newton_level(rise, level[inside] - self.cum[k],
-                                        np.maximum(self.nodes[k], s[inside]), self.nodes[k + 1])
-        return np.where(target > 0.0, out, s)
+def _legendre_sum(coef, k, z, slope: bool = False):
+    """sum_j coef[j, k] P_j(z) elementwise and, with slope, its z-derivative
+    (else zeros), by Clenshaw's recurrence over the degrees j: each step
+    gathers one coefficient per point, so the work space is z's size."""
+    b1 = b2 = d1 = d2 = np.zeros_like(z)
+    for j in range(len(coef) - 1, -1, -1):
+        # P_{j+1} = alpha z P_j + beta P_{j-1}, with beta of the next degree
+        alpha, beta = (2.0 * j + 1.0) / (j + 1.0), -(j + 1.0) / (j + 2.0)
+        if slope:
+            d1, d2 = alpha * (b1 + z * d1) + beta * d2, d1
+        b1, b2 = coef[j][k] + alpha * z * b1 + beta * b2, b1
+    return b1, d1
 
 
-class TableHazard(PairHazard):
-    """Cumulative-quadrature hazard for pairs without a closed form.
+class TableHazard(SegmentHazard):
+    """Quadrature-table hazard for pairs without a closed form.
 
     Built on a pair record (marginals._Pair), whose density_and_gap reads
     f_cur and F_prev - F_cur at one point: on a pair transported to [0, 1]
-    an ell call solves G^{-1} once.  Unbounded intervals are truncated where
-    both survival functions drop below 1e-14; evaluation within 1e-12 of an
-    interval endpoint clamps to the nearest table node.
+    an ell call solves G^{-1} once.  The table reads ell only when built,
+    at 32 Gauss-Legendre nodes on each panel between graded nodes: their
+    weighted sums chain the segments' start and end values (anchored at
+    the middle node), and one matrix product turns them into the Legendre
+    series of the rise, inverted by Newton with ell's interpolant as slope.
+    Unbounded intervals end where both survival functions drop below 1e-14;
+    theta clamps to the node range, and a tail level past the last node's
+    value answers there.
     """
 
     def __init__(self, pair):
         fp, fc, psi = pair.fp, pair.fc, pair.psi
         super().__init__(fp, fc, psi)
         self._density_and_gap = pair.density_and_gap
-        self._tables = []
+        parts = []
         knots = set(fp.knots()) | set(fc.knots())
         for g, d in psi:
             g_eff = g if math.isfinite(g) else min(float(fp.ppf(1e-14)), float(fc.ppf(1e-14))) - 1.0
             d_eff = d if math.isfinite(d) else max(float(fp.ppf(1.0 - 1e-14)),
                                                    float(fc.ppf(1.0 - 1e-14)))
             nodes = _graded_nodes(g_eff, d_eff, knots)
-            self._tables.append(CumulativeTable(self.ell, nodes))
+            h = np.diff(nodes)
+            pts, w = _gauss_panels(nodes[:-1], h, 32)
+            vals = np.asarray(self.ell(pts.ravel()), dtype=float).reshape(pts.shape)
+            cum = np.concatenate([[0.0], np.cumsum((vals @ w) * h)])
+            cum -= cum[len(cum) // 2]
+            parts.append((nodes[:-1], cum[:-1], cum[1:], nodes[1:], h,
+                          (vals @ _unit_rise_matrix(32)) * h[:, None]))
+        self._x1, self._h, coef = self._lay_out(parts, 6)
+        # one row per degree, so each Clenshaw step gathers from one row
+        self._coef = np.ascontiguousarray(coef.T)
+        # the series at each start, subtracted so a rise starts at exactly 0
+        self._at_start = _legendre_sum(self._coef, slice(None), np.full(len(self._x0), -1.0))[0]
 
     def ell(self, t):
         return _hazard_ratio(*self._density_and_gap(np.asarray(t, dtype=float)))
 
-    def theta(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self._per_interval(lambda j, x: self._tables[j].value(x),
-                                  self.interval_index(t), t)
+    def _rise(self, k, t, slope: bool = False):
+        """The series' rise into segment k at t, clamped to the segment, and
+        with slope its t-derivative, ell's interpolant, too."""
+        z = np.clip(2.0 * (t - self._x0[k]) / self._h[k] - 1.0, -1.0, 1.0)
+        rise, dz = _legendre_sum(self._coef, k, z, slope)
+        rise = rise - self._at_start[k]
+        return (rise, dz * (2.0 / self._h[k])) if slope else rise
 
-    def solve_tail(self, s, target):
-        s, target, idx = self._tail_args(s, target)
-        return self._per_interval(lambda j, a, b: self._tables[j].solve(a, b),
-                                  idx, s, target)
+    def _reach(self, k, w):
+        # at or past a segment's end value: its end, as on the last node
+        out = self._x1[k]
+        inside = np.flatnonzero(w < self._top[k] - self._C[k])
+        ki = k[inside]
+        # Newton reads x in (start, end] of its segment only
+        out[inside] = _newton_level(
+            lambda x: self._rise(np.searchsorted(self._x0, x) - 1, x, slope=True),
+            w[inside], self._x0[ki], self._x1[ki])
+        return out
 
 
 def pair_hazard(fp: MarginalCdf, fc: MarginalCdf, force_table: bool = False) -> PairHazard:

@@ -18,7 +18,7 @@ from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
                            OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf)
 from maxentos.copula import GAP_TOL, _anchored_theta, _sort_rows
 from maxentos.errors import InvalidMarginal, NotAbsolutelyContinuous, OutOfPsi
-from maxentos.hazards import _cdf_gap, pair_hazard
+from maxentos.hazards import TableHazard, _cdf_gap, pair_hazard
 from maxentos.verify import quad_entropy, simplex_integral
 
 
@@ -153,6 +153,21 @@ def test_quadrature_mode_sampler_matches_auto(name, request):
     quad = sample_copula(CopulaKernel(delta, mode="quadrature"), 200, seed=3)
     auto = sample_copula(CopulaKernel(delta), 200, seed=3)
     assert np.max(np.abs(np.sort(quad, axis=1) - np.sort(auto, axis=1))) <= 1e-12
+
+
+def test_quadrature_mode_sampler_reads_no_hazard_after_build(exp3_delta, monkeypatch):
+    # the tables invert their stored series: once the kernel is built, its
+    # rows read no hazard value, each of which would solve G^{-1} again
+    seen = []
+    ell = TableHazard.ell
+    monkeypatch.setattr(TableHazard, "ell",
+                        lambda self, t: (seen.append(np.size(t)), ell(self, t))[1])
+    kernel = CopulaKernel(exp3_delta, mode="quadrature")
+    assert seen
+    seen.clear()
+    S = sample_copula(kernel, 2000)
+    assert S.shape == (2000, 3) and np.all(np.isfinite(S))
+    assert seen == []
 
 
 def test_transported_table_hazard_solves_g_inverse_once_per_call(beta2_delta, monkeypatch):

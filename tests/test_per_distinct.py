@@ -1,9 +1,11 @@
-"""One solve per distinct level: G^{-1} and the table hazard's panel.
+"""One solve per distinct level: G^{-1}, and the table hazard's series.
 
-AverageCdf.ppf and CumulativeTable.value evaluate each distinct abscissa
-once and gather.  Both are elementwise, so the gathered values must be
-bit for bit those of one call per value, and on a tensor grid the work
-must follow the number of levels, not the number of points.
+AverageCdf.ppf evaluates each distinct level once and gathers, and the
+table hazard evaluates its stored series at every point.  Both are
+elementwise, so the values must be bit for bit those of one call per
+value; on a tensor grid G^{-1}'s work must follow the number of levels,
+not the number of points, and the table reads no hazard value at all once
+it is built.
 """
 
 import math
@@ -14,11 +16,11 @@ import pytest
 
 from maxentos import (CopulaKernel, MarginalVector, average_cdf,
                       build_model, c_delta_density, f_F_density,
-                      multidiagonal_from_marginals)
+                      in_support_LF, multidiagonal_from_marginals)
 from maxentos import cdfs
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
                            PiecewiseLinearCdf)
-from maxentos.hazards import CumulativeTable, TableHazard
+from maxentos.hazards import TableHazard
 
 VECTORS = {
     "exp3": (ExponentialCdf(3.0), ExponentialCdf(2.0), ExponentialCdf(1.0)),
@@ -104,17 +106,23 @@ def test_copula_density_solves_each_level_once(monkeypatch):
     assert 0 < sum(targets) <= 24
 
 
-def test_table_density_reads_one_panel_per_abscissa(monkeypatch):
-    model = build_model(MarginalVector(VECTORS["beta3_exp1"]))
+def test_table_density_reads_no_hazard_after_build(monkeypatch):
+    # counted from the build on, so a table holding its ell is counted
+    # too; new margins, so the build is not a pair record's cached one
+    queries = []
+    ell = TableHazard.ell
+    monkeypatch.setattr(TableHazard, "ell",
+                        lambda self, t: (queries.append(np.size(t)), ell(self, t))[1])
+    model = build_model(MarginalVector((BetaOneKCdf(3), ExponentialCdf(1.0))))
+    assert isinstance(model.hazards[2], TableHazard) and queries
     axes = [np.linspace(0.0, 1.0, 70), np.linspace(0.0, 6.9, 70)]
     P = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    queries = []
-    panel = CumulativeTable._panel
-    monkeypatch.setattr(CumulativeTable, "_panel",
-                        lambda self, k, t: (queries.append(np.size(t)), panel(self, k, t))[1])
+    queries.clear()
     f = f_F_density(model, P)
     assert np.count_nonzero(f) > 1000
-    assert 0 < sum(queries) <= np.unique(P).size
+    # the density's own factor ell(x_2), one read per row on the support;
+    # the hazard integrals between the coordinates read none
+    assert queries == [np.count_nonzero(in_support_LF(model.margins, P))]
 
 
 # -- oracle audit of the table hazard ------------------------------------
@@ -127,8 +135,12 @@ def _beta3_exp1_ell(t):
 
 def test_table_theta_differences_match_mpmath():
     hz = build_model(MarginalVector(VECTORS["beta3_exp1"])).hazards[2]
+    # and 0.1, 0.5 and 0.9 of the way across six segments, from the graded
+    # left end to the tail: differences inside a segment read its series
+    k = np.array([2, 20, 41, 56, 75, 100])
+    inside = hz._x0[k, None] + np.array([0.1, 0.5, 0.9]) * (hz._x1 - hz._x0)[k, None]
     x = np.unique(np.concatenate([np.geomspace(1e-6, 25.0, 24),
-                                  [0.5, 0.99, 1.0, 1.01, 1.5]]))
+                                  [0.5, 0.99, 1.0, 1.01, 1.5], inside.ravel()]))
     th = hz.theta(x)
     with mpmath.workdps(40):
         for a, b, ta, tb in zip(x[:-1], x[1:], th[:-1], th[1:]):
@@ -136,3 +148,15 @@ def test_table_theta_differences_match_mpmath():
             cuts = [lo, mpmath.mpf(1), hi] if lo < 1 < hi else [lo, hi]
             ref = float(mpmath.quad(_beta3_exp1_ell, cuts))
             assert abs((tb - ta) - ref) <= 1e-12 * abs(ref), (a, b)
+
+
+def test_table_tail_roots_match_mpmath():
+    # the six tail roots pinned in test_quantile.py
+    hz = MarginalVector(VECTORS["beta3_exp1"]).pairs[0].hazard
+    s = np.array([1e-9, 0.1, 0.5, 1.0, 2.0, 5.0])
+    t = hz.solve_tail(s, 0.7)
+    with mpmath.workdps(40):
+        for a, b in zip(s, t):
+            lo, hi = mpmath.mpf(float(a)), mpmath.mpf(float(b))
+            cuts = [lo, mpmath.mpf(1), hi] if lo < 1 < hi else [lo, hi]
+            assert abs(mpmath.quad(_beta3_exp1_ell, cuts) - mpmath.mpf(0.7)) <= 1e-13, a
