@@ -408,18 +408,16 @@ class TableHazard(SegmentHazard):
         self._x1, self._h, coef = self._lay_out(parts, 6)
         # one row per degree, so each Clenshaw step gathers from one row
         self._coef = np.ascontiguousarray(coef.T)
-        # the series at each start, subtracted so a rise starts at exactly 0
-        self._at_start = _legendre_sum(self._coef, slice(None), np.full(len(self._x0), -1.0))[0]
 
     def ell(self, t):
         return _hazard_ratio(*self._density_and_gap(np.asarray(t, dtype=float)))
 
     def _rise(self, k, t, slope: bool = False):
-        """The series' rise into segment k at t, clamped to the segment, and
-        with slope its t-derivative, ell's interpolant, too."""
+        """The series' rise into segment k at t, clamped to the segment and
+        exactly 0 at its start, and with slope its t-derivative too."""
         z = np.clip(2.0 * (t - self._x0[k]) / self._h[k] - 1.0, -1.0, 1.0)
         rise, dz = _legendre_sum(self._coef, k, z, slope)
-        rise = rise - self._at_start[k]
+        rise = np.where(z > -1.0, rise, 0.0)
         return (rise, dz * (2.0 / self._h[k])) if slope else rise
 
     def _reach(self, k, w):

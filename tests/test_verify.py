@@ -254,7 +254,7 @@ _TABLE_THETA = {
         ("0x1.01e55b7c11278p+4", "0x0.0p+0"),
         ("0x1.01e553060be02p+5", "0x1.01e54a9006990p+4"),
         ("0x1.01e55b7c0ef1cp+5", "0x1.01e55b7c0cbc4p+4"),
-        ("0x1.a59019291e665p-32", "-0x1.a3cfb3fe191ddp+4"),
+        ("0x1.a59019291e665p-32", "-0x1.a3cfb3fe191dcp+4"),
         ("0x1.8ac404d9cc792p-5", "-0x1.0e844fe891c0ap+4"),
         ("0x1.26299c5983911p+4", "0x1.222206eb934c8p+1"),
         ("0x1.01e55b7a70b00p+5", "0x1.01e55b78d038cp+4")]),
@@ -265,8 +265,8 @@ _TABLE_THETA = {
         ("0x1.01e55b7c11278p+4", "0x0.0p+0"),
         ("0x1.01e553060be02p+5", "0x1.01e5200000000p+4"),
         ("0x1.01e55b7c0ef1cp+5", "0x1.01e5300000000p+4"),
-        ("0x1.a59019291e665p-32", "-0x1.36eb51bad9ff7p+32"),
-        ("0x1.8ac404d9cc792p-5", "-0x1.975be3975bf73p+5"),
+        ("0x1.a59019291e665p-32", "-0x1.36eb51bad9ff6p+32"),
+        ("0x1.8ac404d9cc792p-5", "-0x1.975be3975bf72p+5"),
         ("0x1.26299c5983911p+4", "0x1.2221ab6f82250p+1"),
         ("0x1.01e55b7a70b00p+5", "0x1.01e5300114be6p+4")]),
 }
