@@ -705,21 +705,21 @@ def _newton_level(read, targets, lo, hi, iters=100):
     factor of 1024 on one side of 0, so from [0, 1] it reaches a root near
     1e-300 in about 70 evaluations.  On a function resolved only to a few
     ulps, Newton could otherwise step from one end onto the other and back
-    for ever.  A point
-    settles when its raw Newton step falls below 1e-15 relative (roots
-    near 0, down to subnormals, keep their leading digits) from below the
-    level, or when no float lies between its bracket ends.  A small step
-    from above first probes just below the root, so a flat stretch at the
-    level is not mistaken for its right end.  A probe below a point that
-    read the level exactly, that reads it too, shows such a stretch.
-    Wherever one float step moves the rounded function by less than an ulp
-    of the level, it reads the level over about 2 such ulps divided by the
-    slope, so the point next probes that far below.  From then on it
-    bisects where it would probe and settles only when its bracket closes,
-    at hi: the stretch's left end to the ulp, reached without creeping down
-    the stretch a few ulps per evaluation, and without bisecting from a far
-    bracket end where the stretch is only rounding.  A point still moving
-    after iters evaluations gets its bracket's hi.
+    for ever.  A point settles when its raw Newton step falls below 1e-15
+    relative (roots near 0, down to subnormals, keep their leading digits)
+    from below the level, or when no float lies between its bracket ends.  A
+    small step from above first probes just below the root, so a flat
+    stretch at the level is not mistaken for its right end.  A probe below a
+    point that read the level exactly, that reads it too, shows such a
+    stretch.  Wherever one float step moves the rounded function by less
+    than an ulp of the level, it reads the level over about 2 such ulps
+    divided by the slope, so the point next probes that far below.  From
+    then on it bisects where it would probe and settles only when its
+    bracket closes, at hi: the stretch's left end to the ulp, reached
+    without creeping down the stretch a few ulps per evaluation, and
+    without bisecting from a far bracket end where the stretch is only
+    rounding.  A point still moving after iters evaluations gets its
+    bracket's hi.
     """
     targets = np.asarray(targets, dtype=float)
     shape = targets.shape

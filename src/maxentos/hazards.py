@@ -246,7 +246,7 @@ class SegmentHazard(PairHazard):
     """
 
     def _lay_out(self, parts, n: int):
-        """Lay out per-interval (starts, start values, end values, *own) flat."""
+        """Lay out per-interval n-tuples (starts, start values, end values, *own) flat."""
         sizes = np.array([len(p[0]) for p in parts], dtype=int)
         self._last = np.cumsum(sizes) - 1
         self._first = self._last + 1 - sizes
@@ -338,7 +338,8 @@ class PiecewisePairHazard(SegmentHazard):
 
     def _reach(self, k, w):
         """x0 + (g0 w / f) E(w alpha / f), E(v) = expm1(v) / v and E(0) = 1,
-        or x0 + exp(w alpha / f) / alpha from a closed gap; x0 where f = 0."""
+        or x0 + exp(w alpha / f) / alpha from a closed gap; x0 where f = 0,
+        only on s's own segment at target 0, where the root is s."""
         f, alpha, g0 = self._f[k], self._alpha[k], self._g0[k]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             v = w * alpha / f
@@ -354,7 +355,8 @@ def _graded_nodes(g: float, d: float, knots=(), per_side: int = 40, mid: int = 3
     left = g + w * fr
     right = d - w * fr[::-1]
     middle = g + w * np.linspace(0.25, 0.75, mid)
-    nodes = np.unique(np.concatenate([left, middle, right, [float(k) for k in knots if g < k < d]]))
+    inner = [float(k) for k in knots if g < k < d]
+    nodes = np.unique(np.concatenate([left, middle, right, np.asarray(inner, dtype=float)]))
     return nodes[(nodes > g) & (nodes < d)]
 
 
