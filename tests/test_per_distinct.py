@@ -106,7 +106,7 @@ def test_copula_density_solves_each_level_once(monkeypatch):
     assert 0 < sum(targets) <= 24
 
 
-def test_table_density_reads_no_hazard_after_build(monkeypatch):
+def test_table_density_reads_ell_once_per_row(monkeypatch):
     # counted from the build on, so a table holding its ell is counted
     # too; new margins, so the build is not a pair record's cached one
     queries = []
