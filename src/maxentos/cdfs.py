@@ -954,6 +954,12 @@ class OrderStatUniformCdf(MarginalCdf):
         self.i = int(i)
         self._lognorm = (special.gammaln(self.d + 1) - special.gammaln(self.i)
                          - special.gammaln(self.d - self.i + 1))
+        # I_t(i, d-i+1) = C(d, i) t^i (1 + O((d-i) t)): at levels up to
+        # _tiny, where (d-i) t is below rounding, the leading term inverts
+        # as t = u^(1/i) _scale
+        log_binom = self._lognorm - math.log(self.i)
+        self._tiny = math.exp(log_binom + self.i * math.log(2.0 ** -53 / max(self.d - self.i, 1)))
+        self._scale = math.exp(-log_binom / self.i)
 
     @property
     def support(self):
@@ -973,7 +979,11 @@ class OrderStatUniformCdf(MarginalCdf):
         return np.where(inside, np.exp(logpdf), 0.0)
 
     def _quantile(self, u):
-        return special.betaincinv(self.i, self.d - self.i + 1, u)
+        t = np.asarray(special.betaincinv(self.i, self.d - self.i + 1, u))
+        # betaincinv reads NaN at some levels below _tiny
+        tiny = u <= self._tiny
+        t[tiny] = np.power(u[tiny], 1.0 / self.i) * self._scale
+        return t
 
     def knots(self):
         return [0.0, 1.0]

@@ -348,13 +348,14 @@ class PiecewisePairHazard(SegmentHazard):
         return self._x0[k] + np.where(f > 0.0, u, 0.0)
 
 
-def _graded_nodes(g: float, d: float, knots=(), per_side: int = 40, mid: int = 33):
-    """Strictly interior nodes of (g, d), geometrically packed at both ends."""
+def _graded_nodes(g: float, d: float, knots=()):
+    """Strictly interior nodes of (g, d): 40 geometrically packed toward
+    each end, 33 even ones across the middle half, and the knots."""
     w = d - g
-    fr = np.geomspace(1e-12, 0.5, per_side)
+    fr = np.geomspace(1e-12, 0.5, 40)
     left = g + w * fr
     right = d - w * fr[::-1]
-    middle = g + w * np.linspace(0.25, 0.75, mid)
+    middle = g + w * np.linspace(0.25, 0.75, 33)
     inner = [float(k) for k in knots if g < k < d]
     nodes = np.unique(np.concatenate([left, middle, right, np.asarray(inner, dtype=float)]))
     return nodes[(nodes > g) & (nodes < d)]

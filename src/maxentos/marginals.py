@@ -116,13 +116,13 @@ def _excess(a, b):
     return a - b - _SLACK * a
 
 
-def _probe_points(fp: MarginalCdf, fc: MarginalCdf, n: int = ORDER_GRID):
+def _probe_points(fp: MarginalCdf, fc: MarginalCdf):
     eps = 1e-13
     lo = min(fp.ppf(eps), fc.ppf(eps))
     hi = max(fp.ppf(1.0 - eps), fc.ppf(1.0 - eps))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         lo, hi = -1.0, 1.0
-    pts = [np.linspace(lo, hi, n)]
+    pts = [np.linspace(lo, hi, ORDER_GRID)]
     qs = np.linspace(1.0 / 512, 1.0 - 1.0 / 512, 511)
     for m in (fp, fc):
         pts.append(np.clip(m.ppf(qs), lo, hi))

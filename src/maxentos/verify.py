@@ -39,8 +39,9 @@ columns' levels too.
 
 run_full_verification executes an independent battery of consistency
 checks on a marginal vector or a multidiagonal, each with its own fixed
-seed, and reports one pass/fail/skip verdict per check.  MAXENTOS_THREADS
-caps the worker threads used to run checks concurrently.
+seed, and reports one pass/fail/skip verdict per check.  The checks run
+one after another, in the order they are declared, and each verdict
+carries its check's own wall time.
 
 A check is declared once, as check(name)(body) with the check() of
 _checklist: the declaration prefixes the name, skips the check beyond
@@ -52,13 +53,11 @@ are functions of their own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,14 +80,6 @@ DEFAULT_NODES = {1: 512, 2: 512, 3: 160}
 # few arrays of this length stays in a core's L2 cache
 _BLOCK = 1 << 15
 KS_FACTOR = 1.63
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MAXENTOS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _axis_panels(n: int):
@@ -344,44 +335,24 @@ class VerificationReport:
         return "\n".join([head] + [str(c) for c in self.checks])
 
 
-def _run_checks(named, threads: int):
-    """Run the (name, callable) checks; each result carries its wall time.
+def _run_checks(named):
+    """Run the (name, callable) checks in order; each result carries its
+    own wall time.
 
     Two quadrature passes are shared: the c_delta mass and entropy pass
     by c_delta_normalization and copula_entropy_quad, the f_F one by
     normalization_quad and entropy_three_way.  A pass's time counts
-    toward whichever of its two checks runs it first; with several
-    threads, the other may wait for that pass to end, and then its time
-    holds the wait as well.
+    toward the first of its two checks, which runs it.
     """
-    def execute(item):
-        name, fn = item
+    results = []
+    for name, fn in named:
         start = time.perf_counter()
         try:
             result = fn()
         except Exception as exc:                      # noqa: BLE001
             result = CheckResult(name, False, detail=f"{type(exc).__name__}: {exc}")
-        return replace(result, seconds=time.perf_counter() - start)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(execute, named))
-    return [execute(item) for item in named]
-
-
-def _once(fn):
-    """fn() run on the first call; later and concurrent calls wait for it
-    and share its value."""
-    lock = threading.Lock()
-    memo = []
-
-    def get():
-        with lock:
-            if not memo:
-                memo.append(fn())
-        return memo[0]
-
-    return get
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results
 
 
 def _checklist(d: int, prefix: str = ""):
@@ -411,12 +382,13 @@ def _checklist(d: int, prefix: str = ""):
 
 
 def _verdict(passed, value=None, tol=None, detail=""):
-    """The fields of a CheckResult after its name."""
-    return passed, value, tol, detail
+    """The fields of a CheckResult after its name; passed becomes a Python
+    bool (or stays None), so a numpy False reads as a failure."""
+    return None if passed is None else bool(passed), value, tol, detail
 
 
 def _tolcheck(value, tol, detail=""):
-    return _verdict(bool(value <= tol), float(value), tol, detail)
+    return _verdict(value <= tol, float(value), tol, detail)
 
 
 def _routes_agree(a, b, labels):
@@ -444,8 +416,7 @@ def _mass_and_entropy(density, d: int, lo: float, hi: float, cuts, scale=1.0):
     """The shared pass: scale times the mass and the -f log f of density
     over the ordered region, from one density evaluation on one rule.
 
-    The first call runs it; the lock of _once keeps it to one run when
-    the checks that read it execute on different threads."""
+    The first call runs it; later calls share its value."""
     def columns(X):
         f = density(X)
         out = np.empty((len(f), 2))
@@ -457,7 +428,7 @@ def _mass_and_entropy(density, d: int, lo: float, hi: float, cuts, scale=1.0):
         mass, ent = simplex_integral(columns, d, lo, hi,
                                      nodes=None if d < 3 else 128, cuts=cuts)
         return scale * mass, scale * ent
-    return _once(run)
+    return functools.cache(run)
 
 
 def _mass_is_one(shared_pass):
@@ -793,5 +764,5 @@ def run_full_verification(subject, *, n_samples: int = 10000, seed: int = 0,
     else:
         raise TypeError(f"cannot verify a {type(subject).__name__}")
     named = checks(subject, seed=seed, n_samples=n_samples, grid=grid)
-    results = _run_checks(named, _thread_cap())
+    results = _run_checks(named)
     return VerificationReport(kind, subject.d, tuple(results))

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from maxentos import MarginalVector, build_model, multidiagonal_from_marginals
 from maxentos.cdfs import BetaOneKCdf, ExponentialCdf, UniformCdf
+
+# every run draws the same examples, and none are replayed from a database;
+# each test keeps its own max_examples and deadline
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

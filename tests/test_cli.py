@@ -94,6 +94,22 @@ def test_density_csv_bytes_match_per_value_format(tmp_path, spec, grid,
     assert meta["columns"] == header
 
 
+def test_density_grid_reads_table_series_per_axis_value(tmp_path, monkeypatch):
+    # the grid reaches the density as a level block: the table hazard's
+    # series reads each axis value once per column, 2 * 70 points
+    from maxentos import hazards
+    points = []
+    legendre_sum = hazards._legendre_sum
+    monkeypatch.setattr(hazards, "_legendre_sum", lambda coef, k, z, *a: (
+        points.append(np.size(z)), legendre_sum(coef, k, z, *a))[1])
+    spec = {"margins": [{"family": "beta_1_k", "k": 3},
+                        {"family": "exponential", "rate": 1.0}]}
+    argv = ["density", "--input", write_spec(tmp_path, spec), "--grid", "70",
+            "--output", str(tmp_path / "f.csv")]
+    assert cli.main(argv) == 0
+    assert 0 < sum(points) <= 140
+
+
 def test_validate_ok(tmp_path, capsys):
     rc = cli.main(["validate", "--input", write_spec(tmp_path, EXP3)])
     out = capsys.readouterr().out

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from maxentos import MarginalVector, average_cdf, cdfs, multidiagonal_from_marginals
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ComposedDeltaCdf,
-                           ExponentialCdf, PiecewiseLinearCdf)
+                           ExponentialCdf, OrderStatUniformCdf, PiecewiseLinearCdf)
 from maxentos.hazards import TableHazard
 
 TENT = (((0.0, 0.0), (0.5, 0.75), (1.0, 1.0)),
@@ -416,3 +416,31 @@ def test_g_inverse_reads_no_top_below_one(monkeypatch):
     assert tops == []
     assert G.ppf(np.array([0.5, 1.0]))[1] == np.inf
     assert len(tops) == 3
+
+
+def _order_stat_inverse(d, i, u):
+    """The root t of I_t(i, d-i+1) = sum_{k>=i} C(d, k) t^k (1-t)^(d-k) = u,
+    by Newton at 50 digits from its leading term (u / C(d, i))^(1/i)."""
+    with mp.workdps(50):
+        u = mp.mpf(u)
+        t = (u / mp.binomial(d, i)) ** (mp.mpf(1) / i)
+        for _ in range(40):
+            value = sum(mp.binomial(d, k) * t ** k * (1 - t) ** (d - k) for k in range(i, d + 1))
+            slope = i * mp.binomial(d, i) * t ** (i - 1) * (1 - t) ** (d - i)
+            t -= (value - u) / slope
+        return t
+
+
+@pytest.mark.parametrize("u", [1e-100, 1e-200, 1e-300])
+def test_order_stat_quantile_at_tiny_levels(u):
+    # betaincinv reads NaN at some of these levels; the leading term of
+    # I_t inverts them
+    comps = [OrderStatUniformCdf(5, i) for i in range(1, 6)]
+    for i, comp in enumerate(comps, start=1):
+        t = comp.ppf(u)
+        assert np.isfinite(t)
+        expect = _order_stat_inverse(5, i, u)
+        assert abs(t - expect) <= 1e-13 * expect, (i, u)
+    # G is the identity on [0, 1], and its inverse is too
+    x = AverageCdf(comps).ppf(np.array([u]))[0]
+    assert abs(x - u) <= 1e-13 * u

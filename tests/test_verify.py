@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -496,28 +497,40 @@ def test_check_that_raises_fails_under_its_name(monkeypatch):
         raise RuntimeError("no distance")
 
     monkeypatch.setattr(verify, "ks_distance", broken)
-    results = verify._run_checks(named, 1)
+    results = verify._run_checks(named)
     assert [r.name for r in results] == ["delta_" + name for name in DELTA_CHECKS]
     failed = [r for r in results if r.status == "FAIL"]
     assert [(r.name, r.detail) for r in failed] == [
         ("delta_copula_sampler_recovery", "RuntimeError: no distance")]
 
 
-def test_thread_cap_env_does_not_change_results(monkeypatch):
-    delta = multidiagonal_of_iid_uniform(2)
-    base = run_full_verification(delta, n_samples=1000, grid=256)
-    monkeypatch.setenv("MAXENTOS_THREADS", "1")
-    capped = run_full_verification(delta, n_samples=1000, grid=256)
-    assert [c.name for c in base.checks] == [c.name for c in capped.checks]
-    for a, b in zip(base.checks, capped.checks):
-        assert a.passed == b.passed
-        if a.value is not None and b.value is not None:
-            assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-12)
+def test_verdicts_are_python_bools():
+    # a numpy False from a check body fails the report; the battery's
+    # verdicts are all Python bools or None
+    from maxentos import verify
+    failed = verify.CheckResult("numpy_false", *verify._verdict(np.bool_(False)))
+    report = verify.VerificationReport("marginal_vector", 2, (failed,))
+    assert not report.all_passed
+    assert json.loads(report.to_json())["all_passed"] is False
+    assert str(report).startswith("verification of marginal_vector (d=2): FAILURES PRESENT")
+    rep = run_full_verification(MarginalVector((UniformCdf(0.0, 1.0), ExponentialCdf(1.0))),
+                                n_samples=4000)
+    assert {type(c.passed) for c in rep.checks} <= {bool, type(None)}
+
+
+def test_check_times_sum_within_battery_wall_time():
+    # the checks run one after another, each timed on its own
+    start = time.perf_counter()
+    rep = run_full_verification(MarginalVector((BetaOneKCdf(2), BetaOneKCdf(1))),
+                                n_samples=1000, grid=256)
+    wall = time.perf_counter() - start
+    assert all(c.seconds >= 0.0 for c in rep.checks)
+    assert sum(c.seconds for c in rep.checks) <= wall
 
 
 def test_copula_mass_and_entropy_share_one_pass(monkeypatch):
     # c_delta_normalization and copula_entropy_quad read one quadrature
-    # pass, also when the checks run on several threads
+    # pass
     from maxentos import verify
     delta = multidiagonal_of_iid_uniform(2)
     passes = []
@@ -529,7 +542,6 @@ def test_copula_mass_and_entropy_share_one_pass(monkeypatch):
         return simplex(fn, d, *args, **kwargs)
 
     monkeypatch.setattr(verify, "simplex_integral", counted)
-    monkeypatch.setenv("MAXENTOS_THREADS", "2")
     rep = run_full_verification(delta, n_samples=1000, grid=256)
     by_name = {c.name: c for c in rep.checks}
     assert by_name["c_delta_normalization"].passed
@@ -624,10 +636,8 @@ def _count_j_integrations(monkeypatch):
 
 def test_j_term_integrated_once_per_pair_across_threads(monkeypatch):
     # j_transport, j_routes and delta_j_delta_routes share the quadrature
-    # J terms of the marginal pair and of its transport, also when the
-    # checks run on several threads
+    # J terms of the marginal pair and of its transport
     calls = _count_j_integrations(monkeypatch)
-    monkeypatch.setenv("MAXENTOS_THREADS", "2")
     rep = run_full_verification(MarginalVector((BetaOneKCdf(2), BetaOneKCdf(1))),
                                 n_samples=1000, grid=256)
     by_name = {c.name: c for c in rep.checks}
