@@ -211,14 +211,6 @@ def _unit_rise_matrix(q: int):
     return m
 
 
-def _gauss_panels(a, h, q: int):
-    """Nodes a + h t of the unit rule on the panels [a, a + h], one row per
-    panel, and the unit weights; a panel's integral is h times its row's
-    weighted sum."""
-    t, w = _unit_gauss(q)
-    return a[:, None] + h[:, None] * t, w
-
-
 def _cut_ends(cuts, lo: float, hi: float):
     """lo, the cuts strictly inside (lo, hi) in order, and hi."""
     return [lo, *sorted({float(c) for c in cuts if lo < float(c) < hi}), hi]

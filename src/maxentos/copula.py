@@ -36,7 +36,7 @@ from .cdfs import _Columns
 from .errors import InvalidMarginal, NotAbsolutelyContinuous, NotInF0, OutOfPsi
 from .hazards import PairHazard, TableHazard, _cdf_gap
 from .intervals import gap_inside_mask, inside_mask
-from .joint import _draw_sorted
+from .joint import _add_pair_terms, _draw_sorted
 from .marginals import EQ_TOL, MarginalVector, in_support_LF, sigma_measure
 from .multidiag import (Multidiagonal, _Identity, delta_inverse, delta_psi,
                         j_functional_delta, validate_multidiagonal)
@@ -149,13 +149,7 @@ class CopulaKernel:
             if not isinstance(self._avg, _Identity):
                 for j in range(self.d):
                     logc -= xs.read(j, lambda x: np.log(self._avg.pdf(x)), out=work[0])
-            for i, hz in self._hazards.items():
-                # log ell_i(x) - (theta_i(x) - theta_i(prev)), in place
-                rise = xs.read(i - 1, hz.theta, out=work[0])
-                rise -= xs.read(i - 2, hz.theta, out=work[1])
-                term = xs.read(i - 1, lambda x: np.log(hz.ell(x)), out=work[1])
-                term -= rise
-                logc += term
+            _add_pair_terms(logc, xs, self._hazards, work)
         return logc
 
     # -- public, domain-checked evaluations --

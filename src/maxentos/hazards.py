@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .cdfs import (MarginalCdf, OrderStatUniformCdf, _cut_ends, _gauss_panels,
-                   _newton_level, _unit_rise_matrix)
+from .cdfs import (MarginalCdf, OrderStatUniformCdf, _cut_ends, _newton_level,
+                   _unit_gauss, _unit_rise_matrix)
 from .errors import RootBracketFailure
 from .intervals import IntervalSet, interval_arrays
 
@@ -95,8 +95,10 @@ class PairHazard:
         """lambda_between(s, t) for arrays of one shape, with diff(sel) the
         theta(t) - theta(s) of the points sel selects."""
         same = np.zeros(s.shape, dtype=bool)
+        # a tie inside an interval reads theta(t) - theta(s) = 0, as an
+        # empty gap does, and keeps a grid with ties on the whole-array path
         for g, d in self.psi:
-            same |= (g < s) & (s < t) & (t < d)
+            same |= (g < s) & (s <= t) & (t < d)
         # theta is elementwise: with every row live it reads s and t whole
         if np.all(same):
             return diff(slice(None))
@@ -396,13 +398,14 @@ class TableHazard(SegmentHazard):
         self._density_and_gap = pair.density_and_gap
         parts = []
         knots = set(fp.knots()) | set(fc.knots())
+        t, w = _unit_gauss(32)
         for g, d in psi:
             g_eff = g if math.isfinite(g) else min(float(fp.ppf(1e-14)), float(fc.ppf(1e-14))) - 1.0
             d_eff = d if math.isfinite(d) else max(float(fp.ppf(1.0 - 1e-14)),
                                                    float(fc.ppf(1.0 - 1e-14)))
             nodes = _graded_nodes(g_eff, d_eff, knots)
             h = np.diff(nodes)
-            pts, w = _gauss_panels(nodes[:-1], h, 32)
+            pts = nodes[:-1, None] + h[:, None] * t
             vals = np.asarray(self.ell(pts.ravel()), dtype=float).reshape(pts.shape)
             cum = np.concatenate([[0.0], np.cumsum((vals @ w) * h)])
             cum -= cum[len(cum) // 2]

@@ -111,6 +111,21 @@ def hazard(model: MaxEntModel, i: int, t) -> np.ndarray:
     return model.hazards[i].ell(np.asarray(t, dtype=float))
 
 
+def _add_pair_terms(logf, cols: _Columns, hazards: dict, work):
+    """logf += log ell_i(x_i) - Lambda_i(x_{i-1}, x_i) for each pair i = 2..d
+    of hazards, in place, on the columns x of cols, with work the two
+    buffers of cols.buffers(2).
+
+    Lambda_i is +inf where x_{i-1} and x_i lie in different separation
+    intervals, whose thetas carry unrelated constants, so such a row reads
+    log density -inf.
+    """
+    for i, hz in hazards.items():
+        term = cols.read(i - 1, lambda t: np.log(hz.ell(t)), out=work[0])
+        term -= cols.between(hz, i, out=work[1])
+        logf += term
+
+
 def f_F_density(model: MaxEntModel, x) -> np.ndarray:
     """Joint density at rows of x, zero off the ordered support region.
 
@@ -135,13 +150,7 @@ def f_F_density(model: MaxEntModel, x) -> np.ndarray:
     first = model.margins.margins[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logf = cols.read(0, lambda t: np.log(np.asarray(first.pdf(t), dtype=float)))
-        work = cols.buffers(2)
-        for i in range(2, model.d + 1):
-            hz = model.hazards[i]
-            # log ell_i(x_i) - Lambda_i(x_{i-1}, x_i), in place
-            term = cols.read(i - 1, lambda t: np.log(hz.ell(t)), out=work[0])
-            term -= cols.between(hz, i, out=work[1])
-            logf += term
+        _add_pair_terms(logf, cols, model.hazards, cols.buffers(2))
         vals = np.exp(logf, out=logf)
     # exp is never negative, so fmax maps NaN alone to 0
     vals = np.fmax(vals, 0.0, out=vals)

@@ -1,12 +1,11 @@
 """Numerical verification: quadratures, sampling diagnostics, check battery.
 
 The quadrature engine integrates over the ordered region
-{lo <= x_1 <= ... <= x_d <= hi} and over c_F's curved region.  Both use
-composite Gauss-Legendre panels graded geometrically toward the ends of
-[0, 1], because the integrands routinely have integrable endpoint
-structure that a plain product rule resolves too slowly for the
-tolerances used here.  Every panel reads the one unit rule of
-cdfs._unit_gauss, as the hazard tables do.
+{lo <= x_1 <= ... <= x_d <= hi} with composite Gauss-Legendre panels
+graded geometrically toward the ends of [0, 1], because the integrands
+routinely have integrable endpoint structure that a plain product rule
+resolves too slowly for the tolerances used here.  Every panel reads the
+one unit rule of cdfs._unit_gauss, as the hazard tables do.
 
 The ordered rule maps the graded panels into each cell between the cuts
 and takes every nondecreasing assignment of x_1..x_d to those panels.  An
@@ -28,14 +27,10 @@ comes from the panel and node ids by integer arithmetic.  The densities
 read every term of one coordinate once per level and gather it, so a pass
 solves G^{-1} on a few thousand levels and never sorts its points.
 
-The curved rule, int_0^1 du2 int_0^{upper(u2)} du1 as c_F's region
-{u1 <= F_1(F_2^{-1}(u2))} needs, maps the graded panels into the cells
-between each axis's cuts as well.  Under an outer node u2 the inner panels
-wholly below upper(u2) keep their own Gauss nodes, shared by every outer
-node; only the one panel across upper(u2) is mapped onto [edge, upper(u2)].
-The u1 column thus holds the shared nodes and q more per outer node, and
-the points run in blocks of at most 2^15, whole panels, that carry their
-columns' levels too.
+c_F, the copula of the order-statistics model, lives on the image of the
+ordered region under x -> F(x).  Its entropy is integrated on the marginal
+scale: the ordered rule's blocks are mapped through the margins' cdfs,
+each level once, and weighted by the marginal densities.
 
 run_full_verification executes an independent battery of consistency
 checks on a marginal vector or a multidiagonal, each with its own fixed
@@ -62,7 +57,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cdfs import (_cut_ends, _gauss_panels, _level_block, _panel_integral,
+from .cdfs import (_Columns, _cut_ends, _level_block, _panel_integral,
                    _unit_gauss, xlogx)
 from .copula import (GAP_TOL, CopulaKernel, c_delta_density, c_F_density,
                      copula_entropy_closed, sample_copula, symmetrize_density)
@@ -76,8 +71,8 @@ from .multidiag import (Multidiagonal, delta_inverse, j_functional_delta,
 
 MAX_QUAD_DIM = 3
 DEFAULT_NODES = {1: 512, 2: 512, 3: 160}
-# points per integrand call of the ordered and curved rules: a block of a
-# few arrays of this length stays in a core's L2 cache
+# points per integrand call of the ordered rule: a block of a few arrays
+# of this length stays in a core's L2 cache
 _BLOCK = 1 << 15
 KS_FACTOR = 1.63
 
@@ -220,46 +215,6 @@ def quad_entropy(density_fn, d: int, lo: float, hi: float,
     return simplex_integral(lambda X: -xlogx(density_fn(X)), d, lo, hi, nodes, cuts)
 
 
-def ordered_region_integral_2d(fn, upper_fn, nodes: int | None = None,
-                               outer_cuts=(), inner_cuts=()) -> float:
-    """int_0^1 du2 int_0^{upper(u2)} fn(u1, u2) du1 for a curved region.
-
-    outer_cuts/inner_cuts list interior kink abscissae of the integrand
-    along u2 and u1; both axes are split there.  upper may take any value
-    >= 0, above 1 too; an outer node where upper <= 0 adds nothing.
-
-    Both axes take the graded panels mapped into each cell between their
-    cuts, the inner one up to max(1, max upper).  Under an outer node u2,
-    every inner panel wholly below upper(u2) keeps its own q Gauss nodes,
-    shared by all outer nodes, and only the panel that straddles upper(u2)
-    is mapped onto [edge, upper(u2)].  The items of _block_sum are the
-    (outer node, inner panel) pairs: u1 reads the panel's nodes, u2 the
-    outer node.
-    """
-    unit, q = _axis_panels(nodes or DEFAULT_NODES[2])
-    outer = _cell_edges(_cut_ends(outer_cuts, 0.0, 1.0), unit)
-    width = np.diff(outer)
-    u2, wt = _gauss_panels(outer[:-1], width, q)
-    u2, w2 = u2.ravel(), (width[:, None] * wt).ravel()
-    up = np.asarray(upper_fn(u2), dtype=float)
-    inner = _cell_edges(_cut_ends(inner_cuts, 0.0, max(1.0, float(np.max(up)))), unit)
-    # under each outer node, the inner panels wholly below upper, then the
-    # one across it from its left edge; a NaN upper keeps that last panel,
-    # so the sum reads NaN
-    below = inner[1:] <= up[:, None]
-    node, panel = np.nonzero(below)
-    edge = inner[below.sum(axis=1)]
-    cut = np.flatnonzero(~(up <= edge))
-    node = np.concatenate([node, cut])
-    # the u1 values: the shared panels' nodes, then each cut panel's
-    a = np.concatenate([inner[:-1], edge[cut]])
-    width = np.concatenate([np.diff(inner), up[cut] - edge[cut]])
-    u1 = _gauss_panels(a, width, q)[0]
-    row = np.concatenate([panel, len(inner) - 1 + np.arange(len(cut))])
-    columns = [(u1, row, np.arange(q)), (u2[:, None], node, np.zeros(q, dtype=np.intp))]
-    return float(_block_sum(fn, columns, w2[node] * width[row], wt))
-
-
 def mc_entropy(density_fn, samples) -> tuple[float, float]:
     """Monte Carlo entropy estimate (-mean log f) and its standard error."""
     vals = np.asarray(density_fn(np.atleast_2d(samples)), dtype=float)
@@ -387,6 +342,12 @@ def _verdict(passed, value=None, tol=None, detail=""):
     return None if passed is None else bool(passed), value, tol, detail
 
 
+def _worst(*values) -> float:
+    """The largest of values, NaN when any is NaN: Python's max keeps an
+    earlier value over a later NaN, so a failed evaluation would pass."""
+    return float(np.max(values))
+
+
 def _tolcheck(value, tol, detail=""):
     return _verdict(value <= tol, float(value), tol, detail)
 
@@ -406,10 +367,11 @@ def _ks_recovery(draw, cdfs, n_samples: int, seed: int):
     worst = 0.0
     for k in range(3):
         X = draw(seed + k)
-        dks = max(ks_distance(X[:, i], cdf) for i, cdf in enumerate(cdfs))
-        worst = max(worst, dks)
+        dks = _worst(*(ks_distance(X[:, i], cdf) for i, cdf in enumerate(cdfs)))
+        worst = _worst(worst, dks)
         passes += dks <= bound
-    return _verdict(passes >= 2, worst, bound, f"{passes}/3 seeds within bound")
+    return _verdict(passes >= 2 and not math.isnan(worst), worst, bound,
+                    f"{passes}/3 seeds within bound")
 
 
 def _mass_and_entropy(density, d: int, lo: float, hi: float, cuts, scale=1.0):
@@ -478,7 +440,7 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
             perm = rng.permuted(u, axis=1)
             pv = c_delta_density(kernel, perm)
             scale = np.maximum(base, 1e-12)
-            worst = max(worst, float(np.max(np.abs(pv - base) / scale)))
+            worst = _worst(worst, np.max(np.abs(pv - base) / scale))
         return _tolcheck(worst, 1e-9)
 
     @check("c_delta_dual_route")
@@ -521,7 +483,7 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                    else np.asarray(delta.components[i - 1].cdf(ts), dtype=float))
             m = inside_mask(kernel.psis[i], ts)
             if np.any(m):
-                worst = max(worst, float(np.max(np.abs(B[m] * E[m] - (prev[m] - cur[m])))))
+                worst = _worst(worst, np.max(np.abs(B[m] * E[m] - (prev[m] - cur[m]))))
         return _tolcheck(worst, 1e-9)
 
     @check("K_singular_growth")
@@ -566,7 +528,7 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                 val = float(np.sum(_panel_integral(integrand, edges[:-1], edges[1:])))
                 b0, b1 = kernel.B(i, np.array([t0, hi]))
                 expect = float(b0) - float(b1)
-                worst = max(worst, abs(val - expect))
+                worst = _worst(worst, abs(val - expect))
         return _tolcheck(worst, 1e-6)
 
     check("copula_sampler_recovery")(lambda: _ks_recovery(
@@ -587,8 +549,7 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
         for comp in delta.components:
             h = quad_entropy(lambda X, c=comp: np.asarray(c.pdf(X[:, 0]), dtype=float),
                              1, 0.0, 1.0, cuts=comp.knots())
-            worst = max(worst, abs(h) - d * math.log(d),
-                        -math.log(d) - h)
+            worst = _worst(worst, abs(h) - d * math.log(d), -math.log(d) - h)
         return _tolcheck(worst, 1e-6, "quadrature H within [-log d, 0]")
 
     return named
@@ -621,7 +582,7 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
         for i in range(1, d + 1):
             a = delta_inverse(delta, i, u)
             b = delta.components[i - 1].ppf(u)
-            worst = max(worst, float(np.max(np.abs(a - b))))
+            worst = _worst(worst, np.max(np.abs(a - b)))
         return _tolcheck(worst, 1e-9)
 
     check("j_transport")(lambda: _routes_agree(
@@ -721,7 +682,7 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
                 continue
             lhs = math.log(vals[0]) + math.log(vals[1])
             rhs = math.log(vals[2]) + math.log(vals[3])
-            worst = max(worst, abs(lhs - rhs))
+            worst = _worst(worst, abs(lhs - rhs))
         return _tolcheck(worst, 1e-9, "tail-swap invariance of log f sums")
 
     @check("entropy_shift_identity")
@@ -732,17 +693,21 @@ def _marginal_checks(margins: MarginalVector, *, seed: int, n_samples: int,
             return _verdict(None, detail="quadrature route kept to d=2")
         cfun = lambda U: c_F_density(margins, U, hazards=model.hazards)
         sfun = symmetrize_density(delta, cfun)
-        # c_F lives on {u1 <= F_1(F_2^{-1}(u2))}; fitting the quadrature to
-        # that region sidesteps the jump across its curved boundary.  The
-        # shifted density is exchangeable, so its cube entropy is twice the
-        # sorted-region one.  Marginal knots map to kinks of c_F at their
-        # cdf images and of the shift at the component knots.
-        upper = lambda t: np.asarray(
-            margins.margins[0].cdf(margins.margins[1].ppf(t)), dtype=float)
-        hc = ordered_region_integral_2d(
-            lambda U: -xlogx(cfun(U)), upper,
-            outer_cuts=[float(margins.margins[1].cdf(k)) for k in margin_cuts],
-            inner_cuts=[float(margins.margins[0].cdf(k)) for k in margin_cuts])
+        ms = margins.margins
+
+        # c_F lives on the image of the ordered region under x -> F(x), so
+        # u = F(x) turns H(c_F) into the ordered rule on the marginal scale,
+        # weighted by f_1 f_2; the margins' cdfs and densities read each
+        # level of a block once, and c_F gets the cdf levels as a block
+        def c_half(X):
+            cols = _Columns.of(X)
+            out = -xlogx(cfun(cols.map_each([m.cdf for m in ms]).block()))
+            for j, m in enumerate(ms):
+                out *= cols.read(j, m.pdf)
+            return out
+        hc = simplex_integral(c_half, 2, lo, hi, cuts=margin_cuts)
+        # the shifted density is exchangeable, so its cube entropy is twice
+        # the sorted-region one; it kinks at the component knots
         hs = 2.0 * quad_entropy(sfun, 2, 0.0, 1.0,
                                 cuts=[k for comp in delta.components
                                       for k in comp.knots()])

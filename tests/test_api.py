@@ -83,7 +83,7 @@ def test_cdf_conventions_live_in_the_base_class():
 
 
 def test_one_gauss_legendre_unit_rule():
-    # the hazard tables and the battery's rules read cdfs._unit_gauss; no
+    # the hazard tables and the battery's rule read cdfs._unit_gauss; no
     # module builds a Gauss-Legendre rule of its own
     src = Path(maxentos.__file__).parent
     named = {path.name: path.read_text().count("leggauss") for path in src.glob("*.py")}

@@ -156,7 +156,7 @@ def _ref_log_density(kernel, v):
             logc -= np.log(kernel._avg.pdf(x))
         for i, hz in kernel._hazards.items():
             x, prev = xs[i - 1], xs[i - 2]
-            logc += np.log(_ref_ell(hz, x)) - (hz.theta(x) - hz.theta(prev))
+            logc += np.log(_ref_ell(hz, x)) - _ref_lambda_between(hz, prev, x)
     return logc
 
 

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from maxentos import (CopulaKernel, MarginalVector, Multidiagonal, average_cdf,
                       build_model, c_F_density, c_delta_density,
-                      copula_entropy_closed,
+                      copula_entropy_closed, f_F_density,
                       j_functional_delta, ks_distance,
                       multidiagonal_from_marginals,
                       multidiagonal_of_iid_uniform, order_stat_copula_entropy,
                       sample, sample_copula, symmetrize_density,
                       unsymmetrize_density)
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
-                           OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf)
+                           OrderStatUniformCdf, PiecewiseLinearCdf, UniformCdf,
+                           _level_block)
 from maxentos.copula import GAP_TOL, _anchored_theta, _sort_rows
 from maxentos.errors import InvalidMarginal, NotAbsolutelyContinuous, OutOfPsi
 from maxentos.hazards import TableHazard, _cdf_gap, pair_hazard
@@ -338,6 +339,25 @@ def test_density_matches_row_by_row_support(name, request):
     np.testing.assert_array_equal(c_delta_density(kernel, U), expect)
     # rows that are all on the support take the path without a gather
     np.testing.assert_array_equal(c_delta_density(kernel, U[valid]), expect[valid])
+
+
+def test_density_is_zero_across_separation_intervals():
+    # gaps that straddle the end e of psi_2's first interval by under
+    # GAP_TOL pass the support mask, but their ends lie in two intervals
+    # whose thetas carry unrelated constants; the joint density reads 0
+    # at the matching point x = 0.5 -+ 1e-13, and so must the copula
+    # (it read 1.99e60 and 9.38e59 from the difference of those thetas)
+    margins = MarginalVector((BetaOneKCdf(2),
+                              PiecewiseLinearCdf([(0, 0), (0.5, 0.75), (1, 1)])))
+    kernel = CopulaKernel(multidiagonal_from_marginals(margins))
+    e = kernel.psis[2].intervals[0][1]
+    assert e == 0.7499999999999976
+    rows = np.array([[e - 2e-13, e + 2e-13], [e - 4e-13, e + 4e-13]])
+    assert c_delta_density(kernel, rows).tolist() == [0.0, 0.0]
+    block = _level_block([(rows[:, 0], np.arange(2)), (rows[:, 1], np.arange(2))])
+    assert c_delta_density(kernel, block).tolist() == [0.0, 0.0]
+    model = build_model(margins)
+    assert f_F_density(model, np.array([[0.5 - 1e-13, 0.5 + 1e-13]])).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("psi_count", [1, 2])

@@ -1,13 +1,14 @@
 """Quadrature blocks that carry their columns' levels.
 
-The ordered and curved rules hand each block to its integrand as an array
-whose column j is values[index] for a few values per column.  f_F, c_F,
-c_delta and the multidiagonal shift then read every term of one coordinate
-once per value and gather it.  Those terms are elementwise, so the level
-route must give the plain-array route's bits: the same blocks copied to
-plain arrays, and the row-wise code of test_column_passes, which fixes the
-order in which the terms are summed.  On the rules' own blocks the work
-must follow the levels, not the points.
+The ordered rule hands each block to its integrand as an array whose
+column j is values[index] for a few values per column; at d = 2 c_F reads
+those blocks mapped through the margins' cdfs.  f_F, c_F, c_delta and the
+multidiagonal shift then read every term of one coordinate once per value
+and gather it.  Those terms are elementwise, so the level route must give
+the plain-array route's bits: the same blocks copied to plain arrays, and
+the row-wise code of test_column_passes, which fixes the order in which
+the terms are summed.  On the rule's own blocks the work must follow the
+levels, not the points.
 """
 
 import functools
@@ -21,7 +22,7 @@ from maxentos import (CopulaKernel, MarginalVector, Multidiagonal, build_model,
                       multidiagonal_from_marginals, multidiagonal_of_iid_uniform,
                       symmetrize_density, verify)
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
-                           PiecewiseLinearCdf, _level_block, _LevelBlock)
+                           PiecewiseLinearCdf, _Columns, _level_block, _LevelBlock)
 from maxentos.copula import _rows_sorted
 from maxentos.hazards import ExpPairHazard
 from test_column_passes import (_ref_c_delta_density, _ref_c_F_density,
@@ -84,20 +85,19 @@ def _subject(name):
         lo = min(float(m.ppf(1e-12)) for m in margins)
         hi = max(float(m.ppf(1.0 - 1e-12)) for m in margins)
         cuts = sorted({float(k) for m in margins for k in m.knots() if lo < float(k) < hi})
+        joint = _blocks(lambda fn: verify.simplex_integral(fn, d, lo, hi, nodes=nodes,
+                                                           cuts=cuts))
         cases["f_F"] = (lambda X: f_F_density(model, X),
-                        lambda X: _ref_f_F_density(model, X),
-                        _blocks(lambda fn: verify.simplex_integral(fn, d, lo, hi, nodes=nodes,
-                                                                   cuts=cuts)))
+                        lambda X: _ref_f_F_density(model, X), joint)
 
         def c_fn(U):
             return c_F_density(margins, U, hazards=model.hazards)
         ref_c = functools.partial(_ref_c_F_density, margins, hazards=model.hazards)
         if d == 2:
-            m1, m2 = margins
-            region = _blocks(lambda fn: verify.ordered_region_integral_2d(
-                fn, lambda t: np.asarray(m1.cdf(m2.ppf(t)), dtype=float),
-                outer_cuts=[float(m2.cdf(k)) for k in cuts],
-                inner_cuts=[float(m1.cdf(k)) for k in cuts]))
+            # the shift identity's c_F half: the ordered rule's blocks on the
+            # marginal scale, mapped through the cdfs
+            region = [_Columns.of(X).map_each([m.cdf for m in margins]).block()
+                      for X in joint]
         else:
             region = unit
         cases["c_F"] = (c_fn, ref_c, region)

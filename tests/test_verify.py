@@ -7,13 +7,13 @@ import time
 import tracemalloc
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from maxentos import (MarginalVector, Multidiagonal, marginals,
-                      multidiagonal_of_iid_uniform, run_full_verification)
+                      multidiagonal_from_marginals, multidiagonal_of_iid_uniform,
+                      run_full_verification)
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
                            PiecewiseLinearCdf, UniformCdf)
 from maxentos.copula import CopulaKernel, c_delta_density, copula_entropy_closed
@@ -21,8 +21,7 @@ from maxentos.errors import DimensionTooLarge
 from maxentos.hazards import TableHazard, pair_hazard
 from maxentos.verify import (_BLOCK, DEFAULT_NODES, _axis_panels,
                              _run_pattern_sum, ks_distance, mc_entropy,
-                             ordered_region_integral_2d, quad_entropy,
-                             simplex_integral)
+                             quad_entropy, simplex_integral)
 
 
 def test_axis_rule_integrates_polynomials():
@@ -175,75 +174,6 @@ def test_integrand_calls_stay_within_a_block(d, nodes):
     assert sum(sizes) == q ** d * math.comb(panels + d - 1, d)
 
 
-def test_ordered_region_integral():
-    area = ordered_region_integral_2d(lambda U: np.ones(len(U)), lambda t: t)
-    assert area == pytest.approx(0.5, abs=1e-12)
-    kinked = ordered_region_integral_2d(
-        lambda U: np.abs(U[:, 1] - 0.5), lambda t: np.ones_like(t),
-        outer_cuts=[0.5])
-    assert kinked == pytest.approx(0.25, abs=1e-12)
-
-
-def test_ordered_region_integral_calls_stay_within_a_block():
-    # no call per outer node: the points run in blocks of at most _BLOCK,
-    # every block full but the last
-    calls = []
-
-    def fn(U):
-        calls.append(len(U))
-        return np.ones(len(U))
-
-    area = ordered_region_integral_2d(fn, lambda t: t, outer_cuts=[0.5],
-                                      inner_cuts=[0.25])
-    assert area == pytest.approx(0.5, abs=1e-12)
-    assert max(calls) <= _BLOCK
-    assert len(calls) == math.ceil(sum(calls) / _BLOCK) > 1
-
-
-def _curved_reference(fn, upper, nodes, outer_cuts, inner_cuts):
-    # the rule point by point: under each outer node, every inner panel
-    # wholly below upper, then the one across it cut at upper
-    unit, q = _axis_panels(nodes)
-    xg, wg = leggauss(q)
-    t, wt = 0.5 * (xg + 1.0), 0.5 * wg
-
-    def panels(cuts, top):
-        ends = [0.0, *sorted(c for c in cuts if 0.0 < c < top), top]
-        return [(a + (b - a) * lo, a + (b - a) * hi) for a, b in zip(ends[:-1], ends[1:])
-                for lo, hi in zip(unit[:-1], unit[1:])]
-
-    outer = [(a + (b - a) * tk, (b - a) * wk) for a, b in panels(outer_cuts, 1.0)
-             for tk, wk in zip(t, wt)]
-    ups = [float(upper(np.array([u2]))[0]) for u2, _ in outer]
-    inner = panels(inner_cuts, max(1.0, *ups))
-    acc = 0.0
-    for (u2, w2), up in zip(outer, ups):
-        for a, b in inner:
-            if a >= up:
-                break
-            b = min(b, up)
-            u1 = a + (b - a) * t
-            vals = fn(np.column_stack([u1, np.full(q, u2)]))
-            acc += w2 * float(np.sum((b - a) * wt * vals))
-    return acc
-
-
-@pytest.mark.parametrize("upper, outer_cuts, inner_cuts", [
-    (lambda t: t, [], []),
-    (lambda t: 0.3 + 0.6 * t ** 2, [0.4], [0.2, 0.7]),
-    (lambda t: np.maximum(0.0, 2.0 * t - 1.0), [0.5], [0.3]),
-    (lambda t: 2.0 * t, [0.25], [0.5, 1.5]),
-])
-def test_ordered_region_integral_matches_pointwise_panels(upper, outer_cuts, inner_cuts):
-    # a kink off the cuts: the rule is off the integral far above 1e-13, so
-    # only the same points and weights match the reference
-    fn = lambda U: np.exp(-U[:, 0] * U[:, 1]) * (1.0 + np.sqrt(np.abs(U[:, 0] - 0.37)))
-    got = ordered_region_integral_2d(fn, upper, nodes=64, outer_cuts=outer_cuts,
-                                     inner_cuts=inner_cuts)
-    expect = _curved_reference(fn, upper, 64, outer_cuts, inner_cuts)
-    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
-
-
 # (t, theta(t)) of the quadrature tables: six table nodes, where theta is
 # the cumulative Gauss sum, then four points inside panels, where it adds
 # the panel's series
@@ -274,8 +204,9 @@ _TABLE_THETA = {
 
 
 def test_gauss_rules_keep_their_bits():
-    # the hazard tables and both battery rules read one unit Gauss-Legendre
-    # rule; the values below were taken with a copy of it per caller
+    # the hazard tables and the battery's ordered rule read one unit
+    # Gauss-Legendre rule; the values below were taken with a copy of it
+    # per caller
     for fp, fc, pins in _TABLE_THETA.values():
         hz = pair_hazard(fp, fc)
         assert isinstance(hz, TableHazard)
@@ -286,84 +217,65 @@ def test_gauss_rules_keep_their_bits():
                    (3, "0x1.b7b511ed4830ap-2")]:
         got = simplex_integral(fn, d, -0.5, 1.5, nodes=64, cuts=[0.25, 0.8])
         assert got.hex() == pin
-    g = lambda U: np.exp(-U[:, 0] * U[:, 1]) * (1.0 + np.sqrt(np.abs(U[:, 0] - 0.37)))
-    got = ordered_region_integral_2d(g, lambda t: 0.3 + 0.6 * t ** 2, nodes=64,
-                                     outer_cuts=[0.4], inner_cuts=[0.2, 0.7])
-    assert got.hex() == "0x1.2dd3381e2aa1bp-1"
-
-
-@pytest.mark.parametrize("upper, outer_cuts, inner_cuts, exact", [
-    # area of {u1 <= 2 u2}: the inner axis runs past 1
-    (lambda t: 2.0 * t, [], [], 1.0),
-    (lambda t: 2.0 * t, [0.3], [0.5, 1.2], 1.0),
-    # zero on [0, 1/2]: those outer nodes add nothing
-    (lambda t: np.maximum(0.0, 2.0 * t - 1.0), [0.5], [0.25], 0.25),
-    (lambda t: t ** 2, [0.3, 0.7], [0.25, 0.6], 1.0 / 3.0),
-])
-def test_ordered_region_integral_exact_on_polynomials(upper, outer_cuts, inner_cuts, exact):
-    area = ordered_region_integral_2d(lambda U: np.ones(len(U)), upper,
-                                      outer_cuts=outer_cuts, inner_cuts=inner_cuts)
-    assert area == pytest.approx(exact, abs=1e-14)
-    # u1^3 u2^2 + u1 u2 integrates in u1 to a polynomial in upper(u2)
-    fn = lambda U: U[:, 0] ** 3 * U[:, 1] ** 2 + U[:, 0] * U[:, 1]
-    inner = lambda y: (lambda v: v ** 4 / 4 * y ** 2 + v ** 2 / 2 * y)(
-        float(upper(np.array([float(y)]))[0]))
-    expect = float(mpmath.quad(inner, [0.0, *sorted(outer_cuts), 1.0]))
-    got = ordered_region_integral_2d(fn, upper, outer_cuts=outer_cuts,
-                                     inner_cuts=inner_cuts)
-    assert got == pytest.approx(expect, abs=1e-14)
 
 
 def _shift_identity_cF_half(margins, monkeypatch):
     """The entropy_shift_identity verdict, and the c_F half's integrand,
-    region and cuts as the check hands them to the curved rule."""
+    dimension, region and cuts as the check hands them to the ordered rule:
+    its first simplex_integral call, on the marginal scale."""
     from maxentos import verify
     calls = []
-    curved = verify.ordered_region_integral_2d
+    simplex = verify.simplex_integral
 
-    def recorded(fn, upper_fn, **kwargs):
-        calls.append((fn, upper_fn, kwargs))
-        return curved(fn, upper_fn, **kwargs)
+    def recorded(fn, d, *args, **kwargs):
+        calls.append((fn, d, args, kwargs))
+        return simplex(fn, d, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "ordered_region_integral_2d", recorded)
+    monkeypatch.setattr(verify, "simplex_integral", recorded)
     checks = dict(verify._marginal_checks(margins, seed=0, n_samples=500, grid=256))
     result = checks["entropy_shift_identity"]()
     monkeypatch.undo()
-    assert len(calls) == 1
+    assert len(calls) == 2
     return result, calls[0]
 
 
 SHIFT_SUBJECTS = {
     "beta2": (BetaOneKCdf(2), BetaOneKCdf(1)),
     "beta3_exp1": (BetaOneKCdf(3), ExponentialCdf(1.0)),
+    "tent": (PiecewiseLinearCdf(((0, 0), (0.5, 0.75), (1, 1))),
+             PiecewiseLinearCdf(((0, 0), (0.5, 0.25), (1, 1)))),
 }
 
 
 @pytest.mark.parametrize("subject", sorted(SHIFT_SUBJECTS))
 def test_shift_identity_cF_half_reads_few_levels(subject, monkeypatch):
-    # every outer node shares the inner panels' nodes, so c_F sees a few
-    # thousand u1 levels; a fresh inner rule per outer node sent 282,140
-    # (beta2) and 242,061 (beta3_exp1)
-    result, (fn, upper, kwargs) = _shift_identity_cF_half(
-        MarginalVector(SHIFT_SUBJECTS[subject]), monkeypatch)
+    # the ordered rule's x1 column repeats a few nodes per panel, and the
+    # half maps each through F_1 once, so c_F sees a few thousand u1
+    # levels; a fresh inner rule per outer node of a curved-region rule
+    # sent 282,140 (beta2) and 242,061 (beta3_exp1)
+    margins = MarginalVector(SHIFT_SUBJECTS[subject])
+    result, (fn, d, args, kwargs) = _shift_identity_cF_half(margins, monkeypatch)
     assert result.passed and result.value < 1e-8
+    from maxentos import verify
     levels = []
+    c_F = verify.c_F_density
 
-    def counted(U):
+    def counted(m, U, **kw):
         levels.append(U[:, 0].copy())
-        return fn(U)
+        return c_F(m, U, **kw)
 
-    ordered_region_integral_2d(counted, upper, **kwargs)
+    monkeypatch.setattr(verify, "c_F_density", counted)
+    simplex_integral(fn, d, *args, **kwargs)
     assert np.unique(np.concatenate(levels)).size <= 20_000
 
 
 def test_shift_identity_cF_half_peak_memory(beta2, monkeypatch):
     # blocks of at most _BLOCK points; one call on every point peaked at
     # 36.9 MB
-    _, (fn, upper, kwargs) = _shift_identity_cF_half(beta2, monkeypatch)
+    _, (fn, d, args, kwargs) = _shift_identity_cF_half(beta2, monkeypatch)
     tracemalloc.start()
     try:
-        ordered_region_integral_2d(fn, upper, **kwargs)
+        simplex_integral(fn, d, *args, **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -516,6 +428,21 @@ def test_verdicts_are_python_bools():
     rep = run_full_verification(MarginalVector((UniformCdf(0.0, 1.0), ExponentialCdf(1.0))),
                                 n_samples=4000)
     assert {type(c.passed) for c in rep.checks} <= {bool, type(None)}
+
+
+def test_nan_check_value_fails_its_check():
+    # on Uniform(0,1)/Exp(1), B_2 is inf and E_1 is 0 at t = 1/1024 and
+    # 2/1024, so B E - gap is NaN there; a running max that kept the
+    # earlier value over a NaN read PASS 5.55e-17
+    from maxentos import verify
+    delta = multidiagonal_from_marginals(
+        MarginalVector((UniformCdf(0.0, 1.0), ExponentialCdf(1.0))))
+    named = dict(verify._delta_checks(delta, seed=0, n_samples=4000, grid=1024,
+                                      prefix="delta_"))
+    # B_2 overflows to inf and B E - gap reads inf * 0 there
+    with np.errstate(invalid="ignore", over="ignore"):
+        result = named["delta_BE_identity"]()
+    assert result.status == "FAIL" and math.isnan(result.value)
 
 
 def test_check_times_sum_within_battery_wall_time():
