@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import InvalidMarginal
+from .errors import InvalidMarginal, RootBracketFailure
 
 _XLOGX_CLIP = 1e-300
 #: relative tolerance of the tanh-sinh panel rule behind every 1-D quadrature;
@@ -33,6 +33,8 @@ _PANEL_ATOL = 5e-324
 #: _TS_MINLEVEL, each later one halves the step, up to _TS_MAXLEVEL; level
 #: 0 has _TS_BASE_STEPS steps on each side
 _TS_MINLEVEL, _TS_MAXLEVEL, _TS_BASE_STEPS = 2, 10, 8
+#: reads _newton_level gives a point before it raises
+_NEWTON_READS = 100
 
 
 def _per_distinct(fn, x):
@@ -683,35 +685,28 @@ class PiecewiseLinearCdf(MarginalCdf):
         return d
 
 
-def _newton_level(read, targets, lo, hi, iters=100):
+def _newton_level(read, targets, lo, hi):
     """inf{s in [lo, hi] : F(s) >= target} by bracketed Newton.
 
     F is nondecreasing and the level lies in [lo, hi].  Each iterate makes
     one call read(x) on the 1-D array x of the points still moving, which
     returns the value F(x) and the slope F'(x) together: a caller that gets
     both from one piece of work (one G^{-1} solve, one series) keeps no
-    state between iterates.  Each evaluation shrinks the bracket.  A Newton
-    step strictly inside the bracket is taken; where the slope is zero,
-    infinite or NaN, or the step reaches or leaves a bracket end, the point
-    bisects, on the float ordering where its bracket spans more than a
-    factor of 1024 on one side of 0, so from [0, 1] it reaches a root near
-    1e-300 in about 70 evaluations.  On a function resolved only to a few
-    ulps, Newton could otherwise step from one end onto the other and back
-    for ever.  A point settles when its raw Newton step falls below 1e-15
-    relative (roots near 0, down to subnormals, keep their leading digits)
-    from below the level, or when no float lies between its bracket ends.  A
-    small step from above first probes just below the root, so a flat
-    stretch at the level is not mistaken for its right end.  A probe below a
-    point that read the level exactly, that reads it too, shows such a
-    stretch.  Wherever one float step moves the rounded function by less
-    than an ulp of the level, it reads the level over about 2 such ulps
-    divided by the slope, so the point next probes that far below.  From
-    then on it bisects where it would probe and settles only when its
-    bracket closes, at hi: the stretch's left end to the ulp, reached
-    without creeping down the stretch a few ulps per evaluation, and
-    without bisecting from a far bracket end where the stretch is only
-    rounding.  A point still moving after iters evaluations gets its
-    bracket's hi.
+    state between iterates.  A point that reads below its level becomes its
+    bracket's lo, any other its hi, and it settles when no float lies
+    between the two, at hi: where both ends were read, F(hi) >= target >
+    F(the float below hi).  The next iterate is the Newton step where that
+    lands strictly inside the bracket, one float toward the level where the
+    step rounds back onto x, and elsewhere (a zero, infinite or NaN slope,
+    a step that reaches or leaves an end) the bisection point, on the float
+    ordering where the bracket spans more than a factor of 1024 on one side
+    of 0, so from [0, 1] it reaches a root near 1e-300 in about 70 reads.
+    A point that read its level exactly steps as if it read 2 ulps of the
+    level above it: wherever one float step moves the rounded F by less
+    than an ulp of the level, F reads the level over about that width, so
+    the point crosses such a stretch toward its left end in one step
+    instead of creeping down it.  A point still moving after _NEWTON_READS
+    reads raises RootBracketFailure.
     """
     targets = np.asarray(targets, dtype=float)
     shape = targets.shape
@@ -721,68 +716,47 @@ def _newton_level(read, targets, lo, hi, iters=100):
     out = np.empty(t.size)
     idx = np.arange(t.size)
     x = 0.5 * (lo + hi)
-    # places, among the points still moving, of those probed below a point
-    # that read the level exactly, and of those on a flat stretch: few
-    probed = flat = np.empty(0, dtype=np.intp)
-    for _ in range(iters):
+    for _ in range(_NEWTON_READS):
         if idx.size == 0:
-            break
+            return out.reshape(shape)
         value, f = read(x)
         r = np.asarray(value, dtype=float) - t
         f = np.asarray(f, dtype=float)
         below = r < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        # a zero, infinite or NaN slope gives an infinite or NaN step,
-        # which fails both tests below: the point bisects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = r / np.where(np.isfinite(f), f, 0.0)
-        xn = x - step
-        tol = 1e-15 * np.abs(x) + 5e-324
-        small = np.abs(step) <= tol
-        mid = 0.5 * (lo + hi)
-        # on one side of 0 and over a factor of 1024: the int64 views' midpoint
-        a, b = np.abs(lo), np.abs(hi)
-        far = np.flatnonzero(((lo >= 0.0) | (hi <= 0.0))
-                             & (np.maximum(a, b) / 1024.0 > np.minimum(a, b)))
-        if far.size:
-            ia, ib = a[far].view(np.int64), b[far].view(np.int64)
-            mid[far] = np.copysign((ia + (ib - ia) // 2).view(np.float64), lo[far] + hi[far])
-        x = np.where((xn > lo) & (xn < hi), xn, mid)
-        # a probe that reads the level again shows a flat stretch: the
-        # point probes a plateau width below (bisecting where that leaves
-        # the bracket), and from then on keeps x (mid, or a Newton step
-        # inside the bracket) instead of probing, and settles only when
-        # its bracket closes, at hi: the stretch's left end
-        found = probed[~below[probed]] if probed.size else probed
-        if found.size:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                wide = hi[found] - 2.0 * np.spacing(np.abs(t[found])) / f[found]
-            inside = (wide > lo[found]) & (wide < hi[found])
-            x[found[inside]] = wide[inside]
-            flat = np.concatenate([flat, found])
-        if flat.size:
-            small[flat] = False
-        settled = (small & below) | (mid <= lo) | (mid >= hi)
-        # integer indices: boolean masks gather far slower here
-        rise = np.flatnonzero(small & ~below)
-        probed = rise
-        if rise.size:
-            # a few ulps below the root estimate, well inside the tolerance
-            probe = np.nextafter(xn[rise] - 0.25 * tol[rise], -math.inf)
-            settled[rise] |= probe <= lo[rise]
-            x[rise] = probe
-            probed = rise[r[rise] == 0.0]
-        done = np.flatnonzero(settled)
+        closed = np.nextafter(lo, math.inf) >= hi
+        done = np.flatnonzero(closed)
         if done.size:
-            out[idx[done]] = np.where(small[done], np.clip(xn[done], lo[done], hi[done]), hi[done])
-            keep = ~settled
-            if probed.size or flat.size:
-                place = np.cumsum(keep) - 1
-                probed, flat = place[probed[keep[probed]]], place[flat[keep[flat]]]
-            keep = np.flatnonzero(keep)
-            idx, t, lo, hi, x = idx[keep], t[keep], lo[keep], hi[keep], x[keep]
-    out[idx] = hi
+            out[idx[done]] = hi[done]
+            # integer indices: boolean masks gather far slower here
+            keep = np.flatnonzero(~closed)
+            idx, t, lo, hi, x, r, f, below = (
+                a[keep] for a in (idx, t, lo, hi, x, r, f, below))
+        # a point that read its level exactly steps as from 2 ulps above it
+        exact = np.flatnonzero(r == 0.0)
+        r[exact] = 2.0 * np.spacing(np.abs(t[exact]))
+        # a zero, infinite or NaN slope gives an infinite or NaN step,
+        # which lands neither inside the bracket nor on x: the point bisects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xn = x - r / np.where(np.isfinite(f), f, 0.0)
+        onto = np.flatnonzero(xn == x)
+        xn[onto] = np.nextafter(x[onto], np.where(below[onto], math.inf, -math.inf))
+        x = xn
+        bisect = np.flatnonzero(~((x > lo) & (x < hi)))
+        if bisect.size:
+            a, b = lo[bisect], hi[bisect]
+            mid = 0.5 * (a + b)
+            # on one side of 0 and over a factor of 1024: the int64 views' midpoint
+            side = (a >= 0.0) | (b <= 0.0)
+            a, b = np.abs(a), np.abs(b)
+            far = np.flatnonzero(side & (np.maximum(a, b) / 1024.0 > np.minimum(a, b)))
+            ia, ib = a[far].view(np.int64), b[far].view(np.int64)
+            mid[far] = np.copysign((ia + (ib - ia) // 2).view(np.float64), mid[far])
+            x[bisect] = mid
+    if idx.size:
+        raise RootBracketFailure(f"{idx.size} of {out.size} levels still moving after "
+                                 f"{_NEWTON_READS} reads")
     return out.reshape(shape)
 
 
@@ -988,9 +962,10 @@ def generalized_inverse(J, t, lo=None, hi=None):
     numerically: the bracket [lo, hi] is expanded geometrically until it
     straddles the level (default start [-1, 1]), then bisected by
     _newton_level on a NaN slope, J read at one float at a time, until no
-    float lies between the bracket's ends: bisecting on the float ordering,
-    it closes any finite bracket within its 100 reads.  Returns -inf when
-    every s satisfies J(s) >= t and +inf when none does.
+    float lies between the bracket's ends, whose upper one it returns:
+    J(s) >= t > J(the float below s).  Bisecting on the float ordering, it
+    closes any finite bracket within _NEWTON_READS reads.  Returns -inf
+    when every s satisfies J(s) >= t and +inf when none does.
     """
     if isinstance(J, MarginalCdf):
         return J.ppf(t)

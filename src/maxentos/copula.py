@@ -445,8 +445,7 @@ def c_F_density(margins: MarginalVector, u, *, hazards=None) -> np.ndarray:
     for c in u.T:
         interior &= (c > 0.0) & (c < 1.0)
     ms = margins.margins
-    xs = _Columns.of(block).map_each(
-        [lambda c, m=m: m.ppf(np.clip(c, 1e-300, 1.0)) for m in ms])
+    xs = _Columns.of(block).map_each([m.ppf for m in ms])
     x = xs.block()
     # rows with a u on the cube edge map to infinite x; keep them out of
     # the support test, whose gap arithmetic reads inf - inf there

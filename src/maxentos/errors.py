@@ -26,7 +26,7 @@ class Degenerate(MaxentError):
 
 
 class RootBracketFailure(MaxentError):
-    """A root bracket for the conditional sampler could not be established."""
+    """A root bracket could not be established, or did not close within its reads."""
 
 
 class DimensionTooLarge(MaxentError):

@@ -128,7 +128,7 @@ def _ref_c_F_density(margins, u, hazards):
     interior = np.all((u > 0.0) & (u < 1.0), axis=1)
     x = np.empty_like(u)
     for j in range(d):
-        x[:, j] = margins.margins[j].ppf(np.clip(u[:, j], 1e-300, 1.0))
+        x[:, j] = margins.margins[j].ppf(u[:, j])
     valid = interior.copy()
     if np.any(interior):
         valid[interior] = _ref_in_support_LF(margins, x[interior])

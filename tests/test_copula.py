@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -351,13 +352,37 @@ def test_density_is_zero_across_separation_intervals():
                               PiecewiseLinearCdf([(0, 0), (0.5, 0.75), (1, 1)])))
     kernel = CopulaKernel(multidiagonal_from_marginals(margins))
     e = kernel.psis[2].intervals[0][1]
-    assert e == 0.7499999999999976
+    assert e == 0.7499999999999978
     rows = np.array([[e - 2e-13, e + 2e-13], [e - 4e-13, e + 4e-13]])
     assert c_delta_density(kernel, rows).tolist() == [0.0, 0.0]
     block = _level_block([(rows[:, 0], np.arange(2)), (rows[:, 1], np.arange(2))])
     assert c_delta_density(kernel, block).tolist() == [0.0, 0.0]
     model = build_model(margins)
     assert f_F_density(model, np.array([[0.5 - 1e-13, 0.5 + 1e-13]])).tolist() == [0.0]
+
+
+def _exp_pair_c_F(u1, u2, rate_prev, rate_cur):
+    """c_F(u1, u2) of two exponential margins at 50 digits:
+    exp(theta(x1) - theta(x2)) / (F_1(x2) - u2) with x_j = F_j^{-1}(u_j) and
+    theta(t) = rate_cur (t + log(1 - e^{-drop t}) / drop), drop their
+    difference."""
+    with mp.workdps(50):
+        u1, u2 = mp.mpf(u1), mp.mpf(u2)
+        rp, rc = mp.mpf(rate_prev), mp.mpf(rate_cur)
+        drop = rp - rc
+        theta = lambda t: rc * (t + mp.log(-mp.expm1(-drop * t)) / drop)
+        x1, x2 = -mp.log1p(-u1) / rp, -mp.log1p(-u2) / rc
+        return mp.exp(theta(x1) - theta(x2)) / (-mp.expm1(-rp * x2) - u2)
+
+
+@pytest.mark.parametrize("u1", [1e-301, 1e-310])
+def test_c_F_density_reads_levels_below_1e_300(u1):
+    # near u1 = 0 the density falls like x1^(rate_cur / drop), here x1^(1/29);
+    # levels clipped at 1e-300 all read 4.515e-11, its value there
+    margins = MarginalVector((ExponentialCdf(3.0), ExponentialCdf(0.1)))
+    got = c_F_density(margins, np.array([[u1, 0.5]]))[0]
+    expect = _exp_pair_c_F(u1, 0.5, 3.0, 0.1)
+    assert abs(got - expect) <= 1e-14 * expect, (got, float(expect))
 
 
 @pytest.mark.parametrize("psi_count", [1, 2])

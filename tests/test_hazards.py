@@ -261,23 +261,23 @@ def test_tail_solve_from_the_start_of_an_unbounded_interval():
 
 
 def test_tail_solve_snaps_points_between_two_intervals():
-    # the knot-touch pair: Psi = (0, d0) and (g1, 1), d0 and g1 within 2e-15
-    # of the knot 1/2, slack 1e-9 times the wider interval.  A point in
+    # the knot-touch pair: Psi = (0, d0) and (g1, 1), d0 and g1 2^-49 either
+    # side of the knot 1/2, slack 1e-9 times the wider interval.  A point in
     # [d0, g1], or just past 1 or 0, lands in the nearest interval, 1e-12 of
-    # its width inside; these are the values the sampler's separate snap
-    # step (now in the hazard) gave
+    # its width inside, and the knot itself, at a tie, in the first
     hz = MarginalVector((BetaOneKCdf(2), PiecewiseLinearCdf(((0.0, 0.0), (0.5, 0.75),
                                                               (1.0, 1.0))))).pairs[0].hazard
     (_, d0), (g1, _) = hz.psi
+    assert 0.5 - d0 == g1 - 0.5 == 2.0 ** -49
     s = np.array([d0, np.nextafter(d0, 1.0), 0.5, np.nextafter(g1, 0.0), g1,
                   1.0, 1.0 + 1e-10, 0.0, -4e-10])
-    left, right = "0x1.fffffffffdcaep-2", "0x1.00000000011a8p-1"
-    top, bottom = "0x1.fffffffffee68p-1", "0x1.19799812de9fep-41"
+    left, right = "0x1.fffffffffdcb1p-2", "0x1.00000000011a8p-1"
+    top, bottom = "0x1.fffffffffee68p-1", "0x1.19799812de9ffp-41"
     # a zero target solves to the placed point itself
     assert [x.hex() for x in hz.solve_tail(s, 0.0)] == \
-        [left, left, right, right, right, top, top, bottom, bottom]
+        [left, left, left, right, right, top, top, bottom, bottom]
     placed = np.array([float.fromhex(x) for x in (left, right, top, bottom)])
-    assert np.array_equal(hz.solve_tail(s, 0.7)[[0, 2, 5, 7]], hz.solve_tail(placed, 0.7))
+    assert np.array_equal(hz.solve_tail(s, 0.7)[[0, 3, 5, 7]], hz.solve_tail(placed, 0.7))
 
 
 @pytest.mark.parametrize("s", [1.0 + 1e-8, -1e-3, 1.5, math.inf, math.nan])

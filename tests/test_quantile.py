@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from maxentos import MarginalVector, average_cdf, cdfs, multidiagonal_from_marginals
 from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ComposedDeltaCdf,
                            ExponentialCdf, OrderStatUniformCdf, PiecewiseLinearCdf)
-from maxentos.hazards import TableHazard
+from maxentos.errors import RootBracketFailure
+from maxentos.hazards import TableHazard, _cdf_gap_terms
+from maxentos.marginals import _excess
 
 TENT = (((0.0, 0.0), (0.5, 0.75), (1.0, 1.0)),
         ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))
@@ -164,13 +166,14 @@ def test_average_ppf_evaluation_count(name, monkeypatch):
     assert per_point <= 8.0, per_point
 
 
-def test_newton_level_cap_returns_bracket_hi():
-    # one evaluation at the midpoint 0.5 lands above the level 0.3 and
-    # leaves the bracket (0, 0.5]; a point cut off there gets its hi
-    from maxentos.cdfs import _newton_level
+def test_newton_level_raises_at_the_cap(monkeypatch):
+    # one read at the midpoint 0.5 lands above the level 0.3 and leaves
+    # the bracket (0, 0.5] open: a point still moving at the cap raises
     ident = lambda x: (x, np.ones_like(x))
-    assert _newton_level(ident, np.array([0.3]), 0.0, 1.0, iters=1)[0] == 0.5
-    assert _newton_level(ident, np.array([0.3]), 0.0, 1.0)[0] == 0.3
+    assert cdfs._newton_level(ident, np.array([0.3]), 0.0, 1.0)[0] == 0.3
+    monkeypatch.setattr(cdfs, "_NEWTON_READS", 1)
+    with pytest.raises(RootBracketFailure):
+        cdfs._newton_level(ident, np.array([0.3]), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("u", [np.linspace(0.01, 0.99, 99), np.array([1.0])])
@@ -201,6 +204,25 @@ def test_composed_ppf_solves_g_inverse_once_per_iterate(u, monkeypatch):
     assert len(iterates) > 0 and len(solves) == len(iterates)
 
 
+def _solver_reads(F, u, x):
+    """What the root solver compares at x, and the level it compares with:
+    G^{-1} reads G's cdf against u up to 1/2 and its -sf against -(1 - u)
+    above; a delta_i reads its cdf."""
+    if isinstance(F, AverageCdf):
+        low = u <= 0.5
+        return np.where(low, F.cdf(x), -F.sf(x)), np.where(low, u, -(1.0 - u))
+    return F.cdf(x), u
+
+
+def _assert_left_ends(F, u, x):
+    """x = inf{s : F(s) >= u} to the float, on the function the solver
+    reads: F(x) >= u > F(the float below x)."""
+    value, level = _solver_reads(F, u, x)
+    below, _ = _solver_reads(F, u, np.nextafter(x, -np.inf))
+    miss = ~((value >= level) & (level > below))
+    assert not miss.any(), (u[miss], x[miss])
+
+
 def _exp3_components():
     comps = [ExponentialCdf(r) for r in (3.0, 2.0, 1.0)]
     G = AverageCdf(comps)
@@ -223,22 +245,25 @@ def test_composed_ppf_at_one_is_where_cdf_first_reads_one(monkeypatch):
         assert F.cdf(r) == 1.0 and F.cdf(np.nextafter(r, 0.0)) < 1.0
 
 
-# F.ppf at 0.1, 0.5, 0.9 and 0.99 before flat stretches were bisected; each
-# of these solves settles through a probe that falls below the level
-_PROBE_BELOW_BITS = (
-    ("0x1.144341ff27d38p-4", "0x1.6f63eeb78bf7ap-2", "0x1.7af2a74b23d4ep-1",
+# F.ppf at 0.1, 0.5, 0.9 and 0.99, whose solves once settled through a probe
+# below an unread Newton estimate, five of them a float or two from the left
+# end; six of the twelve moved when the solver settled only on a closed bracket
+_EXP3_DELTA_BITS = (
+    ("0x1.144341ff27d38p-4", "0x1.6f63eeb78bf7cp-2", "0x1.7af2a74b23d4dp-1",
      "0x1.d19a488f6923fp-1"),
-    ("0x1.96306484107f6p-4", "0x1.eb4b6eed61988p-2", "0x1.b3911c794e18ap-1",
-     "0x1.ed0e560418938p-1"),
-    ("0x1.7ef9db22d0e57p-3", "0x1.6aaaaaaaaaaabp-1", "0x1.ed0e560418937p-1",
+    ("0x1.96306484107f6p-4", "0x1.eb4b6eed61989p-2", "0x1.b3911c794e18ap-1",
+     "0x1.ed0e560418937p-1"),
+    ("0x1.7ef9db22d0e58p-3", "0x1.6aaaaaaaaaaabp-1", "0x1.ed0e560418938p-1",
      "0x1.fe46ae3a3a8e7p-1"),
 )
 
 
-def test_composed_ppf_keeps_bits_where_probe_falls_below():
+def test_composed_ppf_settles_at_left_ends():
     u = np.array([0.1, 0.5, 0.9, 0.99])
-    for F, bits in zip(_exp3_components(), _PROBE_BELOW_BITS):
-        assert [x.hex() for x in F.ppf(u)] == list(bits)
+    for F, bits in zip(_exp3_components(), _EXP3_DELTA_BITS):
+        x = F.ppf(u)
+        assert [v.hex() for v in x] == list(bits)
+        _assert_left_ends(F, u, x)
 
 
 # beta2 levels where one float step below the root moves G by less than an
@@ -303,58 +328,58 @@ _ROOT_BITS = {
          "0x1.79df78456dfaap-2", "0x1.95f55026a4bcdp-1", "0x1.74e0bf4da5497p+0",
          "0x1.c49eaf95181b0p+1", "0x1.1d1b02751cfe2p+5", "inf"),
         ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cap-333", "0x1.33721ba905bd2p-54",
-         "0x1.b56501f5f6144p-8", "0x1.144341ff27d38p-4", "0x1.603a2d4eae6b1p-3",
-         "0x1.6f63eeb78bf7ap-2", "0x1.2617491469cc8p-1", "0x1.7af2a74b23d4ep-1",
+         "0x1.b56501f5f6144p-8", "0x1.144341ff27d38p-4", "0x1.603a2d4eae6b2p-3",
+         "0x1.6f63eeb78bf7cp-2", "0x1.2617491469cc7p-1", "0x1.7af2a74b23d4dp-1",
          "0x1.d19a488f6923fp-1", "0x1.ffffc276b3b7dp-1", "0x1.ffffd5554aaabp-1"),
-        ("0x1.56e1fc2f8f358p-997", "0x1.bff2ee48e0530p-333", "0x1.cd2b297d889bcp-54",
-         "0x1.47682ce55a582p-7", "0x1.96306484107f6p-4", "0x1.f56368c874d1dp-3",
-         "0x1.eb4b6eed61988p-2", "0x1.6aaaaaaaaaaabp-1", "0x1.b3911c794e18ap-1",
-         "0x1.ed0e560418938p-1", "0x1.ffffffdb0cb17p-1", "0x1.ffffffeaaaaabp-1"),
-        ("0x1.56e1fc2f8f358p-996", "0x1.bff2ee48e0530p-332", "0x1.cd2b297d889bbp-53",
-         "0x1.45803cd141a6ap-6", "0x1.7ef9db22d0e57p-3", "0x1.b000000000001p-2",
-         "0x1.6aaaaaaaaaaabp-1", "0x1.c800000000000p-1", "0x1.ed0e560418937p-1",
+        ("0x1.56e1fc2f8f359p-997", "0x1.bff2ee48e0530p-333", "0x1.cd2b297d889bcp-54",
+         "0x1.47682ce55a582p-7", "0x1.96306484107f6p-4", "0x1.f56368c874d1ep-3",
+         "0x1.eb4b6eed61989p-2", "0x1.6aaaaaaaaaaabp-1", "0x1.b3911c794e18ap-1",
+         "0x1.ed0e560418937p-1", "0x1.ffffffdb0cb17p-1", "0x1.ffffffeaaaaabp-1"),
+        ("0x1.56e1fc2f8f359p-996", "0x1.bff2ee48e0530p-332", "0x1.cd2b297d889bap-53",
+         "0x1.45803cd141a69p-6", "0x1.7ef9db22d0e58p-3", "0x1.b000000000001p-2",
+         "0x1.6aaaaaaaaaaabp-1", "0x1.c800000000000p-1", "0x1.ed0e560418938p-1",
          "0x1.fe46ae3a3a8e7p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ),
     "beta2": (
-        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cap-333", "0x1.33721ba905bd3p-54",
+        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cbp-333", "0x1.33721ba905bd3p-54",
          "0x1.b5e1c4d43464bp-8", "0x1.176ba565326dcp-4", "0x1.6ac02b16838b2p-3",
-         "0x1.8722191a02d61p-2", "0x1.4498517a7b355p-1", "0x1.a88a3abb00d9dp-1",
-         "0x1.f5f4fdafe3866p-1", "0x1.ffffffffffffep-1", "0x1.0000000000000p+0"),
+         "0x1.8722191a02d61p-2", "0x1.4498517a7b356p-1", "0x1.a88a3abb00d9ep-1",
+         "0x1.f5f4fdafe3867p-1", "0x1.fffffffffffffp-1", "0x1.0000000000000p+0"),
         ("0x1.01297d23ab683p-997", "0x1.4ff632b6a83e4p-333", "0x1.59e05f1e2674dp-54",
-         "0x1.ebee8153feb41p-8", "0x1.35e587f1b1674p-4", "0x1.8930a2f4f66acp-3",
-         "0x1.95f619980c433p-2", "0x1.4000000000000p-1", "0x1.957218dd45423p-1",
-         "0x1.e3d70a3d70a3ep-1", "0x1.ffffffc8930a2p-1", "0x1.ffffffe000000p-1"),
-        ("0x1.01297d23ab682p-996", "0x1.4ff632b6a83e4p-332", "0x1.59e05f1e2674cp-53",
+         "0x1.ebee8153feb41p-8", "0x1.35e587f1b1674p-4", "0x1.8930a2f4f66abp-3",
+         "0x1.95f619980c433p-2", "0x1.4000000000001p-1", "0x1.957218dd45422p-1",
+         "0x1.e3d70a3d70a3cp-1", "0x1.ffffffc8930a2p-1", "0x1.ffffffe000000p-1"),
+        ("0x1.01297d23ab683p-996", "0x1.4ff632b6a83e4p-332", "0x1.59e05f1e2674dp-53",
          "0x1.e9e1b089a0275p-7", "0x1.28f5c28f5c290p-3", "0x1.6000000000000p-2",
-         "0x1.4000000000000p-1", "0x1.b000000000000p-1", "0x1.e3d70a3d70a3ep-1",
-         "0x1.fd6a161e4f766p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+         "0x1.4000000000001p-1", "0x1.b000000000000p-1", "0x1.e3d70a3d70a3dp-1",
+         "0x1.fd6a161e4f766p-1", "0x1.fffffffffffffp-1", "0x1.0000000000000p+0"),
     ),
     "tent": (
         ("0x1.56e1fc2f8f359p-997", "0x1.bff2ee48e0530p-333", "0x1.cd2b297d889bcp-54",
          "0x1.47ae147ae147bp-7", "0x1.999999999999ap-4", "0x1.0000000000000p-2",
          "0x1.0000000000000p-1", "0x1.8000000000000p-1", "0x1.ccccccccccccdp-1",
          "0x1.fae147ae147aep-1", "0x1.fffffffffffffp-1", "0x1.0000000000000p+0"),
-        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cap-333", "0x1.33721ba905bd2p-54",
+        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cbp-333", "0x1.33721ba905bd3p-54",
          "0x1.b4e81b4e81b4fp-8", "0x1.1111111111111p-4", "0x1.5555555555555p-3",
-         "0x1.5555555555555p-2", "0x1.0000000000000p-1", "0x1.9999999999999p-1",
-         "0x1.f5c28f5c28f5cp-1", "0x1.ffffffffffffdp-1", "0x1.0000000000000p+0"),
+         "0x1.5555555555555p-2", "0x1.0000000000000p-1", "0x1.999999999999ap-1",
+         "0x1.f5c28f5c28f5bp-1", "0x1.ffffffffffffep-1", "0x1.fffffffffffffp-1"),
         ("0x1.56e1fc2f8f359p-996", "0x1.bff2ee48e0530p-332", "0x1.cd2b297d889bcp-53",
          "0x1.47ae147ae147bp-6", "0x1.999999999999ap-3", "0x1.0000000000000p-1",
-         "0x1.5555555555555p-1", "0x1.aaaaaaaaaaaabp-1", "0x1.ddddddddddddep-1",
+         "0x1.5555555555556p-1", "0x1.aaaaaaaaaaaabp-1", "0x1.ddddddddddddep-1",
          "0x1.fc962fc962fc9p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ),
     "beta3_exp1": (
         ("0x1.56e1fc2f8f359p-998", "0x1.bff2ee48e0530p-334", "0x1.cd2b297d889bcp-55",
          "0x1.491fb40825c6fp-8", "0x1.ace82931831b6p-5", "0x1.2251179dbca1fp-3",
          "0x1.5bc9b85ea0bf7p-2", "0x1.76ed69f9d5c75p-1", "0x1.9c041f7ed8d35p+0",
-         "0x1.f4bd2b7ac1badp+1", "0x1.205966f2b4f12p+5", "inf"),
-        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cap-333", "0x1.33721ba905bd2p-54",
-         "0x1.b516f87c55c9ep-8", "0x1.1245a740163fap-4", "0x1.597b1a05785b6p-3",
-         "0x1.5f71361b4e181p-2", "0x1.0f2dd26347818p-1", "0x1.50983f77cdd62p-1",
+         "0x1.f4bd2b7ac1baep+1", "0x1.205966f2b4f13p+5", "inf"),
+        ("0x1.c92d503f699ccp-998", "0x1.2aa1f430958cbp-333", "0x1.33721ba905bd3p-54",
+         "0x1.b516f87c55c9dp-8", "0x1.1245a740163fap-4", "0x1.597b1a05785b6p-3",
+         "0x1.5f71361b4e181p-2", "0x1.0f2dd26347817p-1", "0x1.50983f77cdd61p-1",
          "0x1.889f1eb7da62cp-1", "0x1.a1d2853259a1fp-1", "0x1.a1d28f9bf31b9p-1"),
         ("0x1.56e1fc2f8f359p-996", "0x1.bff2ee48e0530p-332", "0x1.cd2b297d889bbp-53",
-         "0x1.46716647a98f3p-6", "0x1.8929d3df6bb8fp-3", "0x1.c6f2ed81460ddp-2",
-         "0x1.789a7a72620dfp-1", "0x1.c000000000000p-1", "0x1.e666666666666p-1",
+         "0x1.46716647a98f3p-6", "0x1.8929d3df6bb8dp-3", "0x1.c6f2ed81460ddp-2",
+         "0x1.789a7a72620e0p-1", "0x1.c000000000000p-1", "0x1.e666666666667p-1",
          "0x1.fd70a3d70a3d7p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ),
 }
@@ -362,46 +387,102 @@ _ROOT_BITS = {
 
 @pytest.mark.parametrize("name", sorted(_ROOT_BITS))
 def test_root_solves_keep_their_bits(name):
+    # every pin solved by Newton is its level's left end: G^{-1}(1) alone
+    # is read off the components' tops
     F = MarginalVector(_PIN_VECTORS[name])
     u = np.array(_PIN_LEVELS)
+    G = average_cdf(F)
     g_bits, *delta_bits = _ROOT_BITS[name]
-    assert [x.hex() for x in average_cdf(F).ppf(u)] == list(g_bits)
+    x = G.ppf(u)
+    assert [v.hex() for v in x] == list(g_bits)
+    _assert_left_ends(G, u[:-1], x[:-1])
     for c, bits in zip(multidiagonal_from_marginals(F).components, delta_bits, strict=True):
-        assert [x.hex() for x in c.ppf(u)] == list(bits)
-
-
-# (vector, component, level) of the three pinned delta_i roots that are
-# the left end inf{x : F(x) >= u} one float below where the arithmetic
-# midpoint's bisection stopped
-_LEFT_ENDS = (("exp3", 0, 0.1), ("beta2", 0, 0.01), ("tent", 0, 0.25))
+        x = c.ppf(u)
+        assert [v.hex() for v in x] == list(bits)
+        _assert_left_ends(c, u, x)
 
 
 @pytest.mark.parametrize("name", sorted(_ROOT_BITS))
 def test_tiny_roots_lie_within_a_float_of_their_level(name):
-    # the pinned delta_i roots at 1e-300 and 1e-100: one float each side
-    # brackets the level, where the old solves read F 1e-67 to 1e-30
+    # the pinned delta_i roots, down to 1e-300 and 1e-100: one float each
+    # side brackets the level, where the old solves read F 1e-67 to 1e-30
+    # at those two
     comps = multidiagonal_from_marginals(MarginalVector(_PIN_VECTORS[name])).components
-    u = np.array(_PIN_LEVELS[:2])
+    u = np.array(_PIN_LEVELS)
     for c in comps:
         x = c.ppf(u)
         assert np.all(c.cdf(np.nextafter(x, -np.inf)) < u)
         assert np.all(u <= c.cdf(np.nextafter(x, np.inf)))
-    for vec, i, level in _LEFT_ENDS:
-        if vec == name:
-            x = comps[i].ppf(np.array([level]))
-            assert comps[i].cdf(x)[0] >= level > comps[i].cdf(np.nextafter(x, -np.inf))[0]
 
 
-def test_table_tail_and_separation_crossings_keep_their_bits():
+@pytest.mark.parametrize("name", sorted(_PIN_VECTORS))
+def test_roots_are_left_ends_at_random_levels(name):
+    # 2,000 levels of G^{-1} and 500 of each delta_i's ppf; a solver that
+    # settles on an unread Newton estimate lands below the level or right
+    # of the left end at about a third of these levels (of G's none on
+    # tent)
+    rng = np.random.default_rng(29)
+    F = MarginalVector(_PIN_VECTORS[name])
+    G = average_cdf(F)
+    u = rng.random(2000)
+    _assert_left_ends(G, u, G.ppf(u))
+    for c in multidiagonal_from_marginals(F).components:
+        u = rng.random(500)
+        _assert_left_ends(c, u, c.ppf(u))
+
+
+def _tail_reaches(hz, s, target, monkeypatch):
+    """hz.solve_tail(s, target) on a segment hazard, and per point solved
+    inside its segment the rise the solver reads at its root and one float
+    below, with the level w that rise must reach."""
+    calls = []
+    reach = type(hz)._reach
+
+    def recorded(self, k, w):
+        calls.append((k, w, reach(self, k, w)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(type(hz), "_reach", recorded)
+    out = hz.solve_tail(s, target)
+    (k, w, t), = calls
+    inside = w < hz._top[k] - hz._C[k]
+    rise = lambda x: hz._rise(np.searchsorted(hz._x0, x) - 1, x)
+    return out, rise(t)[inside], rise(np.nextafter(t, -np.inf))[inside], w[inside]
+
+
+def test_table_tail_solves_are_left_ends(monkeypatch):
+    # theta(t) - theta(s) >= target > theta(float below t) - theta(s) as the
+    # solver reads it: the rise into t's segment against theta(s) + target
+    # less the segment's start value.  The sums C_k + rise and theta(s) +
+    # target round apart, so the theta differences themselves can miss the
+    # target by an ulp either way
+    hz = MarginalVector(_PIN_VECTORS["beta3_exp1"]).pairs[0].hazard
+    assert isinstance(hz, TableHazard)
+    rng = np.random.default_rng(29)
+    s = np.concatenate([3.0 * rng.random(1000), 30.0 * rng.random(1000)])
+    _, at, below, w = _tail_reaches(hz, s, rng.exponential(size=s.size), monkeypatch)
+    assert w.size >= 1990
+    assert np.all(at >= w) and np.all(w > below)
+
+
+def test_table_tail_and_separation_crossings_keep_their_bits(monkeypatch):
     hz = MarginalVector(_PIN_VECTORS["beta3_exp1"]).pairs[0].hazard
     assert isinstance(hz, TableHazard)
     s = np.array([1e-9, 0.1, 0.5, 1.0, 2.0, 5.0])
-    assert [x.hex() for x in hz.solve_tail(s, 0.7)] == [
-        "0x1.16abd50baf699p-28", "0x1.793f480ab1560p-2", "0x1.2ad8ad5405282p+0",
+    t, at, below, w = _tail_reaches(hz, s, 0.7, monkeypatch)
+    assert [x.hex() for x in t] == [
+        "0x1.16abd50baf699p-28", "0x1.793f480ab1561p-2", "0x1.2ad8ad5405283p+0",
         "0x1.b33333333332ep+0", "0x1.5999999999997p+1", "0x1.6ccccccccccccp+2"]
-    # the knot-touch pair's two solved crossings, either side of the knot 1/2
-    (_, d0), (g1, _) = MarginalVector((BetaOneKCdf(2), PiecewiseLinearCdf(TENT[0]))).pairs[0].psi
-    assert (d0.hex(), g1.hex()) == ("0x1.fffffffffffddp-2", "0x1.0000000000010p-1")
+    assert w.size == s.size and np.all(at >= w) and np.all(w > below)
+    # the knot-touch pair's two solved crossings, either side of the knot
+    # 1/2: the first x where the excess gap, rounded, falls to 0 (d0) and
+    # rises from it (g1)
+    fp, fc = BetaOneKCdf(2), PiecewiseLinearCdf(TENT[0])
+    (_, d0), (g1, _) = MarginalVector((fp, fc)).pairs[0].psi
+    assert (d0.hex(), g1.hex()) == ("0x1.fffffffffffe0p-2", "0x1.0000000000010p-1")
+    for x, sign in ((d0, -1.0), (g1, 1.0)):
+        excess = sign * _excess(*_cdf_gap_terms(fp, fc, np.array([x, np.nextafter(x, 0.0)])))
+        assert excess[0] >= 0.0 > excess[1]
 
 
 def test_g_inverse_reads_no_top_below_one(monkeypatch):
