@@ -245,9 +245,8 @@ def test_composed_ppf_at_one_is_where_cdf_first_reads_one(monkeypatch):
         assert F.cdf(r) == 1.0 and F.cdf(np.nextafter(r, 0.0)) < 1.0
 
 
-# F.ppf at 0.1, 0.5, 0.9 and 0.99, whose solves once settled through a probe
-# below an unread Newton estimate, five of them a float or two from the left
-# end; six of the twelve moved when the solver settled only on a closed bracket
+# F.ppf at 0.1, 0.5, 0.9 and 0.99: left ends, where a solver that settles on
+# an unread Newton estimate lands a float or two off at five of the twelve
 _EXP3_DELTA_BITS = (
     ("0x1.144341ff27d38p-4", "0x1.6f63eeb78bf7cp-2", "0x1.7af2a74b23d4dp-1",
      "0x1.d19a488f6923fp-1"),
