@@ -35,6 +35,14 @@ _PANEL_ATOL = 5e-324
 _TS_MINLEVEL, _TS_MAXLEVEL, _TS_BASE_STEPS = 2, 10, 8
 #: reads _newton_level gives a point before it raises
 _NEWTON_READS = 100
+#: distinct levels an AverageCdf keeps solved; past it new levels are solved
+#: and not kept
+_MEMO_LEVELS = 1 << 16
+#: rows a density evaluates at once on a plain array, and points per
+#: integrand call of the battery's rules: a block of a few arrays of this
+#: length stays in a core's L2 cache, and its temporaries reuse the pages
+#: of the block before
+_BLOCK = 1 << 15
 
 
 def _per_distinct(fn, x):
@@ -48,6 +56,17 @@ def _per_distinct(fn, x):
     x = np.asarray(x, dtype=float)
     levels, inverse = np.unique(x.ravel(), return_inverse=True)
     return np.asarray(fn(levels), dtype=float)[inverse].reshape(x.shape)
+
+
+def _by_row_blocks(fn, x):
+    """fn(x) for a density fn that reads each row of x on its own: a plain
+    (n, d) array of more than _BLOCK rows goes to fn _BLOCK rows at a time
+    and the values are joined, so they keep their bits; a level block, or
+    anything smaller, goes whole."""
+    if isinstance(x, _LevelBlock) or np.ndim(x) != 2 or len(x) <= _BLOCK:
+        return fn(x)
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([fn(x[k:k + _BLOCK]) for k in range(0, len(x), _BLOCK)])
 
 
 class _LevelBlock(np.ndarray):
@@ -689,10 +708,13 @@ def _newton_level(read, targets, lo, hi):
     """inf{s in [lo, hi] : F(s) >= target} by bracketed Newton.
 
     F is nondecreasing and the level lies in [lo, hi].  Each iterate makes
-    one call read(x) on the 1-D array x of the points still moving, which
-    returns the value F(x) and the slope F'(x) together: a caller that gets
-    both from one piece of work (one G^{-1} solve, one series) keeps no
-    state between iterates.  A point that reads below its level becomes its
+    one call read(x, idx) on the 1-D array x of the points still moving,
+    idx their places in the flattened targets, which returns the value F(x)
+    and the slope F'(x) together: a caller that gets both from one piece of
+    work (one G^{-1} solve, one series) keeps no state between iterates,
+    and one whose points read different functions picks each by idx.  Each
+    point moves on its own reads alone, so its root does not depend on the
+    other points of the call.  A point that reads below its level becomes its
     bracket's lo, any other its hi, and it settles when no float lies
     between the two, at hi: where both ends were read, F(hi) >= target >
     F(the float below hi).  The next iterate is the Newton step where that
@@ -719,7 +741,7 @@ def _newton_level(read, targets, lo, hi):
     for _ in range(_NEWTON_READS):
         if idx.size == 0:
             return out.reshape(shape)
-        value, f = read(x)
+        value, f = read(x, idx)
         r = np.asarray(value, dtype=float) - t
         f = np.asarray(f, dtype=float)
         below = r < 0.0
@@ -761,13 +783,22 @@ def _newton_level(read, targets, lo, hi):
 
 
 class AverageCdf(MarginalCdf):
-    """Equally weighted average G = (1/d) sum_i F_i of component CDFs."""
+    """Equally weighted average G = (1/d) sum_i F_i of component CDFs.
+
+    G^{-1} keeps the levels it has solved, up to _MEMO_LEVELS of them, and
+    solves only the levels it has not: a verification battery asks for the
+    same levels in many checks.  A kept root is the bits of a fresh solve,
+    since each level is solved on its own (_newton_level).
+    """
 
     def __init__(self, components):
         self.components = tuple(components)
         if not self.components:
             raise InvalidMarginal("average of zero CDFs")
         self.is_absolutely_continuous = all(c.is_absolutely_continuous for c in self.components)
+        # (sorted levels, their roots), replaced whole by one assignment, so
+        # that a thread reads either the store before an update or after it
+        self._solved = (np.empty(0), np.empty(0))
 
     @property
     def support(self):
@@ -775,46 +806,78 @@ class AverageCdf(MarginalCdf):
                 max(c.support[1] for c in self.components))
 
     def _mean(self, method: str, x):
-        """(1/d) sum_i of the components' cdf, sf or pdf at x."""
+        """(1/d) sum_i of the components' _cdf, _sf or _pdf at a float array
+        x, whose conventions the public caller has settled."""
         acc = np.zeros_like(x)
         for c in self.components:
             acc = acc + getattr(c, method)(x)
         return acc / len(self.components)
 
     def _cdf(self, x):
-        return self._mean("cdf", x)
+        return self._mean("_cdf", x)
 
     def _sf(self, x):
-        return self._mean("sf", x)
+        return self._mean("_sf", x)
 
     def _pdf(self, x):
-        return self._mean("pdf", x)
+        return self._mean("_pdf", x)
 
     def _quantile(self, u):
         """G^{-1}(u), elementwise over u of any shape.
 
-        Each distinct level is solved once (_per_distinct), by bracketed
-        Newton between the component quantiles: a grid's columns cost one
-        solve per level they hold, and a (d, n) array of d columns is
-        solved as their union.
+        Each distinct level is looked up once (_per_distinct), and the
+        levels not kept yet are solved by _solve_levels: a grid's columns
+        cost one solve per level they hold, a (d, n) array of d columns is
+        solved as their union, and a level solved before costs a lookup.
         """
-        return _per_distinct(self._solve_levels, u)
+        return _per_distinct(self._recall, u)
+
+    def _recall(self, u):
+        """G^{-1} at sorted distinct levels u: kept roots where the store
+        holds the level, solved ones elsewhere.  The new levels, NaN aside,
+        are merged into the store by position while it has room."""
+        known, roots = self._solved
+        at = np.searchsorted(known, u)
+        hit = at < known.size
+        hit[hit] = known[at[hit]] == u[hit]
+        out = np.full_like(u, math.nan)
+        out[hit] = roots[at[hit]]
+        miss = np.flatnonzero(~hit & ~np.isnan(u))
+        if miss.size == 0:
+            return out
+        out[miss] = self._solve_levels(u[miss])
+        room = _MEMO_LEVELS - known.size
+        if room > 0:
+            miss = miss[:room]
+            self._solved = (np.insert(known, at[miss], u[miss]),
+                            np.insert(roots, at[miss], out[miss]))
+        return out
 
     def _solve_levels(self, u):
-        """G^{-1} at a 1-D array of levels in (0, 1]."""
+        """G^{-1} at a 1-D array of levels in (0, 1], by one bracketed
+        Newton between the component quantiles.  Up to 1/2 a point reads
+        G against u; above, -(1 - G) against -(1 - u), since 1 - u is
+        exact there while G that close to 1 keeps only absolute accuracy."""
         out = np.full_like(u, math.nan)
         # G(s) = 1 exactly when every component has reached 1.
         if np.any(u == 1.0):
             out[u == 1.0] = max(c.ppf(1.0) for c in self.components)
-        # the level lies between the component quantiles; above 1/2 the
-        # survival function carries it, since 1 - u is exact there while
-        # cdf values that close to 1 keep only absolute accuracy
-        for part, level, read in (
-                ((u > 0.0) & (u <= 0.5), u, lambda x: (self._cdf(x), self._pdf(x))),
-                ((u > 0.5) & (u < 1.0), -(1.0 - u), lambda x: (-self._sf(x), self._pdf(x)))):
-            if np.any(part):
-                qs = np.array([c.ppf(u[part]) for c in self.components])
-                out[part] = _newton_level(read, level[part], qs.min(axis=0), qs.max(axis=0))
+        live = np.flatnonzero((u > 0.0) & (u < 1.0))
+        if live.size:
+            v = u[live]
+            upper = v > 0.5
+
+            def read(x, idx):
+                value = np.empty_like(x)
+                up = upper[idx]
+                low = ~up
+                value[low] = self._cdf(x[low])
+                value[up] = -self._sf(x[up])
+                return value, self._pdf(x)
+
+            qs = np.array([c.ppf(v) for c in self.components])
+            out[live] = _newton_level(read, np.where(upper, -(1.0 - v), v),
+                                      qs.min(axis=0), qs.max(axis=0))
         return out
 
     def knots(self):
@@ -874,8 +937,8 @@ class ComposedDeltaCdf(MarginalCdf):
         # composition through the source marginals lives in the multidiagonal
         # layer and the two are compared in tests.  Each Newton iterate reads
         # the cdf and the pdf at one x from one G^{-1} solve.
-        return _newton_level(lambda x: self._read(x, (self.base.cdf, 0.0, 1.0, math.nan),
-                                                  (self.pdf_at_base, 0.0, 0.0, 0.0)),
+        return _newton_level(lambda x, _: self._read(x, (self.base.cdf, 0.0, 1.0, math.nan),
+                                                     (self.pdf_at_base, 0.0, 0.0, 0.0)),
                              u, 0.0, 1.0)
 
     def knots(self):
@@ -990,7 +1053,7 @@ def generalized_inverse(J, t, lo=None, hi=None):
                 return -math.inf
             lo = -1e300
             break
-    return float(_newton_level(lambda x: ([J(float(v)) for v in x], np.full(x.shape, math.nan)),
+    return float(_newton_level(lambda x, _: ([J(float(v)) for v in x], np.full(x.shape, math.nan)),
                                t, lo, hi))
 
 

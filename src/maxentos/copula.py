@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .cdfs import _Columns
+from .cdfs import _Columns, _by_row_blocks
 from .errors import InvalidMarginal, NotAbsolutelyContinuous, NotInF0, OutOfPsi
 from .hazards import PairHazard, TableHazard, _cdf_gap
 from .intervals import gap_inside_mask, inside_mask
@@ -245,11 +245,17 @@ def c_delta_density(kernel: CopulaKernel, u) -> np.ndarray:
     of sorted rows that carries its columns' levels (cdfs._LevelBlock),
     G^{-1} solves the union of the levels and every term of one
     coordinate reads each level once; the support mask and the sums read
-    the points.
+    the points.  A large plain array is read in row blocks
+    (cdfs._by_row_blocks).
     """
     if not kernel.report.is_D0:
         raise NotAbsolutelyContinuous(
             "multidiagonal is not absolutely continuous with zero residual set")
+    return _by_row_blocks(lambda rows: _density_rows(kernel, rows), u)
+
+
+def _density_rows(kernel: CopulaKernel, u) -> np.ndarray:
+    """c_delta_density at the rows of u, read at once."""
     block = u
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != kernel.d:

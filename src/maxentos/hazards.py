@@ -433,7 +433,7 @@ class TableHazard(SegmentHazard):
         ki = k[inside]
         # Newton reads x in (start, end] of its segment only
         out[inside] = _newton_level(
-            lambda x: self._rise(np.searchsorted(self._x0, x) - 1, x, slope=True),
+            lambda x, _: self._rise(np.searchsorted(self._x0, x) - 1, x, slope=True),
             w[inside], self._x0[ki], self._x1[ki])
         return out
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdfs import _Columns
+from .cdfs import _Columns, _by_row_blocks
 from .errors import Degenerate, InvalidMarginal
 from .hazards import PairHazard, TableHazard
 from .intervals import IntervalSet
@@ -133,11 +133,17 @@ def f_F_density(model: MaxEntModel, x) -> np.ndarray:
     the hazard integrals between consecutive ones.  On a quadrature block
     that carries its columns' levels (cdfs._LevelBlock) f_1, ell and
     theta read each level once and are gathered; the support mask and the
-    sums read the points.
+    sums read the points.  A large plain array is read in row blocks
+    (cdfs._by_row_blocks).
     """
     for i, m in enumerate(model.margins.margins, start=1):
         if not m.is_absolutely_continuous:
             raise Degenerate(f"margin {i} has a singular part, no joint density")
+    return _by_row_blocks(lambda rows: _density_rows(model, rows), x)
+
+
+def _density_rows(model: MaxEntModel, x) -> np.ndarray:
+    """f_F_density at the rows of x, read at once."""
     points = np.atleast_2d(np.asarray(x, dtype=float))
     if points.shape[1] != model.d:
         raise ValueError(f"points must have {model.d} columns")

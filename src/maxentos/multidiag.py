@@ -17,8 +17,9 @@ of F, and in particular J(F) = J(delta^F).
 
 Every layer reads delta_(i) = F_i o G^{-1} through one triple,
 ``Multidiagonal.transport`` = (margins, G, pairs): the source's margins,
-average CDF and pair records, or, without a source, the components
-themselves with G the identity.
+the one average CDF that the components share and the source's pair
+records, or, without a source, the components themselves with G the
+identity.
 
 Like a marginal vector, a multidiagonal keeps one record per consecutive
 pair.  When it was built from marginals, record k is the transport of the
@@ -102,11 +103,13 @@ class Multidiagonal:
     @cached_property
     def transport(self) -> tuple:
         """(margins, G, pairs) with delta_(i) = margins[i-1] o G^{-1}: the
-        source's margins, average CDF and pair records, or the components
-        themselves with G the identity (they average to t)."""
+        source's margins, the average CDF its components share and its pair
+        records, or the components themselves with G the identity (they
+        average to t).  Every G^{-1} read of the multidiagonal goes to one
+        G, so each level it solves is kept once for all of them."""
         if self.source is None:
             return self.components, _Identity(), self.pairs
-        return self.source.margins, average_cdf(self.source), self.source.pairs
+        return self.source.margins, self.components[0].avg, self.source.pairs
 
     def cdf_matrix(self, s):
         """Stack of component CDF values, shape (d, len(s)): F_i(G^{-1}(s)),

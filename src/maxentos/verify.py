@@ -57,13 +57,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cdfs import (_Columns, _cut_ends, _level_block, _panel_integral,
+from .cdfs import (_BLOCK, _Columns, _cut_ends, _level_block, _panel_integral,
                    _unit_gauss, xlogx)
 from .copula import (GAP_TOL, CopulaKernel, c_delta_density, c_F_density,
-                     copula_entropy_closed, sample_copula, symmetrize_density)
+                     copula_entropy_closed, symmetrize_density)
 from .errors import DimensionTooLarge
 from .intervals import gap_inside_mask, inside_mask
-from .joint import build_model, detect_degenerate, f_F_density, sample
+from .joint import (_draw_sorted, build_model, detect_degenerate, f_F_density,
+                    sample)
 from .marginals import (MarginalVector, check_stochastic_order, j_functional,
                         sigma_measure)
 from .multidiag import (Multidiagonal, delta_inverse, j_functional_delta,
@@ -71,9 +72,6 @@ from .multidiag import (Multidiagonal, delta_inverse, j_functional_delta,
 
 MAX_QUAD_DIM = 3
 DEFAULT_NODES = {1: 512, 2: 512, 3: 160}
-# points per integrand call of the ordered rule: a block of a few arrays
-# of this length stays in a core's L2 cache
-_BLOCK = 1 << 15
 KS_FACTOR = 1.63
 
 
@@ -531,9 +529,12 @@ def _delta_checks(delta: Multidiagonal, *, seed: int, n_samples: int,
                 worst = _worst(worst, abs(val - expect))
         return _tolcheck(worst, 1e-6)
 
+    # sample_copula's sorted rows are G(X) for the sorted draws X of its
+    # draw loop, and delta_(i)(G(X_i)) is F_i(X_i): read without G^{-1}
     check("copula_sampler_recovery")(lambda: _ks_recovery(
-        lambda s: np.sort(sample_copula(kernel, n_samples, seed=s), axis=1),
-        [comp.cdf for comp in delta.components], n_samples, seed + 101))
+        lambda s: _draw_sorted(kernel._first, kernel._hazards, n_samples,
+                               np.random.default_rng(s)),
+        [m.cdf for m in kernel._margins], n_samples, seed + 101))
 
     @check("copula_entropy_quad", quad=True)
     def _copula_entropy_quad():

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxentos import (CopulaKernel, MarginalVector, Multidiagonal, build_model,
-                      c_F_density, c_delta_density, delta_inverse, f_F_density,
-                      in_support_LF, multidiagonal_from_marginals,
+                      c_F_density, c_delta_density, copula, delta_inverse,
+                      f_F_density, in_support_LF, joint, multidiagonal_from_marginals,
                       multidiagonal_of_iid_uniform, symmetrize_density,
                       unsymmetrize_density)
-from maxentos.cdfs import (BetaOneKCdf, ExponentialCdf, OrderStatUniformCdf,
+from maxentos.cdfs import (_BLOCK, BetaOneKCdf, ExponentialCdf, OrderStatUniformCdf,
                            PiecewiseLinearCdf)
 from maxentos.copula import GAP_TOL, _delta_values_and_slopes, _sort_rows
 from maxentos.hazards import (ExpPairHazard, OrderStatPairHazard, TableHazard,
@@ -408,6 +408,50 @@ def test_multidiagonal_shift_is_layout_independent_at_d8():
         assert np.count_nonzero(got) > 20
         _same_bits(got, shift(delta, c_fn)(UF))
         _same_bits(got, ref(delta, c_fn)(UF))
+
+
+def _long_rows(pool, specials, hi, seed):
+    """2 _BLOCK + 7 rows of pool, with unsorted rows, rows off the support,
+    NaN rows and rows with entries from specials (the cube's edge among
+    them) spread through all three row blocks."""
+    rng = np.random.default_rng(seed)
+    n = 2 * _BLOCK + 7
+    X = pool[rng.integers(len(pool), size=n)]
+    X[0::5] = X[0::5, ::-1]                         # unsorted
+    X[1::7] = rng.uniform(-0.25 * hi, 1.25 * hi, X[1::7].shape)
+    at = rng.integers(n, size=n // 9)
+    X[at, rng.integers(X.shape[1], size=at.size)] = rng.choice(specials, size=at.size)
+    X[2::11] = math.nan
+    return X
+
+
+@pytest.mark.parametrize("layer, name", [("joint", "beta2"), ("joint", "exp3"),
+                                         ("joint", "tent"), ("copula", "iid3"),
+                                         ("copula", "exp3"), ("copula", "tent")])
+def test_densities_read_long_arrays_in_row_blocks(layer, name, monkeypatch):
+    # more than _BLOCK rows go to the density _BLOCK at a time, with the
+    # bits of the row-wise code and of any other split of the same rows
+    if layer == "joint":
+        model, pool, specials, hi = _joint_case(name, False)
+        density, ref, module = functools.partial(f_F_density, model), \
+            functools.partial(_ref_f_F_density, model), joint
+    else:
+        kernel, pool, specials = _kernel_case(name)
+        hi = 1.0
+        density, ref, module = functools.partial(c_delta_density, kernel), \
+            functools.partial(_ref_c_delta_density, kernel), copula
+    X = _long_rows(pool, specials + [0.0, 1.0, hi], hi, seed=len(name))
+    sizes = []
+    rows = module._density_rows
+    monkeypatch.setattr(module, "_density_rows",
+                        lambda obj, x: (sizes.append(len(x)), rows(obj, x))[1])
+    got = density(X)
+    assert sizes == [_BLOCK, _BLOCK, 7]
+    assert np.count_nonzero(got) > _BLOCK
+    assert np.isnan(X[2::11]).all() and not got[2::11].any()
+    _same_bits(got, ref(X))
+    cuts = [1, 999, _BLOCK - 1, _BLOCK + 2, 2 * _BLOCK + 6]
+    _same_bits(got, np.concatenate([density(part) for part in np.split(X, cuts)]))
 
 
 def test_blocks_reach_both_paths():

@@ -1,5 +1,8 @@
 """G^{-1} for averages of CDFs: a 50-digit oracle and the solver's work."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -132,44 +135,41 @@ def test_plateau_levels_give_left_ends():
     assert G.ppf(np.nextafter(0.75, 1.0)) == pytest.approx(4.0, abs=1e-14)
 
 
-class _Counter:
-    """Points passed to cdf/sf of the patched classes; a survival function
-    that goes through cdf counts once."""
+def _count_reads(monkeypatch):
+    """[calls, levels, points]: the calls of _newton_level, the levels
+    handed to it and the points its read sees, summed from now on."""
+    counts = [0, 0, 0]
+    newton = cdfs._newton_level
 
-    def __init__(self):
-        self.points = 0
-        self._depth = 0
+    def counted(read, targets, *args):
+        counts[0] += 1
+        counts[1] += np.size(targets)
 
-    def wrap(self, fn):
-        def counted(obj, x):
-            if self._depth == 0:
-                self.points += np.size(x)
-            self._depth += 1
-            try:
-                return fn(obj, x)
-            finally:
-                self._depth -= 1
-        return counted
+        def counted_read(x, idx):
+            counts[2] += np.size(x)
+            return read(x, idx)
+        return newton(counted_read, targets, *args)
+
+    monkeypatch.setattr(cdfs, "_newton_level", counted)
+    return counts
 
 
 @pytest.mark.parametrize("name", ["exp3", "beta2", "tent"])
 def test_average_ppf_evaluation_count(name, monkeypatch):
-    comps = [c.cdf_obj for c in AVERAGES[name]]
-    G = AverageCdf(comps)
-    counter = _Counter()
-    for cls in {type(c) for c in comps}:
-        for meth in ("cdf", "sf"):
-            monkeypatch.setattr(cls, meth, counter.wrap(getattr(cls, meth)))
+    # reads per level: every read evaluates each component once per point
+    G = AverageCdf([c.cdf_obj for c in AVERAGES[name]])
+    counts = _count_reads(monkeypatch)
     u = np.random.default_rng(3).random(100_000)
     G.ppf(u)
-    per_point = counter.points / (u.size * len(comps))
-    assert per_point <= 8.0, per_point
+    assert counts[:2] == [1, np.unique(u).size]
+    per_level = counts[2] / counts[1]
+    assert 1.0 <= per_level <= 8.0, per_level
 
 
 def test_newton_level_raises_at_the_cap(monkeypatch):
     # one read at the midpoint 0.5 lands above the level 0.3 and leaves
     # the bracket (0, 0.5] open: a point still moving at the cap raises
-    ident = lambda x: (x, np.ones_like(x))
+    ident = lambda x, _: (x, np.ones_like(x))
     assert cdfs._newton_level(ident, np.array([0.3]), 0.0, 1.0)[0] == 0.3
     monkeypatch.setattr(cdfs, "_NEWTON_READS", 1)
     with pytest.raises(RootBracketFailure):
@@ -181,8 +181,10 @@ def test_composed_ppf_solves_g_inverse_once_per_iterate(u, monkeypatch):
     # a Newton iterate reads the cdf and the pdf at one x, both from one
     # G^{-1} solve, and lands where separate reads of the two land
     comps = [ExponentialCdf(r) for r in (3.0, 2.0, 1.0)]
+    # the reference on a G of its own, whose kept levels F does not see
+    ref = ComposedDeltaCdf(comps[0], AverageCdf(comps))
+    expect = cdfs._newton_level(lambda x, _: (ref.cdf(x), ref.pdf(x)), u, 0.0, 1.0)
     F = ComposedDeltaCdf(comps[0], AverageCdf(comps))
-    expect = cdfs._newton_level(lambda x: (F.cdf(x), F.pdf(x)), u, 0.0, 1.0)
     solves, iterates, outer = [], [], []
     solve, newton = AverageCdf._solve_levels, cdfs._newton_level
     monkeypatch.setattr(AverageCdf, "_solve_levels",
@@ -194,7 +196,8 @@ def test_composed_ppf_solves_g_inverse_once_per_iterate(u, monkeypatch):
             return newton(read, *args, **kwargs)
         outer.append(1)
         try:
-            return newton(lambda x: (iterates.append(1), read(x))[1], *args, **kwargs)
+            return newton(lambda x, idx: (iterates.append(1), read(x, idx))[1],
+                          *args, **kwargs)
         finally:
             outer.pop()
 
@@ -285,7 +288,8 @@ def test_rounding_stretch_gives_its_left_end(level, bits):
 def test_newton_level_iterations_on_rounding_stretches(name, monkeypatch):
     # a stretch that is only rounding is probed a plateau width below, not
     # bisected from a far bracket end: with 2 such levels among them (beta2),
-    # the lower half of 20,000 levels took 30 evaluations, and 31 on exp3
+    # the lower half of 20,000 levels took 30 evaluations, and 31 on exp3;
+    # both halves run in one solve
     G = AverageCdf([c.cdf_obj for c in AVERAGES[name]])
     evaluations = []
     newton = cdfs._newton_level
@@ -293,9 +297,9 @@ def test_newton_level_iterations_on_rounding_stretches(name, monkeypatch):
     def counted(cdf_vec, *args, **kwargs):
         evaluations.append(0)
 
-        def cdf(x):
+        def cdf(x, idx):
             evaluations[-1] += 1
-            return cdf_vec(x)
+            return cdf_vec(x, idx)
         return newton(cdf, *args, **kwargs)
 
     monkeypatch.setattr(cdfs, "_newton_level", counted)
@@ -304,7 +308,7 @@ def test_newton_level_iterations_on_rounding_stretches(name, monkeypatch):
         assert all(level in u for level, _ in _ROUNDING_STRETCH_BITS)
     x = G.ppf(u)
     assert np.all(np.isfinite(x))
-    assert len(evaluations) == 2 and max(evaluations) <= 12, evaluations
+    assert len(evaluations) == 1 and max(evaluations) <= 12, evaluations
 
 
 # -- bits of every root solve ------------------------------------------------
@@ -524,3 +528,88 @@ def test_order_stat_quantile_at_tiny_levels(u):
     # G is the identity on [0, 1], and its inverse is too
     x = AverageCdf(comps).ppf(np.array([u]))[0]
     assert abs(x - u) <= 1e-13 * u
+
+
+# -- the memo of solved levels -----------------------------------------------
+
+
+def _memo_levels():
+    """Random levels and the edge classes: tiny, next to 1, exactly 1, NaN."""
+    rng = np.random.default_rng(11)
+    return np.concatenate([rng.random(2_000),
+                           [5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0, np.nan]])
+
+
+def _assert_kept_store(G):
+    """The store holds strictly increasing levels, no NaN, one root each."""
+    known, roots = G._solved
+    assert known.size == roots.size
+    assert not np.isnan(known).any() and np.all(np.diff(known) > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_VECTORS))
+def test_kept_roots_are_fresh_solves(name, monkeypatch):
+    comps = _PIN_VECTORS[name]
+    u = _memo_levels()
+    G = AverageCdf(comps)
+    first = G.ppf(u)
+    _assert_kept_store(G)
+    assert G._solved[0].size == u.size - 1
+    # the same levels again, shuffled and repeated: all kept, no solve
+    counts = _count_reads(monkeypatch)
+    again = np.concatenate([u[np.random.default_rng(12).permutation(u.size)], u[:50]])
+    x = G.ppf(again)
+    assert counts == [0, 0, 0]
+    # a fresh G solves them in another batch, and a few one at a time
+    monkeypatch.undo()
+    assert x.tobytes() == AverageCdf(comps).ppf(again).tobytes()
+    assert first.tobytes() == AverageCdf(comps).ppf(u).tobytes()
+    for v, kept in zip(u[-25:], first[-25:]):
+        assert AverageCdf(comps).ppf(np.array([v])).tobytes() == np.array([kept]).tobytes()
+    # a NaN that reaches the lookup is solved to NaN and not kept
+    got = G._quantile(np.array([np.nan, u[0]]))
+    assert np.isnan(got[0]) and got[1] == first[0]
+    _assert_kept_store(G)
+
+
+def test_kept_levels_stop_at_the_cap(monkeypatch):
+    monkeypatch.setattr(cdfs, "_MEMO_LEVELS", 100)
+    comps = _PIN_VECTORS["exp3"]
+    G = AverageCdf(comps)
+    rng = np.random.default_rng(13)
+    for n in (60, 60, 500):
+        u = rng.random(n)
+        assert G.ppf(u).tobytes() == AverageCdf(comps).ppf(u).tobytes()
+        _assert_kept_store(G)
+        assert G._solved[0].size <= 100
+    assert G._solved[0].size == 100
+    known = G._solved[0]
+    assert G.ppf(known).tobytes() == AverageCdf(comps).ppf(known).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_ROOT_BITS))
+def test_threads_on_one_g_keep_the_pinned_bits(name):
+    # two threads ask one G for the pinned levels and new ones, each round
+    # reading the store while the other replaces it
+    comps = _PIN_VECTORS[name]
+    G = AverageCdf(comps)
+    pins = np.array(_PIN_LEVELS)
+    start = threading.Barrier(2)
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        start.wait()
+        runs = []
+        for _ in range(20):
+            u = np.concatenate([pins, rng.random(300)])
+            runs.append((u, G.ppf(u)))
+        return runs
+
+    with ThreadPoolExecutor(2) as pool:
+        runs = [r for f in [pool.submit(work, s) for s in (1, 2)] for r in f.result()]
+    for u, x in runs:
+        assert [v.hex() for v in x[:pins.size]] == list(_ROOT_BITS[name][0])
+    u = np.concatenate([u for u, _ in runs])
+    x = np.concatenate([x for _, x in runs])
+    assert x.tobytes() == AverageCdf(comps).ppf(u).tobytes()
+    _assert_kept_store(G)

@@ -355,6 +355,25 @@ def test_exp3_copula_pass_solves_few_levels(exp3_delta, monkeypatch):
     assert sum(levels) <= 20_000
 
 
+@pytest.mark.parametrize("margins, max_calls, max_levels", [
+    ((BetaOneKCdf(2), BetaOneKCdf(1)), 45, 15_500),
+    (tuple(ExponentialCdf(r) for r in (3.0, 2.0, 1.0)), 56, 15_500),
+])
+def test_battery_solves_each_level_once_per_g(margins, max_calls, max_levels, monkeypatch):
+    # G keeps the levels it solved, and every layer of the battery's
+    # multidiagonal reads one G: the default beta2 battery makes 37
+    # _solve_levels calls on 12,761 levels, exp3 47 on 12,516 (86 on 94,919
+    # and 129 on 128,537 when each call solved all its levels); the bounds
+    # leave about 20 % headroom
+    calls, levels = [], []
+    solve = AverageCdf._solve_levels
+    monkeypatch.setattr(AverageCdf, "_solve_levels",
+                        lambda self, u: (calls.append(1), levels.append(u.size),
+                                         solve(self, u))[2])
+    assert run_full_verification(MarginalVector(margins)).all_passed
+    assert len(calls) <= max_calls and sum(levels) <= max_levels, (len(calls), sum(levels))
+
+
 def test_battery_passes_on_iid_multidiagonal():
     rep = run_full_verification(multidiagonal_of_iid_uniform(3),
                                 n_samples=2000, grid=512)
