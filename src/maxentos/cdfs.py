@@ -38,10 +38,10 @@ _NEWTON_READS = 100
 #: distinct levels an AverageCdf keeps solved; past it new levels are solved
 #: and not kept
 _MEMO_LEVELS = 1 << 16
-#: rows a density evaluates at once on a plain array, and points per
-#: integrand call of the battery's rules: a block of a few arrays of this
-#: length stays in a core's L2 cache, and its temporaries reuse the pages
-#: of the block before
+#: rows a density evaluates at once on a plain array or on the CLI's grid,
+#: and points per integrand call of the battery's rules: a block of a few
+#: arrays of this length stays in a core's L2 cache, and its temporaries
+#: reuse the pages of the block before
 _BLOCK = 1 << 15
 
 
@@ -178,18 +178,11 @@ class _Columns:
 
     def between(self, hz, i, out=None):
         """hz.lambda_between(column i - 2, column i - 1), a new array or
-        out; on a level block theta reads each level of the two columns
-        once."""
-        s, t = self.column(i - 2), self.column(i - 1)
-        if self.levels is None:
-            return hz.lambda_between(s, t)
-        tt, ts = self.read(i - 1, hz.theta, out=out), self.read(i - 2, hz.theta)
-
-        def diff(sel):
-            rise = tt[sel]
-            rise -= ts[sel]
-            return rise
-        return hz._between(s, t, diff)
+        out; theta reads each of the two columns once, on a level block
+        each of their levels once."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return hz._between(self.column(i - 2), self.column(i - 1),
+                               self.read(i - 1, hz.theta, out=out), self.read(i - 2, hz.theta))
 
     def block(self, like=None):
         """The points as an (n, d) array: on a level block one that

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .cdfs import _level_block
+from .cdfs import _BLOCK, _level_block
 from .copula import (CopulaKernel, c_delta_density, copula_entropy_closed,
                      order_stat_copula_entropy, sample_copula)
 from .errors import MaxentError
@@ -39,8 +39,6 @@ except PackageNotFoundError:                                # pragma: no cover
 
 _CSV_FMT = "%.17g"
 _CSV_CHUNK = 4096
-# grid points per density call
-_GRID_CHUNK = 1 << 14
 
 
 class _InputError(Exception):
@@ -258,15 +256,15 @@ def _grid_rows(axes, density_fn):
     """Blocks (coordinate text, density column) over the grid in C order,
     last axis fastest.  Each axis level is rendered once, here where the
     grid is known: d*g strings instead of d*g**d.  The density gets each
-    chunk as a level block (cdfs._LevelBlock) of the axis values and the
-    rows' axis indices, so its per-coordinate terms read each axis value
-    once."""
+    chunk of cdfs._BLOCK rows as a level block (cdfs._LevelBlock) of the
+    axis values and the rows' axis indices, so its per-coordinate terms
+    read each axis value once."""
     sizes = [len(a) for a in axes]
     total = math.prod(sizes)
     labels = [np.array([_CSV_FMT % v for v in a.tolist()], dtype=object)
               for a in axes]
-    for start in range(0, total, _GRID_CHUNK):
-        multi = np.unravel_index(np.arange(start, min(start + _GRID_CHUNK, total)), sizes)
+    for start in range(0, total, _BLOCK):
+        multi = np.unravel_index(np.arange(start, min(start + _BLOCK, total)), sizes)
         text = np.column_stack([lab[i] for lab, i in zip(labels, multi)])
         yield text, density_fn(_level_block(zip(axes, multi)))[:, None]
 

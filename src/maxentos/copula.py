@@ -108,28 +108,31 @@ class CopulaKernel:
                 return -np.log(self._first.sf(x))
         return _anchored_theta(self._hazards[i], self._anchors[i], x)
 
-    def _K_inner(self, i: int, t: np.ndarray) -> np.ndarray:
-        if i == self.d + 1:
-            return np.zeros_like(t)
-        return self._K_at(i, self._avg.ppf(t))
-
     def _kprime_at(self, i: int, x: np.ndarray) -> np.ndarray:
         """K_i' at t = G(x) for i >= 2: ell_i(x) / g(x)."""
         ell = self._hazards[i].ell(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(ell > 0.0, ell / self._avg.pdf(x), 0.0)
 
-    def _log_a_inner(self, i: int, t: np.ndarray) -> np.ndarray:
-        # log a_i = log ell_i(x) - K_i + K_{i+1} - log g(x) at x = G^{-1}(t).
+    def _log_a_at(self, i: int, x: np.ndarray) -> np.ndarray:
+        # log a_i = log ell_i(x) - K_i + K_{i+1} - log g(x) at t = G(x).
         # For i = 1, ell_1 exp(-K_1) is f_1 exactly; going through K_1
         # instead turns that into inf - inf once the survival underflows.
-        x = self._avg.ppf(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             if i == 1:
                 head = np.log(self._first.pdf(x))
             else:
                 head = np.log(self._hazards[i].ell(x)) - self._K_at(i, x)
             return head + self._K_at(i + 1, x) - np.log(self._avg.pdf(x))
+
+    def _read(self, sets, t, fn):
+        """fn(x) at x = G^{-1}(t) where t lies in Psi_j for every j of sets,
+        0 elsewhere: one G^{-1} solve, on the points inside alone."""
+        mask = np.logical_and.reduce([inside_mask(self.psis[j], t) for j in sets])
+        out = np.zeros(t.shape)
+        if np.any(mask):
+            out[mask] = fn(self._avg.ppf(t[mask]))
+        return out
 
     def _log_density(self, v) -> np.ndarray:
         """log c at sorted rows v on the support: an (n, d) array, a level
@@ -163,18 +166,14 @@ class CopulaKernel:
         if not np.all(inside):
             bad = t[~inside][0]
             raise OutOfPsi(f"t={bad!r} outside the separation set for kernel {i}")
-        return self._K_inner(i, t)
+        return self._K_at(i, self._avg.ppf(t))
 
     def a(self, i: int, t):
         """Factor a_i = K_i' exp(K_{i+1} - K_i), zero off Psi_i & Psi_{i+1}."""
         if not 1 <= i <= self.d:
             raise ValueError(f"factor index {i} out of range 1..{self.d}")
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        mask = inside_mask(self.psis[i], t) & inside_mask(self.psis[i + 1], t)
-        out = np.zeros(t.shape)
-        if np.any(mask):
-            out[mask] = np.exp(self._log_a_inner(i, t[mask]))
-        return out
+        return self._read((i, i + 1), t, lambda x: np.exp(self._log_a_at(i, x)))
 
     def B(self, i: int, t):
         """B_i = exp(-K_i) on Psi_i (B_{d+1} = 1); zero outside."""
@@ -183,11 +182,7 @@ class CopulaKernel:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if i == self.d + 1:
             return np.ones(t.shape)
-        mask = inside_mask(self.psis[i], t)
-        out = np.zeros(t.shape)
-        if np.any(mask):
-            out[mask] = np.exp(-self._K_inner(i, t[mask]))
-        return out
+        return self._read((i,), t, lambda x: np.exp(-self._K_at(i, x)))
 
     def E(self, i: int, t):
         """E_i = (delta_(i) - delta_(i+1)) exp(K_{i+1}) on Psi_{i+1} (E_0 = 1)."""
@@ -196,15 +191,13 @@ class CopulaKernel:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if i == 0:
             return np.ones(t.shape)
-        mask = inside_mask(self.psis[i + 1], t)
-        out = np.zeros(t.shape)
-        if np.any(mask):
+
+        def read(x):
             # delta_(i) - delta_(i+1) is F_i - F_{i+1} at x = G^{-1}(t)
-            x = self._avg.ppf(t[mask])
             cur = self._margins[i - 1]
             gap = _cdf_gap(cur, self._margins[i], x) if i < self.d else cur.cdf(x)
-            out[mask] = gap * np.exp(self._K_at(i + 1, x))
-        return out
+            return gap * np.exp(self._K_at(i + 1, x))
+        return self._read((i + 1,), t, read)
 
 
 def _sort_rows(u: np.ndarray) -> np.ndarray:
@@ -468,18 +461,17 @@ def c_F_density(margins: MarginalVector, u, *, hazards=None) -> np.ndarray:
     # with every row on the support the columns are read in place
     every = bool(np.all(valid))
     xv, uv = (xs, u.T) if every else (xs.rows(valid), u[valid].T)
-    logc = np.zeros(len(uv[0]))
-    work = xv.buffers(2)
-    for i in range(2, d + 1):
-        # -Lambda_i - log(F_{i-1}(x_i) - u_i), in place
-        lam = xv.between(hazards[i], i, out=work[0])
-        gap = xv.read(i - 1, lambda t: np.asarray(ms[i - 2].cdf(t), dtype=float), out=work[1])
+
+    def own(i, out):
+        # -log(F_{i-1}(x_i) - u_i), in place
+        gap = xv.read(i - 1, lambda t: np.asarray(ms[i - 2].cdf(t), dtype=float), out=out)
         gap -= uv[i - 1]
         with np.errstate(divide="ignore"):
             np.log(np.maximum(gap, 5e-324, out=gap), out=gap)
-        np.negative(lam, out=lam)
-        lam -= gap
-        logc += lam
+        return np.negative(gap, out=gap)
+
+    logc = np.zeros(len(uv[0]))
+    _add_pair_terms(logc, xv, hazards, xv.buffers(2), own)
     if every:
         return np.exp(logc, out=logc)
     out = np.zeros(u.shape[0])

@@ -89,22 +89,24 @@ class PairHazard:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s, t = np.broadcast_arrays(s, t)
-        return self._between(s, t, lambda sel: self.theta(t[sel]) - self.theta(s[sel]))
+        # theta off the intervals is unspecified, and _between drops it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self._between(s, t, self.theta(t), self.theta(s))
 
-    def _between(self, s, t, diff):
-        """lambda_between(s, t) for arrays of one shape, with diff(sel) the
-        theta(t) - theta(s) of the points sel selects."""
+    def _between(self, s, t, theta_t, theta_s):
+        """lambda_between(s, t) for arrays of one shape, from theta read
+        at t and at s, new arrays: theta_t may take the difference."""
         same = np.zeros(s.shape, dtype=bool)
         # a tie inside an interval reads theta(t) - theta(s) = 0, as an
         # empty gap does, and keeps a grid with ties on the whole-array path
         for g, d in self.psi:
             same |= (g < s) & (s <= t) & (t < d)
-        # theta is elementwise: with every row live it reads s and t whole
         if np.all(same):
-            return diff(slice(None))
+            theta_t -= theta_s
+            return theta_t
         out = np.where(t <= s, 0.0, math.inf)
         if np.any(same):
-            out[same] = diff(same)
+            out[same] = theta_t[same] - theta_s[same]
         return out
 
     def _tail_args(self, s, target):
@@ -431,10 +433,9 @@ class TableHazard(SegmentHazard):
         out = self._x1[k]
         inside = np.flatnonzero(w < self._top[k] - self._C[k])
         ki = k[inside]
-        # Newton reads x in (start, end] of its segment only
-        out[inside] = _newton_level(
-            lambda x, _: self._rise(np.searchsorted(self._x0, x) - 1, x, slope=True),
-            w[inside], self._x0[ki], self._x1[ki])
+        # a point's Newton reads stay inside its bracket, its own segment ki[idx]
+        out[inside] = _newton_level(lambda x, idx: self._rise(ki[idx], x, slope=True),
+                                    w[inside], self._x0[ki], self._x1[ki])
         return out
 
 

@@ -111,17 +111,22 @@ def hazard(model: MaxEntModel, i: int, t) -> np.ndarray:
     return model.hazards[i].ell(np.asarray(t, dtype=float))
 
 
-def _add_pair_terms(logf, cols: _Columns, hazards: dict, work):
-    """logf += log ell_i(x_i) - Lambda_i(x_{i-1}, x_i) for each pair i = 2..d
-    of hazards, in place, on the columns x of cols, with work the two
-    buffers of cols.buffers(2).
+def _add_pair_terms(logf, cols: _Columns, hazards: dict, work, own=None):
+    """logf += own_i - Lambda_i(x_{i-1}, x_i) for the pairs i = 2..d of
+    hazards, in that order, in place, on the columns x of cols, with work
+    the two buffers of cols.buffers(2).
 
-    Lambda_i is +inf where x_{i-1} and x_i lie in different separation
-    intervals, whose thetas carry unrelated constants, so such a row reads
-    log density -inf.
+    own(i, out) is the pair's own term of x_i, a new array or out; when
+    None it is log ell_i(x_i).  Lambda_i is +inf where x_{i-1} and x_i lie
+    in different separation intervals, whose thetas carry unrelated
+    constants, so such a row reads log density -inf.
     """
-    for i, hz in hazards.items():
-        term = cols.read(i - 1, lambda t: np.log(hz.ell(t)), out=work[0])
+    for i in range(2, len(hazards) + 2):
+        hz = hazards[i]
+        if own is None:
+            term = cols.read(i - 1, lambda t: np.log(hz.ell(t)), out=work[0])
+        else:
+            term = own(i, work[0])
         term -= cols.between(hz, i, out=work[1])
         logf += term
 

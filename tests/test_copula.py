@@ -21,6 +21,7 @@ from maxentos.cdfs import (AverageCdf, BetaOneKCdf, ExponentialCdf,
 from maxentos.copula import GAP_TOL, _anchored_theta, _sort_rows
 from maxentos.errors import InvalidMarginal, NotAbsolutelyContinuous, OutOfPsi
 from maxentos.hazards import TableHazard, _cdf_gap, pair_hazard
+from maxentos.intervals import inside_mask
 from maxentos.verify import quad_entropy, simplex_integral
 
 
@@ -215,6 +216,33 @@ def test_kernel_anchors_solve_g_inverse_once(margins, anchors, monkeypatch):
     assert {i: [float(v).hex() for v in a] for i, a in kernel._anchors.items()} == anchors
 
 
+def test_kernel_functions_solve_g_inverse_once(exp3_delta, monkeypatch):
+    # K, a, B and E each read their values at x = G^{-1}(t) through one
+    # solve on the points inside their sets, and solve nothing when no
+    # point is; B_{d+1} = E_0 = 1 read no kernel at all
+    kernel = CopulaKernel(exp3_delta)
+    d = kernel.d
+    calls = []
+    quantile = AverageCdf._quantile
+    monkeypatch.setattr(AverageCdf, "_quantile",
+                        lambda self, u: (calls.append(1), quantile(self, u))[1])
+
+    def count(fn, i, t):
+        calls.clear()
+        fn(i, t)
+        return len(calls)
+
+    t = np.concatenate([np.linspace(-0.1, 1.1, 61), [0.0, 1.0, np.nan]])
+    outside = np.array([-0.1, 1.1, np.nan])
+    for fn in (kernel.a, kernel.B, kernel.E):
+        for i in range(1, d + 1):
+            assert count(fn, i, t) == 1
+            assert count(fn, i, outside) == 0
+    assert count(kernel.B, d + 1, t) == count(kernel.E, 0, t) == 0
+    for i in range(1, d + 1):
+        assert count(kernel.K, i, t[inside_mask(kernel.psis[i], t)]) == 1
+
+
 def test_comonotone_multidiagonal_has_no_density():
     comonotone = Multidiagonal((UniformCdf(0.0, 1.0), UniformCdf(0.0, 1.0)))
     kernel = CopulaKernel(comonotone)
@@ -359,6 +387,19 @@ def test_density_is_zero_across_separation_intervals():
     assert c_delta_density(kernel, block).tolist() == [0.0, 0.0]
     model = build_model(margins)
     assert f_F_density(model, np.array([[0.5 - 1e-13, 0.5 + 1e-13]])).tolist() == [0.0]
+
+
+def test_c_F_density_sums_its_pairs_in_order():
+    # the pair terms add in pair order 2..d, whatever the order of a
+    # caller's hazards dict: at d = 5 a reversed sum moves bits.  Sorted
+    # rows map to ordered points, since F_i >= F_(i+1)
+    margins = MarginalVector(tuple(BetaOneKCdf(k) for k in (5, 4, 3, 2, 1)))
+    hazards = {i: p.hazard for i, p in enumerate(margins.pairs, start=2)}
+    u = np.sort(np.random.default_rng(9).random((2000, 5)), axis=1)
+    c = c_F_density(margins, u)
+    assert np.count_nonzero(c) > 1000
+    reverse = dict(reversed(hazards.items()))
+    np.testing.assert_array_equal(c_F_density(margins, u, hazards=reverse), c)
 
 
 def _exp_pair_c_F(u1, u2, rate_prev, rate_cur):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,8 +9,8 @@ from maxentos import MarginalVector, build_model, f_F_density
 from maxentos.cdfs import (BetaOneKCdf, ExponentialCdf, OrderStatUniformCdf,
                            PiecewiseLinearCdf)
 from maxentos.errors import RootBracketFailure
-from maxentos.hazards import (ExpPairHazard, PiecewisePairHazard, TableHazard,
-                              pair_hazard)
+from maxentos.hazards import (ExpPairHazard, OrderStatPairHazard, PiecewisePairHazard,
+                              TableHazard, pair_hazard)
 from maxentos.verify import simplex_integral
 
 
@@ -239,6 +240,55 @@ def test_pair_hazard_picks_closed_forms():
         == "ExpPairHazard"
     assert type(pair_hazard(BetaOneKCdf(2), BetaOneKCdf(1))).__name__ \
         == "BetaPairHazard"
+
+
+# one pair per route: closed exponential, closed beta, order statistics,
+# piecewise on one and on two intervals, and tables (the knot-touch pair,
+# whose two intervals meet 2^-49 either side of 1/2, and an unbounded one)
+QUIET_PAIRS = {
+    "exponential": lambda: pair_hazard(ExponentialCdf(3.0), ExponentialCdf(2.0)),
+    "beta": lambda: pair_hazard(BetaOneKCdf(3), BetaOneKCdf(2)),
+    "order_stat": lambda: OrderStatPairHazard(OrderStatUniformCdf(3, 1),
+                                              OrderStatUniformCdf(3, 2)),
+    "piecewise_tent": lambda: pair_hazard(*PIECEWISE["tent"]),
+    "piecewise_two_interval": lambda: pair_hazard(*PIECEWISE["two_interval"]),
+    "knot_touch_table": lambda: MarginalVector((BetaOneKCdf(2), _pl(
+        (0.0, 0.0), (0.5, 0.75), (1.0, 1.0)))).pairs[0].hazard,
+    "exponential_table": lambda: pair_hazard(ExponentialCdf(3.0), ExponentialCdf(2.0),
+                                             force_table=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUIET_PAIRS))
+def test_lambda_between_is_quiet_off_the_intervals(name):
+    # theta reads s and t whole, off the intervals too, where its value is
+    # unspecified; none of that may warn or reach the result: a tie or an
+    # empty gap reads 0, a path that leaves the interval of s +inf
+    hz = QUIET_PAIRS[name]()
+    (g0, d0), (g1, d1) = hz.psi.intervals[0], hz.psi.intervals[-1]
+    mid0 = 0.5 * (g0 + d0) if math.isfinite(d0) else g0 + 1.0
+    inf, nan = math.inf, math.nan
+    off = [(nan, mid0), (mid0, nan), (nan, nan), (-inf, mid0), (mid0, inf),
+           (-inf, -inf), (inf, inf), (g0 - 1.0, mid0), (g0 - 2.0, g0 - 1.0),
+           (g0 - 1.0, g0 - 1.0), (mid0, g0 - 1.0), (g0, mid0), (mid0, d1 + 1.0),
+           (d1 + 1.0, d1 + 2.0), (d1 + 2.0, d1 + 1.0), (d1, d1), (g0, g0)]
+    if len(hz.psi) > 1:
+        # straddling two intervals, and the ends that separate them
+        off += [(mid0, 0.5 * (g1 + d1)), (d0, g1), (d0, d0), (g1, mid0)]
+    ties = [(mid0, mid0)] * 2
+    inside = [(g0 + 0.25 * (mid0 - g0), mid0), (mid0, mid0 + 0.5 * (mid0 - g0))]
+    s, t = (np.array(c) for c in zip(*(off + ties + inside)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = hz.lambda_between(s, t)
+        whole = hz.lambda_between(s[-4:], t[-4:])
+        rows = [hz.lambda_between(a, b)[0] for a, b in zip(s[-4:], t[-4:])]
+    n = len(off)
+    assert np.array_equal(lam[:n], np.where(t[:n] <= s[:n], 0.0, inf))
+    assert np.array_equal(lam[n:n + 2], [0.0, 0.0])
+    assert np.all(np.isfinite(lam[-2:])) and np.all(lam[-2:] > 0.0)
+    # the rows inside keep their bits on the whole-array path and alone
+    assert np.array_equal(lam[-4:], whole) and np.array_equal(whole, rows)
 
 
 # -- where the tail solve places its conditioning point --
